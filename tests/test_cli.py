@@ -126,6 +126,21 @@ class TestExtractAndMatch:
         assert results[0]["label"] == "alice"
         assert results[0]["decision"] == "accept"
 
+    @pytest.mark.parametrize("flag", ["--position-tolerance", "--angle-tolerance",
+                                      "--threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_match_non_finite_parameter_is_domain_error(self, capsys, tmp_path, flag, value):
+        from wearauth.fingerprint import Template, TemplateAlgorithm
+        probe = tmp_path / "probe.fpt"
+        probe.write_bytes(codec.encode(Template(10, 10, TemplateAlgorithm.HIGH_ACCURACY)))
+        gal = tmp_path / "gallery"
+        gal.mkdir()
+        (gal / "index.json").write_text("{}")
+        code, out, err = run_cli(capsys, "match", str(probe), str(gal), flag, value)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_match_corrupt_probe_is_domain_error(self, capsys, tmp_path):
         (tmp_path / "bad.fpt").write_bytes(b"garbage")
         gal = tmp_path / "gallery"
@@ -179,6 +194,22 @@ class TestSimulate:
         assert doc["requests_completed"] == 3
         assert doc["verification"]["passed"] is True
         assert trace.read_text().startswith("seq,request,node,event,joules")
+
+    @pytest.mark.parametrize("block", [
+        {"rotation_range": float("inf")},      # rotations() would overflow
+        {"rotation_step": float("nan")},
+        {"position_tolerance": float("nan")},
+        {"rotation_step": 1e-12},              # a grid of ~5e11 angles
+        {"angle_tolerance": "wide"},
+    ])
+    def test_degenerate_match_block_is_domain_error(self, capsys, scenario_workspace, block):
+        path = write_scenario(scenario_workspace, name="bad_match.json", system={
+            "te_location": "hub", "on_body_channel": "hbc",
+        }, max_requests=1, match=block)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
     def test_missing_scenario_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "none.json"))

@@ -1,12 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearauth import codec
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
-from wearauth.matcher import MatchParams, load_gallery, match, match_gallery
+from wearauth.matcher import (
+    MAX_ROTATIONS, MatchParams, load_gallery, match, match_gallery,
+)
+
+from reference_matcher import reference_match
 
 E, B = MinutiaKind.ENDING, MinutiaKind.BIFURCATION
 
@@ -134,6 +141,102 @@ class TestMatchProperties:
         assert len(galleries) == len(set(galleries))
 
 
+_ANGLES = (0.0, 0.3, math.pi / 2, math.pi, 4.0)
+
+
+@st.composite
+def _templates(draw, spread, one_kind):
+    """0-14 minutiae; a small spread forces duplicate positions and key ties."""
+    n = draw(st.integers(0, 14))
+    pts = [(draw(st.integers(20, 20 + spread)), draw(st.integers(20, 20 + spread)),
+            draw(st.one_of(st.sampled_from(_ANGLES),
+                           st.floats(0.0, 2 * math.pi, exclude_max=True))),
+            E if one_kind else draw(st.sampled_from((E, B))))
+           for _ in range(n)]
+    return T(pts)
+
+
+@st.composite
+def _params(draw):
+    rotation_range = draw(st.sampled_from((0.0, math.pi / 30, math.pi / 6)))
+    half_steps = draw(st.integers(1, 5))
+    on_grid = rotation_range / half_steps if rotation_range else math.pi / 60
+    rotation_step = draw(st.sampled_from((on_grid, on_grid * 0.77)))  # on / off grid
+    # Whole-pixel tolerances meet integer distances (3-4-5) exactly at the edge.
+    position_tolerance = draw(st.one_of(st.sampled_from((1.0, 5.0, 10.0)),
+                                        st.floats(0.5, 40.0)))
+    return MatchParams(position_tolerance=position_tolerance,
+                       angle_tolerance=draw(st.floats(0.01, math.pi)),
+                       score_threshold=draw(st.floats(0.05, 0.95)),
+                       rotation_range=rotation_range, rotation_step=rotation_step)
+
+
+@st.composite
+def _match_cases(draw):
+    spread = draw(st.sampled_from((0, 4, 40, 250)))
+    one_kind = draw(st.booleans())
+    return (draw(_templates(spread, one_kind)), draw(_templates(spread, one_kind)),
+            draw(_params()))
+
+
+class TestSparseSearchIsExact:
+    """The sparse search returns exactly what the exhaustive dense search does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(_match_cases())
+    def test_equals_reference(self, case):
+        probe, gallery, params = case
+        assert match(probe, gallery, params) == reference_match(probe, gallery, params)
+
+    def test_key_tie_goes_to_the_first_rotation(self):
+        # The probe minutia at the origin lands on gallery minutia 0 with the
+        # same key at theta = -1 and +1.  At +1 two more compatible pairs lie
+        # in tolerance, so that translation has the larger bound and is tried
+        # first; the dense search met -1 first, and -1 must still win.
+        probe = T([(0, 0, 0.0, E), (0, 4, 0.3, E)])
+        gallery = T([(50, 50, math.pi, E), (52, 54, math.pi - 0.3, E)])
+        params = MatchParams(position_tolerance=5.0, angle_tolerance=math.pi - 1.0 + 1e-6,
+                             rotation_range=1.0, rotation_step=1.0)
+        res = match(probe, gallery, params)
+        assert res == reference_match(probe, gallery, params)
+        assert res.pairs == ((0, 0),)
+        assert res.transform == (50.0, 50.0, -1.0)
+
+    def test_benchmark_sized_pairs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            a, b = random_template(rng, 23), random_template(rng, 23)
+            params = MatchParams(position_tolerance=30.0)
+            assert match(a, b, params) == reference_match(a, b, params)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatchMemory:
+    def test_benchmark_sized_pair_peaks_below_dense_search(self):
+        rng = np.random.default_rng(5)
+        a, b = random_template(rng, 23), random_template(rng, 23)
+        match(a, b)  # warm caches outside the measurement
+        assert _peak_bytes(match, a, b) <= _peak_bytes(reference_match, a, b)
+
+    def test_sixty_minutiae_stay_under_documented_ceiling(self):
+        rng = np.random.default_rng(6)
+        a, b = random_template(rng, 60), random_template(rng, 60)
+        match(a, b)
+        same_kind = sum(m.kind == n.kind for m in a.minutiae for n in b.minutiae)
+        rotations = len(MatchParams().rotations())
+        # Ceiling from ``match``'s docstring.
+        ceiling = 10 * 2**20 + 16 * rotations * len(a) + 10 * rotations * same_kind
+        assert _peak_bytes(match, a, b) <= ceiling
+
+
 class TestMatchParams:
     def test_rotation_grid_is_symmetric(self):
         rots = MatchParams().rotations()
@@ -147,10 +250,34 @@ class TestMatchParams:
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
         {"rotation_step": 0.0},
+        {"position_tolerance": math.nan},
+        {"position_tolerance": math.inf},
+        {"angle_tolerance": math.nan},
+        {"angle_tolerance": math.inf},
+        {"score_threshold": math.nan},
+        {"rotation_range": math.inf},
+        {"rotation_range": math.nan},
+        {"rotation_step": math.nan},
+        {"rotation_step": math.inf},
+        {"rotation_step": 1e-300},  # range/step overflows to inf
+        {"position_tolerance": "12"},
+        {"rotation_range": None},
+        {"angle_tolerance": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MatchParams(**kw)
+
+    def test_rotation_grid_cap(self):
+        # k half-steps give 2k + 1 angles; the cap is checked arithmetically,
+        # so the refused grid is never built.
+        k = (MAX_ROTATIONS - 1) // 2
+        at_cap = MatchParams(rotation_range=k * 0.01, rotation_step=0.01)
+        assert len(at_cap.rotations()) == MAX_ROTATIONS
+        with pytest.raises(ValueError):
+            MatchParams(rotation_range=(k + 1) * 0.01, rotation_step=0.01)
+        with pytest.raises(ValueError):
+            MatchParams(rotation_range=math.pi, rotation_step=1e-9)
 
 
 class TestGallery:
