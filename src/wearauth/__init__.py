@@ -8,7 +8,6 @@ from .energy import (
     EnergyParams,
     NodeActivity,
     SensorType,
-    TeVariant,
     energy_breakdown,
     lora_energy_per_bit,
     node_energy,
@@ -23,6 +22,7 @@ from .design_space import (
     figure4_export,
     table2,
 )
+from .fingerprint.minutiae import TemplateAlgorithm
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "SensorType",
     "SystemConfig",
     "TeLocation",
-    "TeVariant",
+    "TemplateAlgorithm",
     "derive_activities",
     "energy_breakdown",
     "evaluate",

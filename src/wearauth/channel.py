@@ -11,6 +11,7 @@ is modelled as an error-free byte pipe (its cost lives in the energy model).
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,10 +36,7 @@ __all__ = [
     "receive_decode",
     "eye_opening",
     "ber",
-    "wban_transfer",
     "sweep_hum",
-    "waveform_to_csv",
-    "waveform_from_csv",
 ]
 
 SYNC_WORD = 0xF3A5
@@ -58,10 +56,9 @@ class IntegrityError(Exception):
     """Frame located but its checksum does not verify."""
 
 
-class DecodeMode:
+class DecodeMode(str, enum.Enum):
     DIRECT = "direct_sample"
     INTEGRATE_AND_DUMP = "integrate_and_dump"
-    ALL = (DIRECT, INTEGRATE_AND_DUMP)
 
 
 def _crc_table(poly: int = 0x1021) -> tuple[int, ...]:
@@ -191,7 +188,7 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     return replace(w, samples=sp_signal.lfilter(b, a, w.samples))
 
 
-def _bit_statistics(w: Waveform, mode: str) -> np.ndarray:
+def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     """Per-bit decision statistic: first half minus second half of each bit."""
     bp = w.bit_period
     half = bp // 2
@@ -208,18 +205,22 @@ def _bit_statistics(w: Waveform, mode: str) -> np.ndarray:
     return stat[:, 0] - stat[:, 1]
 
 
-def decode_bits(w: Waveform, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def decode_bits(w: Waveform, mode: DecodeMode) -> tuple[np.ndarray, np.ndarray]:
     """Hard bit decisions and the underlying per-bit statistics."""
     stats = _bit_statistics(w, mode)
     return (stats > 0).astype(np.uint8), stats
 
 
-def eye_opening(w: Waveform, mode: str) -> float:
+def _eye(stats: np.ndarray) -> float:
+    """Eye opening of per-bit statistics that a decoder has already computed."""
+    magnitude = np.abs(stats)
+    peak = magnitude.max() if magnitude.size else 0.0
+    return float(magnitude.min() / peak) if peak > 0 else 0.0
+
+
+def eye_opening(w: Waveform, mode: DecodeMode) -> float:
     """min|statistic| / max|statistic| over all bits: 1 fully open, 0 closed."""
-    stats = np.abs(_bit_statistics(w, mode))
-    if stats.size == 0 or stats.max() == 0:
-        return 0.0
-    return float(stats.min() / stats.max())
+    return _eye(_bit_statistics(w, mode))
 
 
 def _find_frame(bits: np.ndarray) -> tuple[int, int]:
@@ -241,7 +242,7 @@ def _find_frame(bits: np.ndarray) -> tuple[int, int]:
     raise SyncError("no complete frame found in the bit stream")
 
 
-def receive_decode(w: Waveform, mode: str,
+def receive_decode(w: Waveform, mode: DecodeMode,
                    reference_bits: np.ndarray | None = None) -> tuple[bytes, RxStats]:
     """Demodulate, hunt for the sync word and verify the checksum.
 
@@ -249,20 +250,18 @@ def receive_decode(w: Waveform, mode: str,
     :class:`IntegrityError` (payload withheld) when the CRC fails.
     """
     bits, stats = decode_bits(w, mode)
-    abs_stats = np.abs(stats)
-    eye = float(abs_stats.min() / abs_stats.max()) if stats.size and abs_stats.max() > 0 else 0.0
-    errors: int | None = None
-    rate: float | None = None
-    if reference_bits is not None and reference_bits.size == bits.size:
-        errors = int(np.count_nonzero(bits != reference_bits))
-        rate = errors / bits.size if bits.size else 0.0
-    rx_stats = RxStats(n_bits=int(bits.size), eye_opening=eye, bit_errors=errors, ber=rate)
     pos, length = _find_frame(bits)
     after = pos + 16
     frame_bytes = np.packbits(bits[after:after + 16 + 8 * length + 16]).tobytes()
     length_payload, crc = frame_bytes[:2 + length], frame_bytes[2 + length:2 + length + 2]
     if crc16_ccitt(length_payload) != int.from_bytes(crc, "big"):
         raise IntegrityError("frame checksum mismatch")
+    errors: int | None = None
+    rate: float | None = None
+    if reference_bits is not None and reference_bits.size == bits.size:
+        errors = int(np.count_nonzero(bits != reference_bits))
+        rate = ber(reference_bits, bits)
+    rx_stats = RxStats(n_bits=int(bits.size), eye_opening=_eye(stats), bit_errors=errors, ber=rate)
     return length_payload[2:], rx_stats
 
 
@@ -277,13 +276,8 @@ def ber(tx: np.ndarray, rx: np.ndarray) -> float:
     return float(np.count_nonzero(tx != rx) / tx.size)
 
 
-def wban_transfer(payload: bytes) -> bytes:
-    """The conventional radio is an error-free pipe; energy is modelled elsewhere."""
-    return bytes(payload)
-
-
 def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel,
-              bit_period: int, seed: int, modes: tuple[str, ...] = DecodeMode.ALL,
+              bit_period: int, seed: int, modes: tuple[DecodeMode, ...] = tuple(DecodeMode),
               sample_rate: float = 1_000_000.0) -> list[dict]:
     """BER and eye opening per decode mode over a hum-amplitude sweep.
 
@@ -298,25 +292,12 @@ def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel
         if cm.highpass_cutoff is not None:
             w = highpass_bias(w, cm.highpass_cutoff)
         for mode in modes:
-            bits, _ = decode_bits(w, mode)
+            bits, stats = decode_bits(w, mode)
             records.append({
                 "hum_amplitude": hum,
                 "mode": mode,
                 "ber": ber(reference, bits),
-                "eye_opening": eye_opening(w, mode),
+                "eye_opening": _eye(stats),
             })
     return records
 
-
-def waveform_to_csv(w: Waveform) -> str:
-    lines = ["index,value"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(w.samples.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def waveform_from_csv(text: str, sample_rate: float, bit_period: int) -> Waveform:
-    rows = text.strip().splitlines()
-    if not rows or rows[0] != "index,value":
-        raise ValueError("expected 'index,value' header")
-    values = [float(r.split(",")[1]) for r in rows[1:]]
-    return Waveform(sample_rate=sample_rate, samples=np.array(values), bit_period=bit_period)

@@ -23,7 +23,7 @@ from .design_space import (
     table2_csv,
     table2_json,
 )
-from .energy import Channel, ConfigError, EnergyParams, SensorType, TeVariant
+from .energy import Channel, ConfigError, EnergyParams, SensorType
 from .fingerprint.image import GrayImage, read_pgm
 from .fingerprint.minutiae import TemplateAlgorithm, extract_template
 from .matcher import MatchParams, match_gallery
@@ -64,10 +64,11 @@ def _cmd_explore(args) -> int:
         sensor_type=SensorType(args.sensor),
         sensor_power=PowerSource(args.power),
         lora_distance=args.distance,
-        te_variant=TeVariant(args.te_variant),
+        te_variant=TemplateAlgorithm(args.te_variant),
     )
     report = evaluate(cfg, params)
-    _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
+          args.output)
     return 0
 
 
@@ -94,7 +95,7 @@ def _cmd_match(args) -> int:
                          angle_tolerance=args.angle_tolerance,
                          score_threshold=args.threshold)
     results = match_gallery(probe, args.gallery, params)
-    _emit(json.dumps(results, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     return 0
 
 
@@ -113,12 +114,12 @@ def _cmd_channel_sweep(args) -> int:
     channel = ChannelModel(attenuation=args.attenuation, noise_sigma=args.noise,
                            hum_frequency=args.hum_frequency,
                            highpass_cutoff=args.highpass)
-    modes = DecodeMode.ALL if args.mode == "both" else (args.mode,)
+    modes = tuple(DecodeMode) if args.mode == "both" else (DecodeMode(args.mode),)
     payload = bytes(range(256)) * (args.payload_bytes // 256) + bytes(range(args.payload_bytes % 256))
     records = sweep_hum(payload, hums, channel, args.bit_period, args.seed, modes,
                         sample_rate=args.sample_rate)
     lines = ["hum_amplitude,mode,ber,eye_opening"]
-    lines += [f"{r['hum_amplitude']:.6g},{r['mode']},{r['ber']:.9e},{r['eye_opening']:.9e}"
+    lines += [f"{r['hum_amplitude']:.6g},{r['mode'].value},{r['ber']:.9e},{r['eye_opening']:.9e}"
               for r in records]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -130,7 +131,7 @@ def _cmd_simulate(args) -> int:
     report = sim.run_scenario(cfg, params)
     doc = report.to_dict()
     doc["verification"] = sim.verify_against_analytic(report, params).to_dict()
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     if args.trace:
         Path(args.trace).write_text(sim.trace_csv(report))
     return 0
@@ -165,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor", choices=["capacitive", "optical"], default="capacitive")
     p.add_argument("--power", choices=[s.value for s in PowerSource], default="rf_harvest")
     p.add_argument("--distance", type=float, default=1000.0, help="LoRa distance, m")
-    p.add_argument("--te-variant", choices=[v.value for v in TeVariant],
+    p.add_argument("--te-variant", choices=[v.value for v in TemplateAlgorithm],
                    default="high_accuracy")
     p.set_defaults(func=_cmd_explore)
 
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel-sweep", help="hum sweep of the body channel: BER and eye opening")
     p.add_argument("-o", "--output")
     p.add_argument("--hum", default="0,0.5,1,2,3,4,5", help="comma-separated hum amplitudes")
-    p.add_argument("--mode", choices=list(DecodeMode.ALL) + ["both"], default="both")
+    p.add_argument("--mode", choices=[m.value for m in DecodeMode] + ["both"], default="both")
     p.add_argument("--noise", type=float, default=0.5, help="Gaussian noise sigma")
     p.add_argument("--attenuation", type=float, default=0.5)
     p.add_argument("--hum-frequency", type=float, default=60.0)

@@ -19,10 +19,10 @@ from .energy import (
     EnergyParams,
     NodeActivity,
     SensorType,
-    TeVariant,
     energy_breakdown,
     retries,
 )
+from .fingerprint.minutiae import TemplateAlgorithm
 
 __all__ = [
     "TeLocation",
@@ -73,7 +73,7 @@ class SystemConfig:
     sensor_type: SensorType = SensorType.CAPACITIVE
     sensor_power: PowerSource = PowerSource.RF_HARVEST
     lora_distance: float = 1000.0
-    te_variant: TeVariant = TeVariant.HIGH_ACCURACY
+    te_variant: TemplateAlgorithm = TemplateAlgorithm.HIGH_ACCURACY
 
     def __post_init__(self) -> None:
         if self.on_body_channel is Channel.LORA:
@@ -90,6 +90,16 @@ class SystemConfig:
             if loc is self.te_location and ch is self.on_body_channel:
                 return letter
         raise AssertionError("unreachable")
+
+    def to_dict(self) -> dict:
+        return {
+            "te_location": self.te_location.value,
+            "on_body_channel": self.on_body_channel.value,
+            "sensor_type": self.sensor_type.value,
+            "sensor_power": self.sensor_power.value,
+            "lora_distance_m": self.lora_distance,
+            "te_variant": self.te_variant.value,
+        }
 
 
 def derive_activities(config: SystemConfig, params: EnergyParams) -> tuple[NodeActivity, NodeActivity]:
@@ -109,15 +119,15 @@ def derive_activities(config: SystemConfig, params: EnergyParams) -> tuple[NodeA
 
     sensor = NodeActivity(
         captures=1,
-        te_high=1 if te_at_sensor and config.te_variant is TeVariant.HIGH_ACCURACY else 0,
-        te_light=1 if te_at_sensor and config.te_variant is TeVariant.LIGHTWEIGHT else 0,
+        te_high=1 if te_at_sensor and config.te_variant is TemplateAlgorithm.HIGH_ACCURACY else 0,
+        te_light=1 if te_at_sensor and config.te_variant is TemplateAlgorithm.LIGHTWEIGHT else 0,
         bits_tx={config.on_body_channel: on_body_bits},
         bits_encrypted=on_body_bits if wban else 0,
     )
     te_at_hub = config.te_location is TeLocation.HUB
     hub = NodeActivity(
-        te_high=1 if te_at_hub and config.te_variant is TeVariant.HIGH_ACCURACY else 0,
-        te_light=1 if te_at_hub and config.te_variant is TeVariant.LIGHTWEIGHT else 0,
+        te_high=1 if te_at_hub and config.te_variant is TemplateAlgorithm.HIGH_ACCURACY else 0,
+        te_light=1 if te_at_hub and config.te_variant is TemplateAlgorithm.LIGHTWEIGHT else 0,
         bits_rx={config.on_body_channel: on_body_bits},
         bits_tx={Channel.LORA: lora_bits},
         bits_encrypted=lora_bits,
@@ -148,15 +158,7 @@ class LifetimeReport:
     def to_dict(self) -> dict:
         cfg = self.config
         return {
-            "config": {
-                "row": cfg.row,
-                "te_location": cfg.te_location.value,
-                "on_body_channel": cfg.on_body_channel.value,
-                "sensor_type": cfg.sensor_type.value,
-                "sensor_power": cfg.sensor_power.value,
-                "lora_distance_m": cfg.lora_distance,
-                "te_variant": cfg.te_variant.value,
-            },
+            "config": {"row": cfg.row, **cfg.to_dict()},
             "sensor": {
                 "capture_j": self.sensor_breakdown.capture,
                 "te_j": self.sensor_breakdown.te,
@@ -266,7 +268,7 @@ def table2_json(params: EnergyParams | None = None) -> str:
         }
         for sensor, row in grid.items()
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 _FIGURE4_HEADER = (
@@ -324,4 +326,4 @@ def figure4_csv(params: EnergyParams | None = None) -> str:
 
 
 def figure4_json(params: EnergyParams | None = None) -> str:
-    return json.dumps(figure4_export(params), indent=2, sort_keys=True) + "\n"
+    return json.dumps(figure4_export(params), indent=2, sort_keys=True, allow_nan=False) + "\n"

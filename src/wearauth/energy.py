@@ -7,8 +7,11 @@ convert at 1 W·hr = 3600 J (see :func:`watt_hours`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
+
+from .fingerprint.minutiae import TemplateAlgorithm
 
 __all__ = [
     "Channel",
@@ -17,10 +20,10 @@ __all__ = [
     "EnergyParams",
     "NodeActivity",
     "SensorType",
-    "TeVariant",
     "lora_energy_per_bit",
     "node_energy",
     "energy_breakdown",
+    "per_bit_cost",
     "retries",
     "watt_hours",
 ]
@@ -40,11 +43,6 @@ class SensorType(str, enum.Enum):
     CAPACITIVE = "capacitive"
     OPTICAL = "optical"
     NONE = "none"  # hub/cloud roles: capture energy is always zero
-
-
-class TeVariant(str, enum.Enum):
-    HIGH_ACCURACY = "high_accuracy"
-    LIGHTWEIGHT = "lightweight"
 
 
 def watt_hours(x: float) -> float:
@@ -78,6 +76,10 @@ class EnergyParams:
     hub_share: float = 0.10            # fraction of hub budget granted to authentication
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         positive = {
             "e_bit_wban": self.e_bit_wban,
             "e_bit_hbc": self.e_bit_hbc,
@@ -114,15 +116,12 @@ class EnergyParams:
             return self.e_capture_optical
         return 0.0
 
-    def te_energy(self, variant: TeVariant) -> float:
-        if variant is TeVariant.HIGH_ACCURACY:
+    def te_energy(self, variant: TemplateAlgorithm) -> float:
+        if variant is TemplateAlgorithm.HIGH_ACCURACY:
             return self.e_te_high
         if self.e_te_light is None:
             raise ConfigError("e_te_light is not set; configure it to use the lightweight variant")
         return self.e_te_light
-
-    def with_overrides(self, **kwargs) -> "EnergyParams":
-        return replace(self, **kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EnergyParams":
@@ -143,7 +142,7 @@ class EnergyParams:
                 parsed: float | int = float(value.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
-            if key in ("image_bits", "template_bits"):
+            if key in ("image_bits", "template_bits") and math.isfinite(parsed):
                 parsed = int(parsed)
             overrides[key] = parsed
         try:
@@ -173,27 +172,6 @@ class NodeActivity:
                 if bits < 0:
                     raise ValueError(f"negative bit count for {channel}")
 
-    def merge(self, other: "NodeActivity") -> "NodeActivity":
-        """Field-wise sum of two activities (distances must agree)."""
-        if (self.lora_distance is not None and other.lora_distance is not None
-                and self.lora_distance != other.lora_distance):
-            raise ValueError("cannot merge activities with different LoRa distances")
-        rx = dict(self.bits_rx)
-        for ch, bits in other.bits_rx.items():
-            rx[ch] = rx.get(ch, 0) + bits
-        tx = dict(self.bits_tx)
-        for ch, bits in other.bits_tx.items():
-            tx[ch] = tx.get(ch, 0) + bits
-        return NodeActivity(
-            captures=self.captures + other.captures,
-            te_high=self.te_high + other.te_high,
-            te_light=self.te_light + other.te_light,
-            bits_rx=rx,
-            bits_tx=tx,
-            bits_encrypted=self.bits_encrypted + other.bits_encrypted,
-            lora_distance=self.lora_distance if self.lora_distance is not None else other.lora_distance,
-        )
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -216,8 +194,9 @@ def lora_energy_per_bit(distance: float, params: EnergyParams) -> float:
     return params.e_bit_lora_ref * (distance / params.d_ref) ** 2
 
 
-def _per_bit_cost(channel: Channel, direction: str, distance: float | None,
-                  params: EnergyParams) -> float:
+def per_bit_cost(channel: Channel, direction: str, distance: float | None,
+                 params: EnergyParams) -> float:
+    """Joules per bit one node spends sending (``"tx"``) or receiving (``"rx"``)."""
     if channel is Channel.WBAN:
         return params.e_bit_wban
     if channel is Channel.HBC:
@@ -236,15 +215,15 @@ def energy_breakdown(activity: NodeActivity, sensor: SensorType,
     capture = activity.captures * params.capture_energy(sensor)
     te = 0.0
     if activity.te_high:
-        te += activity.te_high * params.te_energy(TeVariant.HIGH_ACCURACY)
+        te += activity.te_high * params.te_energy(TemplateAlgorithm.HIGH_ACCURACY)
     if activity.te_light:
-        te += activity.te_light * params.te_energy(TeVariant.LIGHTWEIGHT)
+        te += activity.te_light * params.te_energy(TemplateAlgorithm.LIGHTWEIGHT)
     comm = 0.0
     for direction, mapping in (("tx", activity.bits_tx), ("rx", activity.bits_rx)):
         for channel, bits in mapping.items():
             if bits:
-                comm += bits * _per_bit_cost(Channel(channel), direction,
-                                             activity.lora_distance, params)
+                comm += bits * per_bit_cost(Channel(channel), direction,
+                                            activity.lora_distance, params)
     encrypt = activity.bits_encrypted * params.e_bit_encrypt
     return EnergyBreakdown(capture=capture, te=te, comm=comm, encrypt=encrypt)
 

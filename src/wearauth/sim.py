@@ -2,11 +2,12 @@
 
 Each authentication request walks the configured chain (capture, optional
 extraction, on-body transfer, uplink, cloud match) and charges every event
-to the owning node's ledger at the energy model's rates; bit counts use the
-model's image/template sizes so a run cross-checks against the closed-form
-per-request energy and retry count.  The payload actually carried through
-the data plane is the real encoded artifact (PGM capture or .fpt template),
-and authentication decisions come from the real matcher.
+to the owning node's ledger.  Each event is priced from the closed form's
+per-request activities (:func:`derive_activities`: the model's image/template
+bit counts) at the energy model's rates, so a run cross-checks against the
+closed-form per-request energy and retry count.  The payload actually
+carried through the data plane is the real encoded artifact (PGM capture or
+.fpt template), and authentication decisions come from the real matcher.
 
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request that would overdraw
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -32,16 +34,15 @@ from .channel import (
     highpass_bias,
     receive_decode,
     transmit,
-    wban_transfer,
 )
 from .design_space import PowerSource, SystemConfig, TeLocation, derive_activities, sensor_budget
 from .energy import (
     Channel,
+    ConfigError,
     EnergyParams,
     SensorType,
-    TeVariant,
     energy_breakdown,
-    lora_energy_per_bit,
+    per_bit_cost,
     retries,
 )
 from .fingerprint.image import GrayImage, read_pgm
@@ -106,8 +107,48 @@ class EnergyLedger:
         self._charged = charged
 
 
+_SCENARIO_KEYS = ("system", "probe_image", "gallery_dir", "channel", "seed", "match",
+                  "max_requests", "bit_period", "sample_rate", "decode_mode",
+                  "cipher_key", "cipher_nonce")
+_SYSTEM_KEYS = ("te_location", "on_body_channel", "sensor_type", "sensor_power",
+                "lora_distance", "te_variant")
+
+
+def _block(value: Any, name: str, allowed, required: tuple[str, ...] = ()) -> dict:
+    """A JSON object holding only ``allowed`` keys and every ``required`` one."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{name} lacks required key(s): {', '.join(missing)}")
+    return value
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, name: str) -> float:
+    # abs() compares an int exactly, so integers beyond the float range fail too.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _parse_hex(value: str | int, bits: int, name: str) -> int:
-    v = int(value, 16) if isinstance(value, str) else int(value)
+    v = int(value, 16) if isinstance(value, str) else _integer(value, name)
     if not 0 <= v < (1 << bits):
         raise ValueError(f"{name} must fit in {bits} bits")
     return v
@@ -126,37 +167,46 @@ class ScenarioConfig:
     max_requests: int | None = None     # None: run until a ledger refuses
     bit_period: int = 8                 # samples per data bit on the body channel
     sample_rate: float = 1_000_000.0
-    decode_mode: str = DecodeMode.INTEGRATE_AND_DUMP
+    decode_mode: DecodeMode = DecodeMode.INTEGRATE_AND_DUMP
     cipher_key: int = DEFAULT_CIPHER_KEY
     cipher_nonce: int = DEFAULT_CIPHER_NONCE
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
+        """Load a scenario; unknown keys and mistyped values raise :class:`ConfigError`."""
         path = Path(path)
-        doc = json.loads(path.read_text())
+        doc = _block(json.loads(path.read_text()), "scenario", _SCENARIO_KEYS,
+                     ("system", "probe_image", "gallery_dir"))
         base = path.parent
-        sysdoc = doc["system"]
+        sysdoc = _block(doc["system"], "system", _SYSTEM_KEYS,
+                        ("te_location", "on_body_channel"))
         system = SystemConfig(
             te_location=TeLocation(sysdoc["te_location"]),
             on_body_channel=Channel(sysdoc["on_body_channel"]),
             sensor_type=SensorType(sysdoc.get("sensor_type", "capacitive")),
             sensor_power=PowerSource(sysdoc.get("sensor_power", "rf_harvest")),
-            lora_distance=float(sysdoc.get("lora_distance", 1000.0)),
-            te_variant=TeVariant(sysdoc.get("te_variant", "high_accuracy")),
+            lora_distance=_number(sysdoc.get("lora_distance", 1000.0), "lora_distance"),
+            te_variant=TemplateAlgorithm(sysdoc.get("te_variant", "high_accuracy")),
         )
-        channel = ChannelModel(**doc.get("channel", {}))
-        match_params = MatchParams(**doc.get("match", {}))
+        chdoc = _block(doc.get("channel", {}), "channel", [f.name for f in fields(ChannelModel)])
+        for key, value in chdoc.items():
+            if not (key == "highpass_cutoff" and value is None):
+                _number(value, f"channel.{key}")
+        max_requests = doc.get("max_requests")
+        if max_requests is not None and _integer(max_requests, "max_requests") < 0:
+            raise ConfigError("max_requests must be non-negative")
         return cls(
             system=system,
-            probe_image=(base / doc["probe_image"]).resolve(),
-            gallery_dir=(base / doc["gallery_dir"]).resolve(),
-            channel=channel,
-            seed=int(doc.get("seed", 0)),
-            match_params=match_params,
-            max_requests=doc.get("max_requests"),
-            bit_period=int(doc.get("bit_period", 8)),
-            sample_rate=float(doc.get("sample_rate", 1_000_000.0)),
-            decode_mode=doc.get("decode_mode", DecodeMode.INTEGRATE_AND_DUMP),
+            probe_image=(base / _string(doc["probe_image"], "probe_image")).resolve(),
+            gallery_dir=(base / _string(doc["gallery_dir"], "gallery_dir")).resolve(),
+            channel=ChannelModel(**chdoc),
+            seed=_integer(doc.get("seed", 0), "seed"),
+            match_params=MatchParams(**_block(doc.get("match", {}), "match",
+                                              [f.name for f in fields(MatchParams)])),
+            max_requests=max_requests,
+            bit_period=_integer(doc.get("bit_period", 8), "bit_period"),
+            sample_rate=_number(doc.get("sample_rate", 1_000_000.0), "sample_rate"),
+            decode_mode=DecodeMode(doc.get("decode_mode", DecodeMode.INTEGRATE_AND_DUMP)),
             cipher_key=_parse_hex(doc.get("cipher_key", DEFAULT_CIPHER_KEY), 80, "cipher_key"),
             cipher_nonce=_parse_hex(doc.get("cipher_nonce", DEFAULT_CIPHER_NONCE), 64, "cipher_nonce"),
         )
@@ -229,7 +279,7 @@ class SimReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def trace_csv(report: SimReport) -> str:
@@ -237,11 +287,6 @@ def trace_csv(report: SimReport) -> str:
     lines += [f"{seq},{req},{node},{label},{joules:.12e}"
               for seq, req, node, label, joules in report.trace]
     return "\n".join(lines) + "\n"
-
-
-def _te_algorithm(variant: TeVariant) -> TemplateAlgorithm:
-    return (TemplateAlgorithm.HIGH_ACCURACY if variant is TeVariant.HIGH_ACCURACY
-            else TemplateAlgorithm.LIGHTWEIGHT)
 
 
 class _Runner:
@@ -260,25 +305,37 @@ class _Runner:
         self.request_idx = 0
         # For deterministic channels every request is identical; the first
         # request's outcome and charge schedule are replayed for the rest.
-        self._cached: tuple[_RequestOutcome, list[tuple[str, str, float]]] | None = None
-        self._request_charges: list[tuple[str, str, float]] = []
-        # Model-level bit counts for the energy charges.
-        te_at_sensor = self.system.te_location is TeLocation.SENSOR
-        self.on_body_bits = params.template_bits if te_at_sensor else params.image_bits
-        self.lora_bits = (params.template_bits
-                          if self.system.te_location in (TeLocation.SENSOR, TeLocation.HUB)
-                          else params.image_bits)
-        self.te_cost = params.te_energy(self.system.te_variant)
-        self.on_body_rate = (params.e_bit_wban
-                             if self.system.on_body_channel is Channel.WBAN
-                             else params.e_bit_hbc)
-        self.lora_rate = lora_energy_per_bit(self.system.lora_distance, params)
+        self._cached: tuple[_RequestOutcome, list[tuple[str, str]]] | None = None
+        self._request_charges: list[tuple[str, str]] = []
+        # Every event is priced once, from the closed form's per-request work.
+        self.activities = derive_activities(self.system, params)
+        sensor_act, hub_act = self.activities
+        on_body = self.system.on_body_channel
+        lora_bits = hub_act.bits_tx[Channel.LORA]
+        te = params.te_energy(self.system.te_variant)
+        self._joules = {
+            ("sensor", "capture"): params.capture_energy(self.system.sensor_type),
+            ("sensor", "te_extract"): te,
+            ("sensor", "encrypt"): sensor_act.bits_encrypted * params.e_bit_encrypt,
+            ("sensor", f"tx_{on_body.value}"):
+                sensor_act.bits_tx[on_body] * per_bit_cost(on_body, "tx", None, params),
+            ("hub", f"rx_{on_body.value}"):
+                hub_act.bits_rx[on_body] * per_bit_cost(on_body, "rx", None, params),
+            ("hub", "te_extract"): te,
+            ("hub", "encrypt"): hub_act.bits_encrypted * params.e_bit_encrypt,
+            ("hub", "tx_lora"):
+                lora_bits * per_bit_cost(Channel.LORA, "tx", hub_act.lora_distance, params),
+            ("cloud", "rx_lora"): lora_bits * per_bit_cost(Channel.LORA, "rx", None, params),
+            ("cloud", "te_extract"): te,
+            ("cloud", "match"): 0.0,
+        }
 
-    def _charge(self, ledger: EnergyLedger, label: str, joules: float) -> None:
+    def _charge(self, ledger: EnergyLedger, label: str) -> None:
+        joules = self._joules[ledger.role, label]
         ledger.charge(label, joules)
         self.trace.append((self.seq, self.request_idx, ledger.role, label, joules))
         self.seq += 1
-        self._request_charges.append((ledger.role, label, joules))
+        self._request_charges.append((ledger.role, label))
 
     def _ledger(self, role: str) -> EnergyLedger:
         return {"sensor": self.sensor, "hub": self.hub, "cloud": self.cloud}[role]
@@ -301,17 +358,17 @@ class _Runner:
         eyes: list[float] = []
         bers: list[float] = []
         if channel is Channel.WBAN:
-            self._charge(self.sensor, "encrypt", self.on_body_bits * self.params.e_bit_encrypt)
+            self._charge(self.sensor, "encrypt")
             ct = present.ctr_crypt(payload, self.cfg.cipher_key, self.cfg.cipher_nonce)
-            self._charge(self.sensor, "tx_wban", self.on_body_bits * self.on_body_rate)
-            self._charge(self.hub, "rx_wban", self.on_body_bits * self.on_body_rate)
-            # decryption at the hub is not a modelled cost
-            return present.ctr_crypt(wban_transfer(ct), self.cfg.cipher_key,
-                                     self.cfg.cipher_nonce), 0, eyes, bers
+            self._charge(self.sensor, "tx_wban")
+            self._charge(self.hub, "rx_wban")
+            # the radio is an error-free pipe; decryption at the hub is not a modelled cost
+            pt = present.ctr_crypt(ct, self.cfg.cipher_key, self.cfg.cipher_nonce)
+            return pt, 0, eyes, bers
         retransmissions = 0
         for attempt in range(2):
-            self._charge(self.sensor, "tx_hbc", self.on_body_bits * self.on_body_rate)
-            self._charge(self.hub, "rx_hbc", self.on_body_bits * self.on_body_rate)
+            self._charge(self.sensor, "tx_hbc")
+            self._charge(self.hub, "rx_hbc")
             try:
                 decoded, eye, frame_ber = self._body_channel_hop(payload, attempt)
             except (SyncError, IntegrityError):
@@ -324,10 +381,10 @@ class _Runner:
 
     def _run_request_data_plane(self) -> _RequestOutcome:
         params, system = self.params, self.system
-        self._charge(self.sensor, "capture", params.capture_energy(system.sensor_type))
+        self._charge(self.sensor, "capture")
         if system.te_location is TeLocation.SENSOR:
-            self._charge(self.sensor, "te_extract", self.te_cost)
-            template = extract_template(self.probe, _te_algorithm(system.te_variant))
+            self._charge(self.sensor, "te_extract")
+            template = extract_template(self.probe, system.te_variant)
             payload = codec.encode(template)
         else:
             payload = self.probe.to_pgm_bytes()
@@ -339,28 +396,28 @@ class _Runner:
                                    on_body_len, 0)
 
         if system.te_location is TeLocation.HUB:
-            self._charge(self.hub, "te_extract", self.te_cost)
+            self._charge(self.hub, "te_extract")
             img = GrayImage.from_pgm_bytes(received)
-            template = extract_template(img, _te_algorithm(system.te_variant))
+            template = extract_template(img, system.te_variant)
             lora_payload = codec.encode(template)
         else:
             lora_payload = received
         lora_len = len(lora_payload)
 
-        self._charge(self.hub, "encrypt", self.lora_bits * self.params.e_bit_encrypt)
+        self._charge(self.hub, "encrypt")
         ct = present.ctr_crypt(lora_payload, self.cfg.cipher_key, self.cfg.cipher_nonce)
-        self._charge(self.hub, "tx_lora", self.lora_bits * self.lora_rate)
-        self._charge(self.cloud, "rx_lora", 0.0)
+        self._charge(self.hub, "tx_lora")
+        self._charge(self.cloud, "rx_lora")
         pt = present.ctr_crypt(ct, self.cfg.cipher_key, self.cfg.cipher_nonce)
 
         if system.te_location is TeLocation.CLOUD:
-            self._charge(self.cloud, "te_extract", self.te_cost)
+            self._charge(self.cloud, "te_extract")
             img = GrayImage.from_pgm_bytes(pt)
-            template = extract_template(img, _te_algorithm(system.te_variant))
+            template = extract_template(img, system.te_variant)
         else:
             template = codec.decode(pt)
 
-        self._charge(self.cloud, "match", 0.0)
+        self._charge(self.cloud, "match")
         scores = [match(template, gal, self.cfg.match_params)
                   for _, gal in sorted(self.gallery.items())]
         best_score = max((r.score for r in scores), default=0.0)
@@ -368,13 +425,13 @@ class _Runner:
         return _RequestOutcome(True, decision, best_score, retrans, eyes, bers,
                                on_body_len, lora_len)
 
-    def _replay_charges(self, schedule: list[tuple[str, str, float]]) -> None:
-        for role, label, joules in schedule:
-            self._charge(self._ledger(role), label, joules)
+    def _replay_charges(self, schedule: list[tuple[str, str]]) -> None:
+        for role, label in schedule:
+            self._charge(self._ledger(role), label)
 
     def run(self) -> SimReport:
         cfg, params = self.cfg, self.params
-        sensor_act, hub_act = derive_activities(self.system, params)
+        sensor_act, hub_act = self.activities
         sensor_e = energy_breakdown(sensor_act, self.system.sensor_type, params).total
         hub_e = energy_breakdown(hub_act, SensorType.NONE, params).total
         sensor_r = retries(self.sensor.initial, sensor_e)
@@ -429,20 +486,13 @@ class _Runner:
                 completed += 1
 
         scenario_doc = {
-            "system": {
-                "te_location": self.system.te_location.value,
-                "on_body_channel": self.system.on_body_channel.value,
-                "sensor_type": self.system.sensor_type.value,
-                "sensor_power": self.system.sensor_power.value,
-                "lora_distance_m": self.system.lora_distance,
-                "te_variant": self.system.te_variant.value,
-            },
+            "system": self.system.to_dict(),
             "probe_image": str(cfg.probe_image),
             "gallery_dir": str(cfg.gallery_dir),
             "seed": cfg.seed,
             "bit_period": cfg.bit_period,
             "sample_rate": cfg.sample_rate,
-            "decode_mode": cfg.decode_mode,
+            "decode_mode": cfg.decode_mode.value,
             "max_requests": cfg.max_requests,
         }
         return SimReport(

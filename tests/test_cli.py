@@ -52,6 +52,21 @@ class TestTable2:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("line", ["budget_rf_harvest = nan", "e_bit_hbc = inf"])
+@pytest.mark.parametrize("command", [("table2", "--json"), ("explore",), ("simulate",)])
+def test_non_finite_params_are_domain_error(capsys, tmp_path, scenario_workspace, line, command):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(line + "\n")
+    argv = [*command, "--params", str(cfg)]
+    if command == ("simulate",):
+        argv.append(str(write_scenario(scenario_workspace, name="finite.json", system={
+            "te_location": "hub", "on_body_channel": "hbc"}, max_requests=1)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 class TestFigure4AndExplore:
     def test_figure4_csv(self, capsys):
         code, out, _ = run_cli(capsys, "figure4")
@@ -206,6 +221,40 @@ class TestSimulate:
         path = write_scenario(scenario_workspace, name="bad_match.json", system={
             "te_location": "hub", "on_body_channel": "hbc",
         }, max_requests=1, match=block)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(channel={"noise": 0.3}),
+        lambda doc: doc.update(max_requests="3"),
+        lambda doc: doc.update(match={"bogus": 1}),
+        lambda doc: doc.update(match=[1]),
+        lambda doc: doc.update(system=None),
+        lambda doc: [doc],
+        # a WBAN run never decodes, so only the parser can catch this
+        lambda doc: doc.update(decode_mode="nope",
+                               system={"te_location": "hub", "on_body_channel": "wban"}),
+        lambda doc: doc["system"].update(bogus=1),
+        lambda doc: doc.update(seed=True),
+        lambda doc: doc.update(bit_period=8.0),
+        lambda doc: doc.update(max_requests=-1),
+        lambda doc: {key: value for key, value in doc.items() if key != "gallery_dir"},
+        lambda doc: doc.update(probe_image=5),
+        lambda doc: doc["system"].update(lora_distance=None),
+        lambda doc: doc.update(channel={"attenuation": "half"}),
+        lambda doc: doc.update(cipher_key=1.5),
+    ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
+            "top_level_list", "decode_mode", "system_key", "seed_bool", "bit_period_float",
+            "max_requests_negative", "gallery_missing", "probe_int", "lora_distance_null",
+            "channel_str", "cipher_key_float"])
+    def test_malformed_scenario_is_domain_error(self, capsys, scenario_workspace, edit):
+        doc = {"system": {"te_location": "hub", "on_body_channel": "hbc"},
+               "probe_image": "probe.pgm", "gallery_dir": "gallery", "max_requests": 1}
+        doc = edit(doc) or doc
+        path = scenario_workspace / "malformed.json"
+        path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert out == ""

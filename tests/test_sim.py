@@ -5,7 +5,13 @@ from collections import Counter
 import pytest
 
 from wearauth import codec
-from wearauth.energy import EnergyParams
+from wearauth.design_space import (
+    ALLOCATION_ROWS,
+    PowerSource,
+    SystemConfig,
+    evaluate,
+)
+from wearauth.energy import EnergyParams, SensorType
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
 from wearauth.sim import (
     BudgetExceeded,
@@ -215,6 +221,30 @@ class TestRunScenario:
         report = run(scenario_workspace, system={"te_variant": "lightweight"},
                      params=params, max_requests=2)
         assert report.requests_completed == 2
+
+
+def _term(label: str) -> str:
+    """Closed-form term a ledger label is charged to."""
+    if label.startswith(("tx_", "rx_")):
+        return "comm"
+    return {"capture": "capture", "te_extract": "te", "encrypt": "encrypt"}[label]
+
+
+@pytest.mark.parametrize("row", sorted(ALLOCATION_ROWS))
+def test_ledger_terms_equal_closed_form(scenario_workspace, row):
+    te_location, channel = ALLOCATION_ROWS[row]
+    report = run(scenario_workspace, max_requests=1, system={
+        "te_location": te_location.value, "on_body_channel": channel.value,
+        "sensor_power": "coin_cell"})
+    assert report.requests_completed == 1 and report.retransmissions == 0
+    closed = evaluate(SystemConfig(te_location, channel, SensorType.CAPACITIVE,
+                                   PowerSource.COIN_CELL), P)
+    for role, breakdown in (("sensor", closed.sensor_breakdown), ("hub", closed.hub_breakdown)):
+        terms = dict.fromkeys(("capture", "te", "comm", "encrypt"), 0.0)
+        for label, joules in report.ledger(role).charges:
+            terms[_term(label)] += joules
+        assert terms == {"capture": breakdown.capture, "te": breakdown.te,
+                         "comm": breakdown.comm, "encrypt": breakdown.encrypt}, (row, role)
 
 
 class TestScenarioConfig:
