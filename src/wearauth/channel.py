@@ -11,6 +11,7 @@ is modelled as an error-free byte pipe (its cost lives in the energy model).
 
 from __future__ import annotations
 
+import binascii
 import enum
 from dataclasses import dataclass, replace
 
@@ -42,6 +43,10 @@ __all__ = [
 SYNC_WORD = 0xF3A5
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
+# Ceiling on one waveform: 2**23 float64 samples, 64 MiB.  transmit() peaks at
+# about 42 bytes per sample with hum and noise (~340 MiB at the ceiling).  It
+# admits a 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
+MAX_SAMPLES = 1 << 23
 
 
 class FramingError(Exception):
@@ -61,25 +66,9 @@ class DecodeMode(str, enum.Enum):
     INTEGRATE_AND_DUMP = "integrate_and_dump"
 
 
-def _crc_table(poly: int = 0x1021) -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ poly if crc & 0x8000 else crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC_TABLE = _crc_table()
-
-
 def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
     """CRC-16/CCITT (poly 0x1021, init 0xFFFF, no reflection)."""
-    crc = init
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    return binascii.crc_hqx(data, init)
 
 
 @dataclass(frozen=True)
@@ -163,16 +152,22 @@ def encode_frame(payload: bytes) -> np.ndarray:
 
 def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
              seed, sample_rate: float = 1_000_000.0) -> Waveform:
-    """Expand symbols to samples and apply the channel impairments."""
+    """Expand symbols to samples and apply the channel impairments.
+
+    Raises :class:`ValueError` when the waveform would exceed ``MAX_SAMPLES``.
+    """
     if bit_period < 4 or bit_period % 2:
         raise ValueError("bit_period must be an even integer >= 4")
     half = bit_period // 2
-    clean = np.repeat(np.asarray(symbols, dtype=np.float64), half)
-    t = np.arange(clean.size) / sample_rate
+    symbols = np.asarray(symbols, dtype=np.float64)
+    if symbols.size * half > MAX_SAMPLES:
+        raise ValueError(f"waveform of {symbols.size * half} samples exceeds {MAX_SAMPLES}")
+    clean = np.repeat(symbols, half)
     rng = np.random.default_rng(seed)
     a = channel.attenuation
     received = a * clean
     if channel.hum_amplitude:
+        t = np.arange(clean.size) / sample_rate
         received = received + a * channel.hum_amplitude * np.sin(
             2.0 * np.pi * channel.hum_frequency * t)
     if channel.noise_sigma:

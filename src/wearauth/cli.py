@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import codec, present, sim
-from .channel import ChannelModel, DecodeMode, sweep_hum
+from .channel import MAX_PAYLOAD, ChannelModel, DecodeMode, FramingError, sweep_hum
 from .design_space import (
     PowerSource,
     SystemConfig,
@@ -111,6 +111,9 @@ def _cmd_channel_sweep(args) -> int:
     hums = [float(x) for x in args.hum.split(",") if x.strip() != ""]
     if not hums:
         raise ValueError("--hum needs at least one amplitude")
+    # Checked before the payload is built, so a huge count allocates nothing.
+    if not 0 <= args.payload_bytes <= MAX_PAYLOAD:
+        raise ValueError(f"--payload-bytes must lie in [0, {MAX_PAYLOAD}]")
     channel = ChannelModel(attenuation=args.attenuation, noise_sigma=args.noise,
                            hum_frequency=args.hum_frequency,
                            highpass_cutoff=args.highpass)
@@ -224,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError, codec.EncodeError, codec.DecodeError,
-            sim.BudgetExceeded) as exc:
+            FramingError, sim.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,12 +3,14 @@ counter mode for arbitrary-length payloads.
 
 The substitution and permutation layers are fused into per-nibble lookup
 tables so a round is 16 table reads; decryption undoes the permutation and
-substitution in two table passes.
+substitution in two table passes.  Counter mode encrypts all of a payload's
+counter blocks at once as one ``uint64`` array, through the same fused layer
+widened to eight per-byte tables.
 """
 
 from __future__ import annotations
 
-import struct
+import numpy as np
 
 __all__ = [
     "BLOCK_BITS",
@@ -58,6 +60,12 @@ def _build_tables() -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 
 
 _SP_TABLE, _PINV_TABLE, _SINV_TABLE = _build_tables()
+# Row j maps byte j of the state (bits 8j..8j+7) to its substituted, permuted bits.
+_SP_BYTE_TABLE = np.array(
+    [[_SP_TABLE[2 * j][b & 0xF] | _SP_TABLE[2 * j + 1][b >> 4] for b in range(256)]
+     for j in range(8)],
+    dtype="<u8",
+)
 
 
 class Present80:
@@ -132,18 +140,32 @@ def decrypt_block(ciphertext: int, key: int) -> int:
     return Present80(key).decrypt_block(ciphertext)
 
 
+def _keystream(cipher: Present80, nonce: int, n_blocks: int) -> np.ndarray:
+    """Encryptions of the counter blocks (nonce + i) mod 2**64, i < n_blocks."""
+    # Little-endian words, so byte j of a block's view holds bits 8j..8j+7.
+    # Array arithmetic on them wraps modulo 2**64 without a warning.
+    state = np.arange(n_blocks, dtype="<u8")
+    state += np.uint64(nonce)
+    rks = np.array(cipher._round_keys, dtype="<u8")
+    for r in range(ROUNDS):
+        state ^= rks[r]
+        columns = state.view(np.uint8).reshape(n_blocks, 8).T.copy()
+        state = _SP_BYTE_TABLE[0].take(columns[0])
+        for j in range(1, 8):
+            state |= _SP_BYTE_TABLE[j].take(columns[j])
+    state ^= rks[ROUNDS]
+    return state
+
+
 def ctr_crypt(payload: bytes, key: int, nonce: int) -> bytes:
     """Counter-mode keystream XOR; applying it twice restores the payload.
 
-    Counter block i is (nonce + i) mod 2**64, encrypted under ``key``; the
-    output length always equals the input length.
+    Counter block i is (nonce + i) mod 2**64, encrypted under ``key``; its
+    ciphertext is the keystream for payload bytes 8i..8i+7, most significant
+    byte first.  The output length always equals the input length.
     """
     if not 0 <= nonce <= _MASK64:
         raise ValueError("nonce must be a 64-bit integer")
     cipher = Present80(key)
-    n_blocks = (len(payload) + 7) // 8
-    stream = bytearray()
-    for i in range(n_blocks):
-        ks = cipher.encrypt_block((nonce + i) & _MASK64)
-        stream += struct.pack(">Q", ks)
-    return bytes(a ^ b for a, b in zip(payload, stream))
+    stream = _keystream(cipher, nonce, (len(payload) + 7) // 8).astype(">u8").view(np.uint8)
+    return (np.frombuffer(payload, dtype=np.uint8) ^ stream[:len(payload)]).tobytes()

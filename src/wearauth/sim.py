@@ -9,6 +9,10 @@ closed-form per-request energy and retry count.  The payload actually
 carried through the data plane is the real encoded artifact (PGM capture or
 .fpt template), and authentication decisions come from the real matcher.
 
+Every ciphered message (the on-body radio hop and the LoRa uplink of each
+request) gets its own PRESENT-CTR counter range, so no keystream is reused;
+see :meth:`_Runner._counter_base`.
+
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request that would overdraw
 any ledger is rolled back and refused, ending the run.
@@ -62,6 +66,9 @@ __all__ = [
 
 DEFAULT_CIPHER_KEY = 0x0123456789ABCDEF0123
 DEFAULT_CIPHER_NONCE = 0x0011223344556677
+# Counter blocks reserved for each ciphered message: up to 32 GiB of payload.
+COUNTER_BLOCKS_PER_MESSAGE = 1 << 32
+_HOP_WBAN, _HOP_LORA = 0, 1
 
 
 class BudgetExceeded(Exception):
@@ -337,6 +344,18 @@ class _Runner:
         self.seq += 1
         self._request_charges.append((ledger.role, label))
 
+    def _counter_base(self, hop: int) -> int:
+        """First counter block of this request's message on ``hop``.
+
+        Message m = 2 * request + hop starts at block
+        ``cipher_nonce + m * COUNTER_BLOCKS_PER_MESSAGE`` (mod 2**64).  Two
+        messages' ranges are disjoint while each payload is at most
+        ``8 * COUNTER_BLOCKS_PER_MESSAGE`` bytes (32 GiB) and a run has fewer
+        than 2**31 requests; the receiver decrypts from the same base.
+        """
+        message = 2 * self.request_idx + hop
+        return (self.cfg.cipher_nonce + message * COUNTER_BLOCKS_PER_MESSAGE) % (1 << 64)
+
     def _ledger(self, role: str) -> EnergyLedger:
         return {"sensor": self.sensor, "hub": self.hub, "cloud": self.cloud}[role]
 
@@ -358,12 +377,13 @@ class _Runner:
         eyes: list[float] = []
         bers: list[float] = []
         if channel is Channel.WBAN:
+            nonce = self._counter_base(_HOP_WBAN)
             self._charge(self.sensor, "encrypt")
-            ct = present.ctr_crypt(payload, self.cfg.cipher_key, self.cfg.cipher_nonce)
+            ct = present.ctr_crypt(payload, self.cfg.cipher_key, nonce)
             self._charge(self.sensor, "tx_wban")
             self._charge(self.hub, "rx_wban")
             # the radio is an error-free pipe; decryption at the hub is not a modelled cost
-            pt = present.ctr_crypt(ct, self.cfg.cipher_key, self.cfg.cipher_nonce)
+            pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
             return pt, 0, eyes, bers
         retransmissions = 0
         for attempt in range(2):
@@ -404,11 +424,12 @@ class _Runner:
             lora_payload = received
         lora_len = len(lora_payload)
 
+        nonce = self._counter_base(_HOP_LORA)
         self._charge(self.hub, "encrypt")
-        ct = present.ctr_crypt(lora_payload, self.cfg.cipher_key, self.cfg.cipher_nonce)
+        ct = present.ctr_crypt(lora_payload, self.cfg.cipher_key, nonce)
         self._charge(self.hub, "tx_lora")
         self._charge(self.cloud, "rx_lora")
-        pt = present.ctr_crypt(ct, self.cfg.cipher_key, self.cfg.cipher_nonce)
+        pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
 
         if system.te_location is TeLocation.CLOUD:
             self._charge(self.cloud, "te_extract")

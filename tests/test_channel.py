@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearauth.channel import (
+    MAX_SAMPLES,
     ChannelModel,
     DecodeMode,
     FramingError,
@@ -110,6 +111,14 @@ class TestTransmit:
             transmit(encode_frame(b""), 7, CLEAN, seed=0)
         with pytest.raises(ValueError):
             Waveform(1e6, np.zeros(8), 2)
+
+    def test_sample_ceiling(self):
+        # A capture-sized frame at the default bit period fits...
+        assert encode_frame(bytes(40047)).size * 8 // 2 <= MAX_SAMPLES
+        # ...and a waveform past the ceiling is refused before it is built.
+        symbols = encode_frame(b"")
+        with pytest.raises(ValueError, match="exceeds"):
+            transmit(symbols, 2 * (MAX_SAMPLES // symbols.size + 1), CLEAN, seed=0)
 
 
 class TestHighpass:

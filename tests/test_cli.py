@@ -195,6 +195,18 @@ class TestChannelSweep:
         code, _, err = run_cli(capsys, "channel-sweep", "--hum", ",")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--payload-bytes", "70000"),      # longer than the 16-bit length field
+        ("--payload-bytes", "-1"),
+        ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
+        ("--bit-period", "1048576"),       # a waveform past channel.MAX_SAMPLES
+    ], ids=["payload_too_long", "payload_negative", "payload_huge", "bit_period_huge"])
+    def test_unframeable_sweep_is_domain_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "channel-sweep", "--hum", "0", *flags)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
 
 class TestSimulate:
     def test_scenario_run_with_trace(self, capsys, tmp_path, scenario_workspace):
@@ -245,10 +257,11 @@ class TestSimulate:
         lambda doc: doc["system"].update(lora_distance=None),
         lambda doc: doc.update(channel={"attenuation": "half"}),
         lambda doc: doc.update(cipher_key=1.5),
+        lambda doc: doc.update(bit_period=1048576),    # a waveform past channel.MAX_SAMPLES
     ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
             "top_level_list", "decode_mode", "system_key", "seed_bool", "bit_period_float",
             "max_requests_negative", "gallery_missing", "probe_int", "lora_distance_null",
-            "channel_str", "cipher_key_float"])
+            "channel_str", "cipher_key_float", "bit_period_huge"])
     def test_malformed_scenario_is_domain_error(self, capsys, scenario_workspace, edit):
         doc = {"system": {"te_location": "hub", "on_body_channel": "hbc"},
                "probe_image": "probe.pgm", "gallery_dir": "gallery", "max_requests": 1}
@@ -259,6 +272,18 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    def test_unframeable_capture_is_domain_error(self, capsys, scenario_workspace):
+        # A 300x300 capture does not fit the body channel's 16-bit length field.
+        write_pgm(GrayImage(np.zeros((300, 300), dtype=np.uint8)),
+                  scenario_workspace / "big_probe.pgm")
+        path = write_scenario(scenario_workspace, name="big_probe.json", system={
+            "te_location": "hub", "on_body_channel": "hbc"}, max_requests=1,
+            probe_image="big_probe.pgm")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "exceeds" in err
 
     def test_missing_scenario_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "none.json"))

@@ -4,6 +4,7 @@ the cipher's published description, used to cross-check the table-driven
 production code."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,15 @@ def _ref_encrypt(plain: int, key: int) -> int:
                 permuted |= 1 << (16 * i % 63 if i != 63 else 63)
         state = permuted
     return state ^ round_keys[31]
+
+
+def _ref_ctr(payload: bytes, key: int, nonce: int) -> bytes:
+    """Scalar counter mode: one block encryption per 64-bit counter."""
+    cipher = Present80(key)
+    stream = bytearray()
+    for i in range((len(payload) + 7) // 8):
+        stream += struct.pack(">Q", cipher.encrypt_block((nonce + i) % 2**64))
+    return bytes(a ^ b for a, b in zip(payload, stream))
 
 
 class TestBlockCipher:
@@ -104,6 +114,21 @@ class TestBlockCipher:
 
 
 class TestCtrMode:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.binary(max_size=300), st.integers(0, 2**80 - 1),
+           st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 40, 2**64 - 1)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_scalar_reference(self, payload, key, nonce):
+        assert ctr_crypt(payload, key, nonce) == _ref_ctr(payload, key, nonce)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_scalar_reference_on_capture_sized_payload(self):
+        rnd = random.Random(40047)
+        payload = rnd.randbytes(40047)
+        key = rnd.getrandbits(80)
+        nonce = 2**64 - 2500    # the counter wraps halfway through
+        assert ctr_crypt(payload, key, nonce) == _ref_ctr(payload, key, nonce)
+
     @given(st.binary(max_size=512), st.integers(0, 2**80 - 1), st.integers(0, 2**64 - 1))
     @settings(max_examples=60)
     def test_involution(self, payload, key, nonce):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from wearauth import codec
+from wearauth import codec, present
 from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
@@ -221,6 +221,39 @@ class TestRunScenario:
         report = run(scenario_workspace, system={"te_variant": "lightweight"},
                      params=params, max_requests=2)
         assert report.requests_completed == 2
+
+    # The replay cache carries a WBAN run's later requests without ciphering,
+    # so only the first request's two messages are encrypted there.
+    @pytest.mark.parametrize("system,channel,extra,messages", [
+        ({"te_location": "cloud", "on_body_channel": "wban", "sensor_power": "coin_cell"},
+         None, {"cipher_nonce": "FFFFFFFFFFFFFF00"}, 2),
+        ({}, {"attenuation": 0.8, "noise_sigma": 0.3}, {}, 3),
+    ], ids=["wban_cloud_te", "noisy_hbc"])
+    def test_every_message_has_its_own_counter_range(self, scenario_workspace, monkeypatch,
+                                                     system, channel, extra, messages):
+        calls = []
+        real = present.ctr_crypt
+
+        def recording(payload, key, nonce):
+            out = real(payload, key, nonce)
+            calls.append((payload, nonce, out))
+            return out
+
+        monkeypatch.setattr(present, "ctr_crypt", recording)
+        report = run(scenario_workspace, system=system, channel=channel, max_requests=3,
+                     **extra)
+        assert report.requests_completed == 3
+        # Each message is encrypted by its sender, then decrypted from the same base.
+        assert len(calls) % 2 == 0
+        encryptions = calls[0::2]
+        for (_, nonce, ct), (received, rx_nonce, _) in zip(encryptions, calls[1::2]):
+            assert (received, rx_nonce) == (ct, nonce)
+        assert len(encryptions) == messages
+        seen: set[int] = set()
+        for payload, nonce, _ in encryptions:
+            blocks = {(nonce + i) % 2**64 for i in range((len(payload) + 7) // 8)}
+            assert not blocks & seen
+            seen |= blocks
 
 
 def _term(label: str) -> str:
