@@ -44,8 +44,8 @@ SYNC_WORD = 0xF3A5
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
 # Ceiling on one waveform: 2**23 float64 samples, 64 MiB.  transmit() peaks at
-# about 42 bytes per sample with hum and noise (~340 MiB at the ceiling).  It
-# admits a 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
+# 16 bytes per sample with hum or noise (128 MiB at the ceiling) and 9 without.
+# It admits a 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
 MAX_SAMPLES = 1 << 23
 
 
@@ -159,19 +159,30 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
     if bit_period < 4 or bit_period % 2:
         raise ValueError("bit_period must be an even integer >= 4")
     half = bit_period // 2
-    symbols = np.asarray(symbols, dtype=np.float64)
-    if symbols.size * half > MAX_SAMPLES:
-        raise ValueError(f"waveform of {symbols.size * half} samples exceeds {MAX_SAMPLES}")
-    clean = np.repeat(symbols, half)
+    symbols = np.asarray(symbols)
+    n = symbols.size * half
+    if n > MAX_SAMPLES:
+        raise ValueError(f"waveform of {n} samples exceeds {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
     a = channel.attenuation
-    received = a * clean
+    # Accumulate in place in the output and one scratch buffer, with the same
+    # float operations in the same order as a * clean + hum + noise.
+    received = np.empty(n)
+    np.multiply(np.repeat(symbols, half), a, out=received)
+    scratch = None
     if channel.hum_amplitude:
-        t = np.arange(clean.size) / sample_rate
-        received = received + a * channel.hum_amplitude * np.sin(
-            2.0 * np.pi * channel.hum_frequency * t)
+        scratch = np.arange(n, dtype=np.float64)
+        scratch /= sample_rate
+        scratch *= 2.0 * np.pi * channel.hum_frequency
+        np.sin(scratch, out=scratch)
+        scratch *= a * channel.hum_amplitude
+        received += scratch
     if channel.noise_sigma:
-        received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
+        if scratch is None:
+            scratch = np.empty(n)
+        rng.standard_normal(out=scratch)
+        scratch *= a * channel.noise_sigma
+        received += scratch
     return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)
 
 
@@ -220,17 +231,17 @@ def eye_opening(w: Waveform, mode: DecodeMode) -> float:
 
 def _find_frame(bits: np.ndarray) -> tuple[int, int]:
     """Offset of the first complete frame's sync word and its payload length."""
-    sync = np.unpackbits(np.frombuffer(SYNC_WORD.to_bytes(2, "big"), dtype=np.uint8))
-    if bits.size >= sync.size:
-        windows = np.lib.stride_tricks.sliding_window_view(bits, sync.size)
-        hits = np.nonzero((windows == sync).all(axis=1))[0]
-    else:
-        hits = np.array([], dtype=int)
-    for pos in hits.tolist():
-        after = pos + sync.size
+    # code[i] is the 16-bit big-endian value of bits[i:i + 16]: the sync
+    # candidates and, 16 bits after a candidate, the length field.
+    code = np.zeros(max(bits.size - 15, 0), dtype=np.uint16)
+    for j in range(16):
+        code <<= 1
+        code |= bits[j:j + code.size]
+    for pos in np.flatnonzero(code == SYNC_WORD).tolist():
+        after = pos + 16
         if after + 16 > bits.size:
             break
-        length = int(np.packbits(bits[after:after + 16]).view(">u2")[0])
+        length = int(code[after])
         end = after + 16 + 8 * length + 16
         if end <= bits.size:
             return pos, length

@@ -11,7 +11,8 @@ pass through unfiltered.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft as sp_fft
+from scipy import ndimage
 
 from .image import GrayImage
 
@@ -73,10 +74,9 @@ def ridge_wavelength(norm: np.ndarray, theta: np.ndarray, valid: np.ndarray,
     """Dominant ridge wavelength per block in pixels, with a validity mask.
 
     Samples an oriented window around each block centre, averages along the
-    ridge direction and takes the strongest DFT bin of that signature.
+    ridge direction and takes the strongest DFT bin of that signature.  All
+    valid blocks are sampled and transformed together.
     """
-    h, w = norm.shape
-    hb, wb = theta.shape
     win_len = 2 * block          # samples across the ridges
     win_width = block            # samples along the ridges
     wavelengths = np.zeros_like(theta)
@@ -84,29 +84,27 @@ def ridge_wavelength(norm: np.ndarray, theta: np.ndarray, valid: np.ndarray,
     u = np.arange(win_len) - (win_len - 1) / 2.0
     v = np.arange(win_width) - (win_width - 1) / 2.0
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    for by in range(hb):
-        for bx in range(wb):
-            if not valid[by, bx]:
-                continue
-            cy = by * block + block / 2.0 - 0.5
-            cx = bx * block + block / 2.0 - 0.5
-            t = theta[by, bx]
-            # u axis: across ridges (normal direction); v axis: along ridges.
-            ny, nx = np.sin(t + np.pi / 2.0), np.cos(t + np.pi / 2.0)
-            ry, rx = np.sin(t), np.cos(t)
-            ys = cy + uu * ny + vv * ry
-            xs = cx + uu * nx + vv * rx
-            patch = ndimage.map_coordinates(norm, [ys, xs], order=1, mode="nearest")
-            sig = patch.mean(axis=1)
-            sig = sig - sig.mean()
-            spectrum = np.abs(np.fft.rfft(sig))
-            if spectrum.size <= 2:
-                continue
-            k = int(np.argmax(spectrum[1:])) + 1
-            lam = win_len / k
-            if _MIN_WAVELENGTH <= lam <= _MAX_WAVELENGTH and spectrum[k] > 1e-6:
-                wavelengths[by, bx] = lam
-                ok[by, bx] = True
+    by, bx = np.nonzero(valid)
+    if by.size:
+        cy = (by * block + block / 2.0 - 0.5)[:, None, None]
+        cx = (bx * block + block / 2.0 - 0.5)[:, None, None]
+        t = theta[by, bx][:, None, None]
+        # u axis: across ridges (normal direction); v axis: along ridges.
+        ny, nx = np.sin(t + np.pi / 2.0), np.cos(t + np.pi / 2.0)
+        ry, rx = np.sin(t), np.cos(t)
+        ys = cy + uu * ny + vv * ry
+        xs = cx + uu * nx + vv * rx
+        patch = ndimage.map_coordinates(norm, [ys, xs], order=1, mode="nearest")
+        sig = patch.mean(axis=2)
+        sig = sig - sig.mean(axis=1, keepdims=True)
+        spectrum = np.abs(np.fft.rfft(sig, axis=1))
+        k = np.argmax(spectrum[:, 1:], axis=1) + 1
+        lam = win_len / k
+        peak = np.take_along_axis(spectrum, k[:, None], axis=1)[:, 0]
+        found = ((spectrum.shape[1] > 2) & (_MIN_WAVELENGTH <= lam) & (lam <= _MAX_WAVELENGTH)
+                 & (peak > 1e-6))
+        wavelengths[by[found], bx[found]] = lam[found]
+        ok[by[found], bx[found]] = True
     if ok.any():
         fallback = float(np.median(wavelengths[ok]))
         wavelengths[valid & ~ok] = fallback
@@ -133,7 +131,13 @@ def _gabor_kernel(theta: float, wavelength: float) -> np.ndarray:
 
 def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
                   valid: np.ndarray, block: int = BLOCK_SIZE) -> np.ndarray:
-    """Oriented band-pass filtering; invalid blocks are copied unfiltered."""
+    """Oriented band-pass filtering; invalid blocks are copied unfiltered.
+
+    Each (orientation bin, wavelength) group is one FFT convolution of the
+    whole image, composed as ``signal.fftconvolve(norm, kernel, "same")``
+    does it; kernels of one wavelength share a size, so the image is
+    transformed once per wavelength.
+    """
     out = norm.copy()
     if not valid.any():
         return out
@@ -143,18 +147,24 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
     theta_bin = np.rint(theta / np.pi * _N_THETA_BINS).astype(int) % _N_THETA_BINS
     lam_bin = np.clip(np.rint(wavelengths), _MIN_WAVELENGTH, _MAX_WAVELENGTH).astype(int)
     hb, wb = theta.shape
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for by in range(hb):
-        for bx in range(wb):
-            if valid[by, bx]:
-                groups.setdefault((theta_bin[by, bx], lam_bin[by, bx]), []).append((by, bx))
-    for (tb, lam), members in sorted(groups.items()):
-        kernel = _gabor_kernel(tb * np.pi / _N_THETA_BINS, float(lam))
-        filtered = signal.fftconvolve(norm, kernel, mode="same")
-        for by, bx in members:
-            ys = slice(by * block, (by + 1) * block)
-            xs = slice(bx * block, (bx + 1) * block)
-            out[ys, xs] = filtered[ys, xs]
+    # Block view of the output: out_blocks[by, :, bx, :] is block (by, bx).
+    out_blocks = out[:hb * block, :wb * block].reshape(hb, block, wb, block)
+    for lam in np.unique(lam_bin[valid]):
+        at_lam = valid & (lam_bin == lam)
+        bins = np.unique(theta_bin[at_lam])
+        kernels = [_gabor_kernel(tb * np.pi / _N_THETA_BINS, float(lam)) for tb in bins]
+        full = [n + k - 1 for n, k in zip(norm.shape, kernels[0].shape)]
+        fshape = [sp_fft.next_fast_len(n, True) for n in full]
+        image_spectrum = sp_fft.rfftn(norm, fshape)
+        same = tuple(slice((f - n) // 2, (f - n) // 2 + n) for f, n in zip(full, norm.shape))
+        for tb, kernel in zip(bins, kernels):
+            # A named operand: numpy would multiply into a temporary in place,
+            # which rounds differently from fftconvolve's product.
+            kernel_spectrum = sp_fft.rfftn(kernel, fshape)
+            filtered = sp_fft.irfftn(image_spectrum * kernel_spectrum, fshape)[same]
+            members = (at_lam & (theta_bin == tb))[:, None, :, None]
+            np.copyto(out_blocks, filtered[:hb * block, :wb * block].reshape(hb, block, wb, block),
+                      where=members)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enhance import enhance
-from .image import MIN_PIPELINE_SIZE, BinaryImage, GrayImage
+from .image import MAX_PIXELS, MIN_PIPELINE_SIZE, BinaryImage, GrayImage
 from .segmentation import BinarizeMethod, binarize
 from .thinning import thin
 
@@ -198,10 +198,14 @@ def extract_template(img: GrayImage, algorithm: TemplateAlgorithm,
 
     The high-accuracy route enhances, binarizes adaptively, thins, scans and
     then removes border artifacts and close pairs; the lightweight route is
-    a bare global-threshold / thin / scan chain with no cleanup.
+    a bare global-threshold / thin / scan chain with no cleanup.  Raises
+    :class:`ValueError` for images under ``MIN_PIPELINE_SIZE`` on a side or
+    over ``MAX_PIXELS`` in all.
     """
     if img.width < MIN_PIPELINE_SIZE or img.height < MIN_PIPELINE_SIZE:
         raise ValueError(f"image must be at least {MIN_PIPELINE_SIZE}px on each side")
+    if img.width * img.height > MAX_PIXELS:
+        raise ValueError(f"image of {img.width}x{img.height} pixels exceeds {MAX_PIXELS}")
     if algorithm is TemplateAlgorithm.HIGH_ACCURACY:
         work = enhance(img)
         binary = binarize(work, BinarizeMethod.ADAPTIVE_MEAN)

@@ -34,7 +34,6 @@ from .channel import (
     IntegrityError,
     SyncError,
     encode_frame,
-    frame_data_bits,
     highpass_bias,
     receive_decode,
     transmit,
@@ -362,7 +361,7 @@ class _Runner:
     def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
         symbols = encode_frame(payload)
-        reference = frame_data_bits(payload)
+        reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
         w = transmit(symbols, self.cfg.bit_period, self.cfg.channel,
                      seed=(self.cfg.seed, self.request_idx, attempt),
                      sample_rate=self.cfg.sample_rate)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from wearauth.channel import (
     MAX_SAMPLES,
+    SYNC_WORD,
     ChannelModel,
     DecodeMode,
     FramingError,
@@ -21,8 +24,61 @@ from wearauth.channel import (
     sweep_hum,
     transmit,
 )
+from wearauth.channel import _find_frame
 
 CLEAN = ChannelModel()
+
+
+def _reference_transmit(symbols, bit_period, channel, seed, sample_rate=1_000_000.0):
+    """The allocating transmit (one array per term), kept as the oracle."""
+    half = bit_period // 2
+    symbols = np.asarray(symbols, dtype=np.float64)
+    clean = np.repeat(symbols, half)
+    rng = np.random.default_rng(seed)
+    a = channel.attenuation
+    received = a * clean
+    if channel.hum_amplitude:
+        t = np.arange(clean.size) / sample_rate
+        received = received + a * channel.hum_amplitude * np.sin(
+            2.0 * np.pi * channel.hum_frequency * t)
+    if channel.noise_sigma:
+        received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
+    return received
+
+
+def _reference_find_frame(bits):
+    """The sliding-window sync hunt, kept as the oracle for ``_find_frame``."""
+    sync = np.unpackbits(np.frombuffer(SYNC_WORD.to_bytes(2, "big"), dtype=np.uint8))
+    if bits.size >= sync.size:
+        windows = np.lib.stride_tricks.sliding_window_view(bits, sync.size)
+        hits = np.nonzero((windows == sync).all(axis=1))[0]
+    else:
+        hits = np.array([], dtype=int)
+    for pos in hits.tolist():
+        after = pos + sync.size
+        if after + 16 > bits.size:
+            break
+        length = int(np.packbits(bits[after:after + 16]).view(">u2")[0])
+        end = after + 16 + 8 * length + 16
+        if end <= bits.size:
+            return pos, length
+    raise SyncError("no complete frame found in the bit stream")
+
+
+def _bits16(value: int) -> list[int]:
+    return [(value >> (15 - i)) & 1 for i in range(16)]
+
+
+# Stream pieces: random bits, a sync word, a sync word with a length field,
+# or a whole frame body (sync, length, payload and CRC bits).
+_segment = st.one_of(
+    st.lists(st.integers(0, 1), max_size=40),
+    st.just(_bits16(SYNC_WORD)),
+    st.integers(0, 0xFFFF).map(lambda n: _bits16(SYNC_WORD) + _bits16(n)),
+    st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.integers(0, 1), min_size=8 * n + 16, max_size=8 * n + 16).map(
+        lambda rest: _bits16(SYNC_WORD) + _bits16(n) + rest)),
+)
 
 
 def _crc_bitwise(data: bytes) -> int:
@@ -111,6 +167,27 @@ class TestTransmit:
             transmit(encode_frame(b""), 7, CLEAN, seed=0)
         with pytest.raises(ValueError):
             Waveform(1e6, np.zeros(8), 2)
+
+    @pytest.mark.parametrize("hum", [0.0, 0.4])
+    @pytest.mark.parametrize("noise", [0.0, 0.6])
+    def test_samples_equal_allocating_reference(self, hum, noise):
+        symbols = encode_frame(bytes(range(200)))
+        cm = ChannelModel(attenuation=0.7, hum_amplitude=hum, noise_sigma=noise)
+        w = transmit(symbols, 8, cm, seed=(5, 1), sample_rate=250_000.0)
+        assert np.array_equal(w.samples,
+                              _reference_transmit(symbols, 8, cm, (5, 1), 250_000.0))
+
+    def test_peak_memory_per_sample(self):
+        """Output plus one scratch buffer: 16 B per sample with hum and noise."""
+        symbols = encode_frame(bytes(4000))
+        cm = ChannelModel(attenuation=0.6, hum_amplitude=0.3, noise_sigma=0.5)
+        tracemalloc.start()
+        try:
+            w = transmit(symbols, 8, cm, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * w.samples.size + 64 * 1024
 
     def test_sample_ceiling(self):
         # A capture-sized frame at the default bit period fits...
@@ -218,6 +295,22 @@ class TestReceiveDecode:
             if d["ber"] > 0 and i["ber"] < d["ber"]:
                 direct_failed_somewhere = True
         assert direct_failed_somewhere
+
+
+class TestFindFrame:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(segments=st.lists(_segment, max_size=8), cut=st.integers(0, 60))
+    def test_equals_sliding_window_hunt(self, segments, cut):
+        """Planted, false and truncated sync words: same frame or same error."""
+        stream = [bit for segment in segments for bit in segment]
+        bits = np.array(stream[:max(len(stream) - cut, 0)], dtype=np.uint8)
+        try:
+            expected = _reference_find_frame(bits)
+        except SyncError:
+            with pytest.raises(SyncError):
+                _find_frame(bits)
+        else:
+            assert _find_frame(bits) == expected
 
 
 class TestEyeOpening:

@@ -127,6 +127,16 @@ class TestExtractAndMatch:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("algo", ["high", "light"])
+    def test_extract_image_over_pixel_ceiling_is_domain_error(self, capsys, tmp_path, algo):
+        write_pgm(GrayImage(np.zeros((513, 512), dtype=np.uint8)), tmp_path / "big.pgm")
+        code, out, err = run_cli(capsys, "extract", str(tmp_path / "big.pgm"),
+                                 "-o", str(tmp_path / "big.fpt"), "--algo", algo)
+        assert code == 1
+        assert out == ""
+        assert "exceeds" in err
+        assert not (tmp_path / "big.fpt").exists()
+
     def test_match_against_gallery(self, capsys, tmp_path, probe_image):
         from wearauth.fingerprint import TemplateAlgorithm, extract_template
         template = extract_template(probe_image, TemplateAlgorithm.HIGH_ACCURACY)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from wearauth.fingerprint import (
@@ -18,9 +21,12 @@ from wearauth.fingerprint import (
     thin,
     write_pgm,
 )
+from wearauth.fingerprint.enhance import gabor_enhance, ridge_wavelength
+from wearauth.fingerprint.image import MAX_PIXELS
 from wearauth.fingerprint.minutiae import _crossing_number_map, _scan_minutiae
 
 from patterns import blob_image, degrade, sinusoidal_ridges, stripe_image
+from reference_enhance import reference_gabor_enhance, reference_ridge_wavelength
 
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity structuring element
 
@@ -130,11 +136,90 @@ class TestEnhance:
         assert snr_db(out.pixels) >= snr_db(noisy.pixels)
 
 
+@st.composite
+def _enhance_inputs(draw):
+    """Random or sinusoidal 16x16..278x144 images, some with a flat patch."""
+    h = draw(st.integers(16, 144))
+    w = draw(st.integers(16, 278))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        px = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    else:
+        # Wavelengths outside 3-25 px leave blocks with no estimate.
+        wavelength = draw(st.sampled_from([2.0, 4.0, 7.5, 9.0, 12.0, 40.0]))
+        px = sinusoidal_ridges(w, h, wavelength=wavelength,
+                               ridge_angle=draw(st.floats(0.0, np.pi))).pixels
+    if draw(st.booleans()):
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        px = px.copy()
+        px[y0:y0 + draw(st.integers(16, 96)), x0:x0 + draw(st.integers(16, 160))] = 128
+    return normalize(GrayImage(px))
+
+
+class TestEnhanceMatchesReference:
+    """The batched stages return exactly what the per-block loops returned."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(norm=_enhance_inputs(), all_invalid=st.booleans())
+    @example(norm=normalize(degrade(sinusoidal_ridges(278, 144, 9.0, 0.4))), all_invalid=False)
+    def test_chain_equals_reference(self, norm, all_invalid):
+        theta, valid = orientation_field(norm)
+        if all_invalid:
+            valid = np.zeros_like(valid)
+        wavelengths, ok = ridge_wavelength(norm, theta, valid)
+        ref_wavelengths, ref_ok = reference_ridge_wavelength(norm, theta, valid)
+        assert np.array_equal(wavelengths, ref_wavelengths)
+        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(gabor_enhance(norm, theta, wavelengths, valid & ok),
+                              reference_gabor_enhance(norm, theta, wavelengths, valid & ok))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(shape=st.tuples(st.integers(16, 144), st.integers(16, 278)),
+           seed=st.integers(0, 2**32 - 1), valid_share=st.floats(0.0, 1.0))
+    def test_gabor_equals_reference_on_any_tuning(self, shape, seed, valid_share):
+        """Arbitrary orientations, wavelengths (clipped to 3-25) and masks."""
+        rng = np.random.default_rng(seed)
+        norm = rng.standard_normal(shape)
+        blocks = (shape[0] // 16, shape[1] // 16)
+        theta = rng.uniform(0.0, np.pi, blocks)
+        wavelengths = rng.uniform(0.0, 30.0, blocks)
+        valid = rng.random(blocks) < valid_share
+        assert np.array_equal(gabor_enhance(norm, theta, wavelengths, valid),
+                              reference_gabor_enhance(norm, theta, wavelengths, valid))
+
+    def test_no_block_yields_a_wavelength(self):
+        norm = normalize(sinusoidal_ridges(96, 64, wavelength=40.0))
+        theta, valid = orientation_field(norm)
+        wavelengths, ok = ridge_wavelength(norm, theta, valid)
+        assert valid.any() and not ok.any()
+        ref_wavelengths, ref_ok = reference_ridge_wavelength(norm, theta, valid)
+        assert np.array_equal(wavelengths, ref_wavelengths) and np.array_equal(ok, ref_ok)
+
+    def test_median_fallback_fills_blocks_without_a_wavelength(self):
+        px = np.hstack([sinusoidal_ridges(64, 64, wavelength=8.0).pixels,
+                        sinusoidal_ridges(64, 64, wavelength=40.0).pixels])
+        norm = normalize(GrayImage(px))
+        theta, valid = orientation_field(norm)
+        wavelengths, ok = ridge_wavelength(norm, theta, valid)
+        ref_wavelengths, ref_ok = reference_ridge_wavelength(norm, theta, valid)
+        assert np.array_equal(wavelengths, ref_wavelengths) and np.array_equal(ok, ref_ok)
+        assert np.array_equal(ok, valid)
+        # Blocks on the long-wavelength half carry the short half's median.
+        assert np.allclose(wavelengths[:, 6:][valid[:, 6:]], 8.0, atol=1.0)
+
+
 class TestThin:
     def test_matches_reference_implementation(self):
         for seed in range(12):
             bits = blob_image(40, 32, n_blobs=8, seed=seed)
             assert np.array_equal(thin(BinaryImage(bits)).bits, _reference_thin(bits))
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(bits=hnp.arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                           elements=st.booleans()))
+    def test_matches_reference_on_random_bits(self, bits):
+        assert np.array_equal(thin(BinaryImage(bits)).bits, _reference_thin(bits))
 
     def test_reference_on_nine_square(self):
         sq = np.zeros((13, 13), dtype=bool)
@@ -243,6 +328,14 @@ class TestExtractTemplate:
         img = GrayImage(np.zeros((15, 40), dtype=np.uint8))
         with pytest.raises(ValueError):
             extract_template(img, TemplateAlgorithm.LIGHTWEIGHT)
+
+    def test_pixel_ceiling(self):
+        at_ceiling = GrayImage(np.zeros((512, 512), dtype=np.uint8))
+        assert len(extract_template(at_ceiling, TemplateAlgorithm.HIGH_ACCURACY)) == 0
+        for shape in ((513, 512), (16, MAX_PIXELS // 16 + 1)):
+            with pytest.raises(ValueError, match="exceeds"):
+                extract_template(GrayImage(np.zeros(shape, dtype=np.uint8)),
+                                 TemplateAlgorithm.LIGHTWEIGHT)
 
     def test_deterministic(self):
         img = stripe_image(96, 72, period=8, thickness=3, gap=(4, 40, 64))
