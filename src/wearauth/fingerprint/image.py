@@ -12,9 +12,9 @@ __all__ = ["GrayImage", "BinaryImage", "read_pgm", "write_pgm"]
 MIN_PIPELINE_SIZE = 16  # smallest width/height the extraction pipeline accepts
 # Largest image the extraction pipeline accepts: 2**18 pixels (512x512, 6.5x a
 # 278x144 capture).  At the ceiling tracemalloc measured a high-accuracy peak
-# of ~139 MiB and ~2 s on uniform noise, the worst input tried (enhancement
-# ~22 MiB; the rest is the false-minutia filter's pairwise distances over
-# ~2,600 raw minutiae), and 22 MiB on a ridge pattern.
+# of ~22 MiB, nearly all of it enhancement, and ~2-3 s on uniform noise, the
+# worst input tried; the false-minutia filter holds a few arrays of n values.
+# The lightweight route peaks at ~10 MiB there.
 MAX_PIXELS = 1 << 18
 
 

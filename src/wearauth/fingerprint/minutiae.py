@@ -161,7 +161,9 @@ def _minutia_angle(bits: np.ndarray, x: int, y: int) -> float:
         vy = -sum(v[1] for v in vecs)
         if vx == 0 and vy == 0:
             return 0.0
-    return float(np.mod(np.arctan2(vy, vx), 2.0 * np.pi))
+    angle = float(np.mod(np.arctan2(vy, vx), 2.0 * np.pi))
+    # np.mod of a tiny negative arctan2 rounds up to 2*pi, the same direction as 0.
+    return angle if angle < 2.0 * np.pi else 0.0
 
 
 def _scan_minutiae(skeleton: BinaryImage) -> list[Minutia]:
@@ -183,11 +185,23 @@ def _filter_false_minutiae(minutiae: list[Minutia], width: int, height: int,
             and border_margin <= m.y < height - border_margin]
     if len(kept) < 2:
         return kept
-    xy = np.array([[m.x, m.y] for m in kept], dtype=np.float64)
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    close = (dist < min_distance).any(axis=1)
+    # Sort-and-sweep in O(n) memory: with points sorted by x, compare each
+    # with its k-th successor for k = 1, 2, ... until no x gap at offset k is
+    # under min_distance (gaps only grow with k).  A pair closer than
+    # min_distance has its x gap under it too, since hypot(dx, dy) >= |dx|.
+    x = np.array([m.x for m in kept], dtype=np.float64)
+    y = np.array([m.y for m in kept], dtype=np.float64)
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    close = np.zeros(len(kept), dtype=bool)
+    for k in range(1, len(kept)):
+        dx = x[k:] - x[:-k]
+        near = np.flatnonzero(dx < min_distance)
+        if near.size == 0:
+            break
+        hit = near[np.hypot(dx[near], y[near + k] - y[near]) < min_distance]
+        close[order[hit]] = True
+        close[order[hit + k]] = True
     return [m for m, c in zip(kept, close) if not c]
 
 

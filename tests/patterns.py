@@ -1,8 +1,9 @@
-"""Synthetic ridge-like images with known ground truth, shared across tests."""
+"""Synthetic inputs with known ground truth, shared across tests."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from wearauth.fingerprint.image import GrayImage
@@ -58,3 +59,48 @@ def blob_image(width: int, height: int, n_blobs: int = 12, seed: int = 0) -> np.
         y, x = np.ogrid[0:height, 0:width]
         mask |= (y - cy) ** 2 + (x - cx) ** 2 <= r * r
     return mask
+
+
+# Skeleton around a bifurcation at (6, 6) whose three branch vectors cancel in
+# y up to one rounding error: np.mod(arctan2(-tiny, vx), 2*pi) rounds to 2*pi.
+# Cut from the lightweight skeleton of a seeded 278x144 uniform-noise image.
+ANGLE_WRAP_SKELETON = np.array([[c == "#" for c in row] for row in (
+    "..#...##.....",
+    "#...###.#..##",
+    "#.#.#..####..",
+    "..#.#....#.#.",
+    "...##....#...",
+    "....##.#.#...",
+    "......#.#.###",
+    ".#....#.##.#.",
+    "#...##....#.#",
+    "#..#......#.#",
+    ".###....#....",
+    "##.###.......",
+    ".####.###.#..",
+)])
+
+
+def angle_wrap_image(pad: int = 5) -> GrayImage:
+    """ANGLE_WRAP_SKELETON drawn dark on a light canvas with ``pad`` px margins.
+
+    The lightweight route still reaches the wrapping bifurcation on it.
+    """
+    h, w = ANGLE_WRAP_SKELETON.shape
+    px = np.full((h + 2 * pad, w + 2 * pad), 255, dtype=np.uint8)
+    px[pad:pad + h, pad:pad + w][ANGLE_WRAP_SKELETON] = 0
+    return GrayImage(px)
+
+
+def hostile_blobs(valid: bytes, max_size: int = 64):
+    """Arbitrary bytes, or ``valid`` with up to four bits flipped and maybe cut short."""
+
+    @st.composite
+    def damaged(draw):
+        blob = bytearray(valid)
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), max_size=4)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        keep = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+        return bytes(blob[:keep])
+
+    return st.one_of(st.binary(max_size=max_size), damaged())

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from wearauth import codec
 from wearauth.cli import main
-from wearauth.fingerprint import GrayImage, write_pgm
+from wearauth.fingerprint import GrayImage, TemplateAlgorithm, extract_template, write_pgm
 
 from conftest import write_scenario
-from patterns import stripe_image
+from patterns import angle_wrap_image, hostile_blobs, stripe_image
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +176,72 @@ class TestExtractAndMatch:
         (gal / "index.json").write_text("{}")
         code, _, err = run_cli(capsys, "match", str(tmp_path / "bad.fpt"), str(gal))
         assert code == 1
+
+
+def _quiet_main(*argv):
+    """main() with stdout and stderr captured; usable inside Hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_STRIPES = stripe_image(24, 20, period=6, thickness=2)
+_STRIPES_FPT = codec.encode(extract_template(_STRIPES, TemplateAlgorithm.LIGHTWEIGHT))
+
+
+class TestHostileFiles:
+    """Received bytes that fail to parse are domain errors, never tracebacks."""
+
+    def test_extract_light_on_angle_wrap_image(self, capsys, tmp_path):
+        write_pgm(angle_wrap_image(), tmp_path / "wrap.pgm")
+        code, _, err = run_cli(capsys, "extract", str(tmp_path / "wrap.pgm"),
+                               "-o", str(tmp_path / "wrap.fpt"), "--algo", "light")
+        assert code == 0, err
+        assert codec.decode((tmp_path / "wrap.fpt").read_bytes()).minutiae
+
+    def test_extract_light_on_noise_hits_only_the_record_limit(self, capsys, tmp_path):
+        # ~5,500 lightweight minutiae: over the codec's 255 records, no angle error.
+        noise = np.random.default_rng(0).integers(0, 256, (144, 278), dtype=np.uint8)
+        write_pgm(GrayImage(noise), tmp_path / "noise.pgm")
+        code, _, err = run_cli(capsys, "extract", str(tmp_path / "noise.pgm"),
+                               "-o", str(tmp_path / "noise.fpt"), "--algo", "light")
+        assert code == 1
+        assert "255-record limit" in err
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(blob=hostile_blobs(_STRIPES.to_pgm_bytes()))
+    def test_extract(self, tmp_path_factory, blob):
+        root = tmp_path_factory.getbasetemp()
+        (root / "hostile.pgm").write_bytes(blob)
+        code, out, err = _quiet_main("extract", str(root / "hostile.pgm"),
+                                     "-o", str(root / "hostile.fpt"))
+        assert out == ""
+        try:
+            GrayImage.from_pgm_bytes(blob)
+        except ValueError:
+            assert code == 1 and err.startswith("error:")
+        else:
+            assert code in (0, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(blob=hostile_blobs(_STRIPES_FPT))
+    def test_match(self, tmp_path_factory, blob):
+        root = tmp_path_factory.getbasetemp()
+        gal = root / "hostile_gallery"
+        if not gal.exists():
+            gal.mkdir()
+            (gal / "bob.fpt").write_bytes(_STRIPES_FPT)
+            (gal / "index.json").write_text(json.dumps({"bob": "bob.fpt"}))
+        (root / "hostile.fpt").write_bytes(blob)
+        code, out, err = _quiet_main("match", str(root / "hostile.fpt"), str(gal))
+        try:
+            codec.decode(blob)
+        except codec.DecodeError:
+            assert code == 1 and out == "" and err.startswith("error:")
+        else:
+            assert code == 0
+            assert json.loads(out)[0]["label"] == "bob"
 
 
 class TestCrypt:

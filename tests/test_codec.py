@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from wearauth import codec
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
 
+from patterns import hostile_blobs
+
 
 def make_template(points, width=256, height=256, algorithm=TemplateAlgorithm.HIGH_ACCURACY):
     ms = tuple(Minutia(x=x, y=y, angle=a, kind=k) for x, y, a, k in points)
@@ -109,6 +111,22 @@ class TestDecode:
         assert len(out) == 28
         for m in out.minutiae:
             assert 0 <= m.x < out.width and 0 <= m.y < out.height
+
+
+_VALID_FPT = codec.encode(make_template(
+    [(3, 5, 0.0, MinutiaKind.ENDING), (40, 17, 2.0, MinutiaKind.BIFURCATION),
+     (200, 99, 6.2, MinutiaKind.ENDING)], width=250, height=120))
+
+
+class TestDecodeHostileBytes:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(hostile_blobs(_VALID_FPT))
+    def test_only_decode_errors_escape(self, blob):
+        try:
+            out = codec.decode(blob)
+        except codec.DecodeError:
+            return
+        assert len(codec.encode(out)) == len(blob)
 
 
 class TestCompressionRatio:

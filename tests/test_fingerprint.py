@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,9 +25,22 @@ from wearauth.fingerprint import (
 )
 from wearauth.fingerprint.enhance import gabor_enhance, ridge_wavelength
 from wearauth.fingerprint.image import MAX_PIXELS
-from wearauth.fingerprint.minutiae import _crossing_number_map, _scan_minutiae
+from wearauth.fingerprint.minutiae import (
+    Minutia,
+    _crossing_number_map,
+    _filter_false_minutiae,
+    _minutia_angle,
+    _scan_minutiae,
+)
 
-from patterns import blob_image, degrade, sinusoidal_ridges, stripe_image
+from patterns import (
+    ANGLE_WRAP_SKELETON,
+    blob_image,
+    degrade,
+    hostile_blobs,
+    sinusoidal_ridges,
+    stripe_image,
+)
 from reference_enhance import reference_gabor_enhance, reference_ridge_wavelength
 
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity structuring element
@@ -409,6 +424,90 @@ class TestExtractTemplate:
         assert kinds == ["bifurcation", "ending", "ending", "ending"]
 
 
+class TestMinutiaAngle:
+    def test_wraps_two_pi_to_zero(self):
+        # np.mod(arctan2(-tiny, vx), 2*pi) is exactly 2*pi for this bifurcation.
+        assert _minutia_angle(ANGLE_WRAP_SKELETON, 6, 6) == 0.0
+
+    # Seeds whose lightweight extraction met a 2*pi angle and raised.
+    @pytest.mark.parametrize("seed", [0, 3, 7, 19, 21, 25, 27, 28])
+    @pytest.mark.parametrize("algorithm", list(TemplateAlgorithm))
+    def test_uniform_noise_extracts(self, seed, algorithm):
+        img = GrayImage(np.random.default_rng(seed).integers(0, 256, (144, 278), dtype=np.uint8))
+        t = extract_template(img, algorithm)
+        assert len(t) > 0
+        assert all(0.0 <= m.angle < 2 * np.pi for m in t.minutiae)
+
+
+def _dense_filter(minutiae, width, height, border_margin, min_distance):
+    """The former n x n x 2 pairwise filter, kept as the oracle."""
+    kept = [m for m in minutiae
+            if border_margin <= m.x < width - border_margin
+            and border_margin <= m.y < height - border_margin]
+    if len(kept) < 2:
+        return kept
+    xy = np.array([[m.x, m.y] for m in kept], dtype=np.float64)
+    diff = xy[:, None, :] - xy[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(dist, np.inf)
+    close = (dist < min_distance).any(axis=1)
+    return [m for m, c in zip(kept, close) if not c]
+
+
+@st.composite
+def _minutiae_sets(draw):
+    """Scattered minutiae plus partners exactly 8 px away, duplicates and
+    partners just inside or outside 8 px."""
+    coord = st.integers(0, 79)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=40))
+    offsets = st.sampled_from([(8, 0), (0, 8), (-8, 0), (0, -8), (0, 0),
+                               (5, 6), (6, 6), (7, 3), (-4, 7), (1, 1)])
+    partners = draw(st.lists(st.sampled_from(points), max_size=20)) if points else []
+    for x, y in partners:
+        dx, dy = draw(offsets)
+        if 0 <= x + dx < 80 and 0 <= y + dy < 80:
+            points.append((x + dx, y + dy))
+    kinds = draw(st.lists(st.sampled_from(list(MinutiaKind)),
+                          min_size=len(points), max_size=len(points)))
+    return [Minutia(x=x, y=y, angle=0.0, kind=k) for (x, y), k in zip(points, kinds)]
+
+
+class TestFilterFalseMinutiae:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(minutiae=_minutiae_sets(), border_margin=st.integers(0, 12),
+           min_distance=st.sampled_from([8.0, 7.99, 8.01, 1.0, 0.0, -1.0, 20.0,
+                                         float("inf"), float("nan")]))
+    def test_same_survivors_as_dense(self, minutiae, border_margin, min_distance):
+        got = _filter_false_minutiae(minutiae, 80, 80, border_margin, min_distance)
+        assert got == _dense_filter(minutiae, 80, 80, border_margin, min_distance)
+
+    def test_exactly_min_distance_apart_both_survive(self):
+        a = Minutia(x=20, y=20, angle=0.0, kind=MinutiaKind.ENDING)
+        b = Minutia(x=28, y=20, angle=0.0, kind=MinutiaKind.ENDING)
+        c = Minutia(x=40, y=40, angle=0.0, kind=MinutiaKind.ENDING)
+        d = Minutia(x=40, y=40, angle=1.0, kind=MinutiaKind.BIFURCATION)
+        assert _filter_false_minutiae([a, b, c, d], 80, 80, 10, 8.0) == [a, b]
+
+    def test_peak_memory_is_linear(self):
+        """The dense filter held n x n x 2 float64 (~366 MiB at n = 4,000)."""
+        def peak(n, column):
+            rng = np.random.default_rng(n)
+            xs = np.full(n, 100) if column else rng.integers(10, 502, n)
+            minutiae = [Minutia(x=int(x), y=int(y), angle=0.0, kind=MinutiaKind.ENDING)
+                        for x, y in zip(xs, rng.integers(10, 502, n))]
+            tracemalloc.start()
+            try:
+                _filter_false_minutiae(minutiae, 512, 512, 10, 8.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for column in (False, True):   # True: one x for all, the sweep's worst case
+            small, large = peak(1000, column), peak(4000, column)
+            assert large < 1 << 20
+            assert large < 6 * small   # 4x the points: ~4x the peak, not 16x
+
+
 class TestPgm:
     def test_roundtrip(self, tmp_path):
         img = stripe_image(40, 30)
@@ -442,3 +541,21 @@ class TestPgm:
         assert img.pixels[2, 3] == 11
         with pytest.raises(ValueError):
             GrayImage.from_raw(bytes(10), 4, 3)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(blob=hostile_blobs(b"P5\n# capture\n6 4\n255\n" + bytes(range(0, 240, 10))))
+    def test_hostile_bytes_raise_only_value_error(self, tmp_path_factory, blob):
+        try:
+            img = GrayImage.from_pgm_bytes(blob)
+        except ValueError:
+            img = None
+        else:
+            assert img.pixels.size <= len(blob)
+        path = tmp_path_factory.getbasetemp() / "hostile.pgm"
+        path.write_bytes(blob)
+        try:
+            from_file = read_pgm(path)
+        except ValueError:
+            assert img is None
+        else:
+            assert img is not None and np.array_equal(from_file.pixels, img.pixels)

@@ -1,0 +1,86 @@
+"""Start-up footprint: which scipy subpackages a process loads.
+
+``scipy.signal`` (~47 MB and ~0.9 s of imports, with ``scipy.stats``,
+``scipy.interpolate`` and ``scipy.spatial`` behind it) is loaded only by the
+body channel's high-pass.  This pytest process has imported it already, so
+the checks run in fresh interpreters.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_PRELUDE = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    import wearauth, wearauth.cli, wearauth.sim
+    from wearauth import codec, present
+    from wearauth.channel import ChannelModel
+    from wearauth.design_space import PowerSource, SystemConfig, TeLocation, table2
+    from wearauth.energy import Channel
+    from wearauth.fingerprint import GrayImage, TemplateAlgorithm, extract_template, write_pgm
+    from wearauth.matcher import match
+    from wearauth.sim import ScenarioConfig, run_scenario
+
+    def loaded():
+        return sorted(m for m in ("scipy.signal", "scipy.spatial") if m in sys.modules)
+
+    px = np.full((72, 96), 230, dtype=np.uint8)
+    for top in range(2, 69, 8):
+        px[top:top + 3, :] = 25
+    px[34:37, 40:64] = 230
+    img = GrayImage(px)
+    root = Path(sys.argv[1])
+    write_pgm(img, root / "probe.pgm")
+    (root / "gallery").mkdir()
+    template = extract_template(img, TemplateAlgorithm.HIGH_ACCURACY)
+    (root / "gallery" / "alice.fpt").write_bytes(codec.encode(template))
+    (root / "gallery" / "index.json").write_text(json.dumps({"alice": "alice.fpt"}))
+
+    def scenario(link, channel=ChannelModel()):
+        system = SystemConfig(te_location=TeLocation.HUB, on_body_channel=link,
+                              sensor_power=PowerSource.COIN_CELL)
+        cfg = ScenarioConfig(system=system,
+                             probe_image=root / "probe.pgm", gallery_dir=root / "gallery",
+                             channel=channel, max_requests=2)
+        return run_scenario(cfg).requests_attempted
+""")
+
+
+def _run(body: str, workdir: Path) -> dict:
+    script = _PRELUDE + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", script, str(workdir)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_data_plane_without_highpass_never_loads_signal_or_spatial(tmp_path):
+    out = _run("""
+        ran = [scenario(Channel.WBAN), scenario(Channel.HBC)]
+        light = extract_template(img, TemplateAlgorithm.LIGHTWEIGHT)
+        ran += [len(light), match(template, light).score >= 0.0,
+                len(present.ctr_crypt(codec.encode(template), 1, 2)), len(table2())]
+        print(json.dumps({"ran": ran, "loaded": loaded()}))
+    """, tmp_path)
+    assert out["ran"][:2] == [2, 2]
+    assert out["loaded"] == []
+
+
+def test_highpass_loads_signal_on_first_use(tmp_path):
+    out = _run("""
+        before = loaded()
+        scenario(Channel.HBC, ChannelModel(highpass_cutoff=1000.0))
+        print(json.dumps({"before": before, "after": loaded()}))
+    """, tmp_path)
+    assert out["before"] == []
+    assert "scipy.signal" in out["after"]
