@@ -10,7 +10,6 @@ from .energy import (
     SensorType,
     energy_breakdown,
     lora_energy_per_bit,
-    node_energy,
     retries,
 )
 from .design_space import (
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate",
     "figure4_export",
     "lora_energy_per_bit",
-    "node_energy",
     "retries",
     "table2",
     "__version__",

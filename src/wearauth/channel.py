@@ -118,7 +118,6 @@ class Waveform:
 class RxStats:
     n_bits: int
     eye_opening: float
-    bit_errors: int | None = None
     ber: float | None = None
 
 
@@ -268,12 +267,10 @@ def receive_decode(w: Waveform, mode: DecodeMode,
     length_payload, crc = frame_bytes[:2 + length], frame_bytes[2 + length:2 + length + 2]
     if crc16_ccitt(length_payload) != int.from_bytes(crc, "big"):
         raise IntegrityError("frame checksum mismatch")
-    errors: int | None = None
     rate: float | None = None
     if reference_bits is not None and reference_bits.size == bits.size:
-        errors = int(np.count_nonzero(bits != reference_bits))
         rate = ber(reference_bits, bits)
-    rx_stats = RxStats(n_bits=int(bits.size), eye_opening=_eye(stats), bit_errors=errors, ber=rate)
+    rx_stats = RxStats(n_bits=int(bits.size), eye_opening=_eye(stats), ber=rate)
     return length_payload[2:], rx_stats
 
 

@@ -185,9 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("probe", help="probe .fpt file")
     p.add_argument("gallery", help="gallery directory containing index.json")
     p.add_argument("-o", "--output")
-    p.add_argument("--position-tolerance", type=float, default=12.0)
-    p.add_argument("--angle-tolerance", type=float, default=MatchParams().angle_tolerance)
-    p.add_argument("--threshold", type=float, default=0.4)
+    defaults = MatchParams()
+    p.add_argument("--position-tolerance", type=float, default=defaults.position_tolerance)
+    p.add_argument("--angle-tolerance", type=float, default=defaults.angle_tolerance)
+    p.add_argument("--threshold", type=float, default=defaults.score_threshold)
     p.set_defaults(func=_cmd_match)
 
     for name in ("encrypt", "decrypt"):

@@ -147,14 +147,6 @@ class LifetimeReport:
     hub_retries: float      # per charge of the hub battery share
     feasible: bool          # the sensor supports at least one request
 
-    @property
-    def sensor_energy_per_request(self) -> float:
-        return self.sensor_breakdown.total
-
-    @property
-    def hub_energy_per_request(self) -> float:
-        return self.hub_breakdown.total
-
     def to_dict(self) -> dict:
         cfg = self.config
         return {
@@ -293,22 +285,12 @@ def figure4_export(params: EnergyParams | None = None) -> list[dict]:
                 for power in (PowerSource.COIN_CELL, PowerSource.RF_HARVEST):
                     cfg = SystemConfig(te_location=te_loc, on_body_channel=channel,
                                        sensor_type=sensor_type, sensor_power=power)
-                    rep = evaluate(cfg, params)
-                    bd = rep.sensor_breakdown
                     records.append({
                         "sensor": sensor_type.value,
                         "te_location": te_loc.value,
                         "channel": channel.value,
                         "power": power.value,
-                        "capture_j": bd.capture,
-                        "te_j": bd.te,
-                        "comm_j": bd.comm,
-                        "encrypt_j": bd.encrypt,
-                        "total_j": bd.total,
-                        "retries": rep.sensor_retries,
-                        "retries_display": display_count(rep.sensor_retries)
-                        if power is PowerSource.COIN_CELL
-                        else display_rate(rep.sensor_retries),
+                        **evaluate(cfg, params).to_dict()["sensor"],
                     })
     return records
 

@@ -1,7 +1,7 @@
 """Per-request energy model for the wearable authentication chain.
 
 All computation is in joules, meters and bits.  Budgets quoted in W·hr
-convert at 1 W·hr = 3600 J (see :func:`watt_hours`).
+convert at 1 W·hr = 3600 J.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ __all__ = [
     "NodeActivity",
     "SensorType",
     "lora_energy_per_bit",
-    "node_energy",
     "energy_breakdown",
     "per_bit_cost",
     "retries",
-    "watt_hours",
 ]
 
 
@@ -43,11 +41,6 @@ class SensorType(str, enum.Enum):
     CAPACITIVE = "capacitive"
     OPTICAL = "optical"
     NONE = "none"  # hub/cloud roles: capture energy is always zero
-
-
-def watt_hours(x: float) -> float:
-    """Convert an energy in W·hr to joules."""
-    return x * 3600.0
 
 
 @dataclass(frozen=True)
@@ -226,11 +219,6 @@ def energy_breakdown(activity: NodeActivity, sensor: SensorType,
                                             activity.lora_distance, params)
     encrypt = activity.bits_encrypted * params.e_bit_encrypt
     return EnergyBreakdown(capture=capture, te=te, comm=comm, encrypt=encrypt)
-
-
-def node_energy(activity: NodeActivity, sensor: SensorType, params: EnergyParams) -> float:
-    """Total joules one node spends on a single authentication request."""
-    return energy_breakdown(activity, sensor, params).total
 
 
 def retries(available: float, per_request: float) -> float:

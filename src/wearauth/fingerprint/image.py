@@ -84,9 +84,6 @@ class BinaryImage:
     def height(self) -> int:
         return self.bits.shape[0]
 
-    def count(self) -> int:
-        return int(self.bits.sum())
-
 
 def _parse_pgm(blob: bytes) -> GrayImage:
     if not blob.startswith(b"P5"):

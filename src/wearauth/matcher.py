@@ -286,7 +286,10 @@ def load_gallery(directory: str | Path) -> dict[str, Template]:
     index_path = directory / INDEX_FILENAME
     if not index_path.is_file():
         raise FileNotFoundError(f"gallery index {index_path} not found")
-    index = json.loads(index_path.read_text())
+    try:
+        index = json.loads(index_path.read_text())
+    except RecursionError:
+        raise ValueError("gallery index nests too deeply") from None
     if not isinstance(index, dict):
         raise ValueError("gallery index must map labels to filenames")
     gallery = {}

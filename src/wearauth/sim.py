@@ -1,21 +1,23 @@
 """Deterministic end-to-end scenario runner with per-node energy ledgers.
 
 Each authentication request walks the configured chain (capture, optional
-extraction, on-body transfer, uplink, cloud match) and charges every event
-to the owning node's ledger.  Each event is priced from the closed form's
-per-request activities (:func:`derive_activities`: the model's image/template
-bit counts) at the energy model's rates, so a run cross-checks against the
-closed-form per-request energy and retry count.  The payload actually
-carried through the data plane is the real encoded artifact (PGM capture or
-.fpt template), and authentication decisions come from the real matcher.
+extraction, on-body transfer, uplink, cloud match) through a data plane that
+charges nothing; :meth:`_Runner._events` then lists the request's ledger events
+in chain order.  Each event is priced from the closed form's per-request
+activities (:func:`derive_activities`: the model's image/template bit counts)
+at the energy model's rates, so a run cross-checks against the closed-form
+per-request energy and retry count.  The payload actually carried through the
+data plane is the real encoded artifact (PGM capture or .fpt template), and
+authentication decisions come from the real matcher.
 
 Every ciphered message (the on-body radio hop and the LoRa uplink of each
 request) gets its own PRESENT-CTR counter range, so no keystream is reused;
 see :meth:`_Runner._counter_base`.
 
 A corrupted body-channel frame triggers exactly one retransmission (charged
-again); a second failure aborts that request.  A request that would overdraw
-any ledger is rolled back and refused, ending the run.
+again); a second failure aborts that request.  A request is charged whole or
+not at all: its first event that would overdraw a ledger is the refusal, which
+ends the run.  A run drives at most :data:`MAX_REQUESTS` requests.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .matcher import MatchParams, load_gallery, match
 __all__ = [
     "BudgetExceeded",
     "EnergyLedger",
+    "MAX_REQUESTS",
     "ScenarioConfig",
     "SimReport",
     "VerifyResult",
@@ -68,6 +71,9 @@ DEFAULT_CIPHER_NONCE = 0x0011223344556677
 # Counter blocks reserved for each ciphered message: up to 32 GiB of payload.
 COUNTER_BLOCKS_PER_MESSAGE = 1 << 32
 _HOP_WBAN, _HOP_LORA = 0, 1
+# Requests one run may drive; a ``max_requests: null`` run stops here too.  A
+# dead body link on a coin cell would otherwise run ~7 M channel_error requests.
+MAX_REQUESTS = 1 << 16
 
 
 class BudgetExceeded(Exception):
@@ -104,13 +110,8 @@ class EnergyLedger:
         self._charged += joules
         self.charges.append((label, joules))
 
-    def mark(self) -> tuple[int, float]:
-        return len(self.charges), self._charged
 
-    def rollback(self, mark: tuple[int, float]) -> None:
-        count, charged = mark
-        del self.charges[count:]
-        self._charged = charged
+_Event = tuple[EnergyLedger, str, float]   # (ledger, label, joules)
 
 
 _SCENARIO_KEYS = ("system", "probe_image", "gallery_dir", "channel", "seed", "match",
@@ -170,19 +171,26 @@ class ScenarioConfig:
     channel: ChannelModel = ChannelModel()
     seed: int = 0
     match_params: MatchParams = field(default_factory=MatchParams)
-    max_requests: int | None = None     # None: run until a ledger refuses
+    max_requests: int | None = None     # None: run until a ledger refuses, or MAX_REQUESTS
     bit_period: int = 8                 # samples per data bit on the body channel
     sample_rate: float = 1_000_000.0
     decode_mode: DecodeMode = DecodeMode.INTEGRATE_AND_DUMP
     cipher_key: int = DEFAULT_CIPHER_KEY
     cipher_nonce: int = DEFAULT_CIPHER_NONCE
 
+    def __post_init__(self) -> None:
+        if self.max_requests is not None and not 0 <= self.max_requests <= MAX_REQUESTS:
+            raise ConfigError(f"max_requests must lie in [0, {MAX_REQUESTS}]")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
         """Load a scenario; unknown keys and mistyped values raise :class:`ConfigError`."""
         path = Path(path)
-        doc = _block(json.loads(path.read_text()), "scenario", _SCENARIO_KEYS,
-                     ("system", "probe_image", "gallery_dir"))
+        try:
+            raw = json.loads(path.read_text())
+        except RecursionError:
+            raise ConfigError("scenario JSON nests too deeply") from None
+        doc = _block(raw, "scenario", _SCENARIO_KEYS, ("system", "probe_image", "gallery_dir"))
         base = path.parent
         sysdoc = _block(doc["system"], "system", _SYSTEM_KEYS,
                         ("te_location", "on_body_channel"))
@@ -199,8 +207,6 @@ class ScenarioConfig:
             if not (key == "highpass_cutoff" and value is None):
                 _number(value, f"channel.{key}")
         max_requests = doc.get("max_requests")
-        if max_requests is not None and _integer(max_requests, "max_requests") < 0:
-            raise ConfigError("max_requests must be non-negative")
         return cls(
             system=system,
             probe_image=(base / _string(doc["probe_image"], "probe_image")).resolve(),
@@ -209,7 +215,7 @@ class ScenarioConfig:
             seed=_integer(doc.get("seed", 0), "seed"),
             match_params=MatchParams(**_block(doc.get("match", {}), "match",
                                               [f.name for f in fields(MatchParams)])),
-            max_requests=max_requests,
+            max_requests=None if max_requests is None else _integer(max_requests, "max_requests"),
             bit_period=_integer(doc.get("bit_period", 8), "bit_period"),
             sample_rate=_number(doc.get("sample_rate", 1_000_000.0), "sample_rate"),
             decode_mode=DecodeMode(doc.get("decode_mode", DecodeMode.INTEGRATE_AND_DUMP)),
@@ -295,6 +301,18 @@ def trace_csv(report: SimReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refusal(events: list[_Event]) -> dict | None:
+    """The first event that would overdraw its ledger if ``events`` were
+    charged in order, summed exactly as :meth:`EnergyLedger.charge` sums."""
+    charged: dict[EnergyLedger, float] = {}
+    for ledger, label, joules in events:
+        total = charged.get(ledger, ledger.total_charged) + joules
+        if ledger.initial - total < 0:
+            return {"node": ledger.role, "event": label}
+        charged[ledger] = total
+    return None
+
+
 class _Runner:
     def __init__(self, cfg: ScenarioConfig, params: EnergyParams):
         self.cfg = cfg
@@ -306,13 +324,7 @@ class _Runner:
         self.hub = EnergyLedger("hub", params.hub_budget)
         self.cloud = EnergyLedger("cloud", math.inf)
         self.ledgers = [self.sensor, self.hub, self.cloud]
-        self.trace: list[tuple[int, int, str, str, float]] = []
-        self.seq = 0
         self.request_idx = 0
-        # For deterministic channels every request is identical; the first
-        # request's outcome and charge schedule are replayed for the rest.
-        self._cached: tuple[_RequestOutcome, list[tuple[str, str]]] | None = None
-        self._request_charges: list[tuple[str, str]] = []
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -336,13 +348,6 @@ class _Runner:
             ("cloud", "match"): 0.0,
         }
 
-    def _charge(self, ledger: EnergyLedger, label: str) -> None:
-        joules = self._joules[ledger.role, label]
-        ledger.charge(label, joules)
-        self.trace.append((self.seq, self.request_idx, ledger.role, label, joules))
-        self.seq += 1
-        self._request_charges.append((ledger.role, label))
-
     def _counter_base(self, hop: int) -> int:
         """First counter block of this request's message on ``hop``.
 
@@ -354,9 +359,6 @@ class _Runner:
         """
         message = 2 * self.request_idx + hop
         return (self.cfg.cipher_nonce + message * COUNTER_BLOCKS_PER_MESSAGE) % (1 << 64)
-
-    def _ledger(self, role: str) -> EnergyLedger:
-        return {"sensor": self.sensor, "hub": self.hub, "cloud": self.cloud}[role]
 
     def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
@@ -371,23 +373,17 @@ class _Runner:
         return decoded, stats.eye_opening, stats.ber if stats.ber is not None else 0.0
 
     def _transfer_on_body(self, payload: bytes) -> tuple[bytes | None, int, list[float], list[float]]:
-        """Charge and run the on-body hop; one retransmission on a bad frame."""
-        channel = self.system.on_body_channel
+        """Run the on-body hop; one retransmission on a bad frame."""
         eyes: list[float] = []
         bers: list[float] = []
-        if channel is Channel.WBAN:
+        if self.system.on_body_channel is Channel.WBAN:
             nonce = self._counter_base(_HOP_WBAN)
-            self._charge(self.sensor, "encrypt")
             ct = present.ctr_crypt(payload, self.cfg.cipher_key, nonce)
-            self._charge(self.sensor, "tx_wban")
-            self._charge(self.hub, "rx_wban")
             # the radio is an error-free pipe; decryption at the hub is not a modelled cost
             pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
             return pt, 0, eyes, bers
         retransmissions = 0
         for attempt in range(2):
-            self._charge(self.sensor, "tx_hbc")
-            self._charge(self.hub, "rx_hbc")
             try:
                 decoded, eye, frame_ber = self._body_channel_hop(payload, attempt)
             except (SyncError, IntegrityError):
@@ -399,10 +395,8 @@ class _Runner:
         return None, retransmissions, eyes, bers
 
     def _run_request_data_plane(self) -> _RequestOutcome:
-        params, system = self.params, self.system
-        self._charge(self.sensor, "capture")
+        system = self.system
         if system.te_location is TeLocation.SENSOR:
-            self._charge(self.sensor, "te_extract")
             template = extract_template(self.probe, system.te_variant)
             payload = codec.encode(template)
         else:
@@ -415,7 +409,6 @@ class _Runner:
                                    on_body_len, 0)
 
         if system.te_location is TeLocation.HUB:
-            self._charge(self.hub, "te_extract")
             img = GrayImage.from_pgm_bytes(received)
             template = extract_template(img, system.te_variant)
             lora_payload = codec.encode(template)
@@ -424,20 +417,15 @@ class _Runner:
         lora_len = len(lora_payload)
 
         nonce = self._counter_base(_HOP_LORA)
-        self._charge(self.hub, "encrypt")
         ct = present.ctr_crypt(lora_payload, self.cfg.cipher_key, nonce)
-        self._charge(self.hub, "tx_lora")
-        self._charge(self.cloud, "rx_lora")
         pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
 
         if system.te_location is TeLocation.CLOUD:
-            self._charge(self.cloud, "te_extract")
             img = GrayImage.from_pgm_bytes(pt)
             template = extract_template(img, system.te_variant)
         else:
             template = codec.decode(pt)
 
-        self._charge(self.cloud, "match")
         scores = [match(template, gal, self.cfg.match_params)
                   for _, gal in sorted(self.gallery.items())]
         best_score = max((r.score for r in scores), default=0.0)
@@ -445,9 +433,27 @@ class _Runner:
         return _RequestOutcome(True, decision, best_score, retrans, eyes, bers,
                                on_body_len, lora_len)
 
-    def _replay_charges(self, schedule: list[tuple[str, str]]) -> None:
-        for role, label in schedule:
-            self._charge(self._ledger(role), label)
+    def _events(self, outcome: _RequestOutcome) -> list[_Event]:
+        """The request's ledger events, in the order its data plane incurs
+        them; HBC pays a tx/rx pair for every frame attempt."""
+        te = self.system.te_location
+        sensor, hub, cloud = self.sensor, self.hub, self.cloud
+        events = [(sensor, "capture")]
+        if te is TeLocation.SENSOR:
+            events.append((sensor, "te_extract"))
+        if self.system.on_body_channel is Channel.WBAN:
+            events += [(sensor, "encrypt"), (sensor, "tx_wban"), (hub, "rx_wban")]
+        else:
+            attempts = outcome.retransmissions + outcome.completed
+            events += [(sensor, "tx_hbc"), (hub, "rx_hbc")] * attempts
+        if outcome.completed:
+            if te is TeLocation.HUB:
+                events.append((hub, "te_extract"))
+            events += [(hub, "encrypt"), (hub, "tx_lora"), (cloud, "rx_lora")]
+            if te is TeLocation.CLOUD:
+                events.append((cloud, "te_extract"))
+            events.append((cloud, "match"))
+        return [(led, label, self._joules[led.role, label]) for led, label in events]
 
     def run(self) -> SimReport:
         cfg, params = self.cfg, self.params
@@ -468,31 +474,31 @@ class _Runner:
         scores: list[float] = []
         eyes: list[float] = []
         bers: list[float] = []
+        trace: list[tuple[int, int, str, str, float]] = []
         retransmissions = 0
         refusal = None
         attempted = completed = 0
+        limit = MAX_REQUESTS if cfg.max_requests is None else cfg.max_requests
+        # For deterministic channels every request is identical; the first
+        # request's outcome and events are replayed for the rest.
         cacheable = cfg.channel.deterministic or self.system.on_body_channel is Channel.WBAN
+        cached: tuple[_RequestOutcome, list[_Event]] | None = None
         on_body_len = lora_len = 0
 
-        while cfg.max_requests is None or attempted < cfg.max_requests:
-            marks = [(led, led.mark()) for led in self.ledgers]
-            trace_mark = len(self.trace)
-            self._request_charges = []
-            try:
-                if cacheable and self._cached is not None:
-                    outcome, schedule = self._cached
-                    self._replay_charges(schedule)
-                else:
-                    outcome = self._run_request_data_plane()
-                    if cacheable:
-                        self._cached = (outcome, list(self._request_charges))
-            except BudgetExceeded as exc:
-                for led, m in marks:
-                    led.rollback(m)
-                del self.trace[trace_mark:]
-                self.seq = self.trace[-1][0] + 1 if self.trace else 0
-                refusal = {"node": exc.node, "event": exc.label}
+        while attempted < limit:
+            if cached is None:
+                outcome = self._run_request_data_plane()
+                events = self._events(outcome)
+                if cacheable:
+                    cached = outcome, events
+            else:
+                outcome, events = cached
+            refusal = _refusal(events)
+            if refusal is not None:
                 break
+            for ledger, label, joules in events:
+                ledger.charge(label, joules)
+                trace.append((len(trace), self.request_idx, ledger.role, label, joules))
             attempted += 1
             self.request_idx += 1
             retransmissions += outcome.retransmissions
@@ -527,7 +533,7 @@ class _Runner:
             bit_error_rates=bers,
             analytic=analytic,
             refusal=refusal,
-            trace=self.trace,
+            trace=trace,
             payload_bytes_on_body=on_body_len,
             payload_bytes_lora=lora_len,
         )
@@ -578,9 +584,9 @@ def verify_against_analytic(report: SimReport, params: EnergyParams,
         details[role] = {"sim_j": sim_per_request, "analytic_j": expected, "rel_err": rel}
         if rel > tolerance:
             passed = False
-    expected_n = report.analytic["supported_requests"]
-    if report.scenario["max_requests"] is not None:
-        expected_n = min(expected_n, report.scenario["max_requests"])
+    cap = report.scenario["max_requests"]
+    expected_n = min(report.analytic["supported_requests"],
+                     MAX_REQUESTS if cap is None else cap)
     details["requests"] = {"sim": n, "analytic_floor": expected_n}
     if n != expected_n:
         passed = False

@@ -197,7 +197,7 @@ def test_criterion_7_modem_suite():
             w = transmit(symbols, 4, clean, seed=0)
             out, stats = receive_decode(w, DecodeMode.DIRECT)
             assert out == payload
-            assert stats.bit_errors is None
+            assert stats.ber is None
 
         from wearauth.channel import _manchester
         payload = bytes(range(64))

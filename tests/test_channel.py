@@ -232,7 +232,7 @@ class TestReceiveDecode:
         payload = bytes(range(256)) * 4
         out, stats = _loopback(payload, mode=mode)
         assert out == payload
-        assert stats.bit_errors == 0
+        assert stats.ber == 0.0
         assert stats.eye_opening == pytest.approx(1.0)
 
     @given(st.binary(max_size=1024))
@@ -240,14 +240,14 @@ class TestReceiveDecode:
     def test_roundtrip_random_payloads(self, payload):
         out, stats = _loopback(payload, bit_period=4)
         assert out == payload
-        assert stats.bit_errors == 0
+        assert stats.ber == 0.0
 
     def test_max_size_payload_roundtrip(self):
         rng = np.random.default_rng(17)
         payload = rng.integers(0, 256, 65535).astype(np.uint8).tobytes()
         out, stats = _loopback(payload, bit_period=4)
         assert out == payload
-        assert stats.bit_errors == 0
+        assert stats.ber == 0.0
 
     def test_attenuation_zero_is_sync_error(self):
         with pytest.raises(SyncError):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from wearauth import codec
-from wearauth.cli import main
+from wearauth.cli import _build_parser, main
+from wearauth.matcher import MatchParams
+from wearauth.sim import MAX_REQUESTS
 from wearauth.fingerprint import GrayImage, TemplateAlgorithm, extract_template, write_pgm
 
 from conftest import write_scenario
@@ -177,6 +179,24 @@ class TestExtractAndMatch:
         code, _, err = run_cli(capsys, "match", str(tmp_path / "bad.fpt"), str(gal))
         assert code == 1
 
+    def test_match_deeply_nested_index_is_domain_error(self, capsys, tmp_path):
+        from wearauth.fingerprint import Template
+        probe = tmp_path / "probe.fpt"
+        probe.write_bytes(codec.encode(Template(10, 10, TemplateAlgorithm.HIGH_ACCURACY)))
+        gal = tmp_path / "gallery"
+        gal.mkdir()
+        (gal / "index.json").write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "match", str(probe), str(gal))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_match_defaults_are_match_params(self):
+        args = _build_parser().parse_args(["match", "probe.fpt", "gallery"])
+        assert MatchParams(position_tolerance=args.position_tolerance,
+                           angle_tolerance=args.angle_tolerance,
+                           score_threshold=args.threshold) == MatchParams()
+
 
 def _quiet_main(*argv):
     """main() with stdout and stderr captured; usable inside Hypothesis tests."""
@@ -337,10 +357,11 @@ class TestSimulate:
         lambda doc: doc.update(channel={"attenuation": "half"}),
         lambda doc: doc.update(cipher_key=1.5),
         lambda doc: doc.update(bit_period=1048576),    # a waveform past channel.MAX_SAMPLES
+        lambda doc: doc.update(max_requests=MAX_REQUESTS + 1),
     ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
             "top_level_list", "decode_mode", "system_key", "seed_bool", "bit_period_float",
             "max_requests_negative", "gallery_missing", "probe_int", "lora_distance_null",
-            "channel_str", "cipher_key_float", "bit_period_huge"])
+            "channel_str", "cipher_key_float", "bit_period_huge", "max_requests_huge"])
     def test_malformed_scenario_is_domain_error(self, capsys, scenario_workspace, edit):
         doc = {"system": {"te_location": "hub", "on_body_channel": "hbc"},
                "probe_image": "probe.pgm", "gallery_dir": "gallery", "max_requests": 1}
@@ -363,6 +384,14 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "exceeds" in err
+
+    def test_deeply_nested_scenario_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
 
     def test_missing_scenario_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "none.json"))

@@ -95,7 +95,7 @@ class TestEvaluate:
     def test_breakdown_sums(self):
         rep = evaluate(cfg("hub", "hbc"), P)
         bd = rep.sensor_breakdown
-        assert rep.sensor_energy_per_request == bd.capture + bd.te + bd.comm + bd.encrypt
+        assert bd.total == bd.capture + bd.te + bd.comm + bd.encrypt
 
     def test_feasibility_flag(self):
         assert not evaluate(cfg("sensor", "hbc", "optical", "rf_harvest"), P).feasible

@@ -13,9 +13,7 @@ from wearauth.energy import (
     SensorType,
     energy_breakdown,
     lora_energy_per_bit,
-    node_energy,
     retries,
-    watt_hours,
 )
 
 P = EnergyParams()
@@ -36,9 +34,9 @@ class TestEnergyParams:
         assert P.template_bits == 1408
 
     def test_budgets_are_converted_watt_hours(self):
-        assert P.budget_rf_harvest == watt_hours(1e-6)
-        assert P.budget_coin_cell == watt_hours(100e-3)
-        assert P.budget_hub_total == watt_hours(4.5)
+        assert P.budget_rf_harvest == 1e-6 * 3600.0
+        assert P.budget_coin_cell == 100e-3 * 3600.0
+        assert P.budget_hub_total == 4.5 * 3600.0
         assert P.hub_budget == pytest.approx(1620.0)
 
     def test_per_bit_cost_ordering(self):
@@ -135,12 +133,12 @@ class TestNodeEnergy:
     def test_sensor_with_te_over_hbc(self):
         activity = NodeActivity(captures=1, te_high=1, bits_tx={Channel.HBC: 1408})
         expected = 22.3e-9 + 2.94 + 1408 * 79e-12
-        got = node_energy(activity, SensorType.CAPACITIVE, P)
+        got = energy_breakdown(activity, SensorType.CAPACITIVE, P).total
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.94, rel=1e-4)
 
     def test_empty_activity_is_free(self):
-        assert node_energy(NodeActivity(), SensorType.CAPACITIVE, P) == 0.0
+        assert energy_breakdown(NodeActivity(), SensorType.CAPACITIVE, P).total == 0.0
 
     def test_hub_role_with_lora_uplink(self):
         activity = NodeActivity(
@@ -151,29 +149,29 @@ class TestNodeEnergy:
             lora_distance=1000.0,
         )
         expected = 2.94 + 320256 * 79e-12 + 1408 * 100e-12 + 1408 * 272e-6
-        got = node_energy(activity, SensorType.NONE, P)
+        got = energy_breakdown(activity, SensorType.NONE, P).total
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(3.323, abs=5e-4)
 
     def test_capture_free_for_hub_role(self):
         activity = NodeActivity(captures=3)
-        assert node_energy(activity, SensorType.NONE, P) == 0.0
+        assert energy_breakdown(activity, SensorType.NONE, P).total == 0.0
 
     def test_lightweight_without_energy_is_config_error(self):
         activity = NodeActivity(te_light=1)
         with pytest.raises(ConfigError):
-            node_energy(activity, SensorType.CAPACITIVE, P)
+            energy_breakdown(activity, SensorType.CAPACITIVE, P).total
         params = EnergyParams(e_te_light=0.294)
-        assert node_energy(activity, SensorType.CAPACITIVE, params) == 0.294
+        assert energy_breakdown(activity, SensorType.CAPACITIVE, params).total == 0.294
 
     def test_lora_bits_without_distance(self):
         activity = NodeActivity(bits_tx={Channel.LORA: 100})
         with pytest.raises(ValueError):
-            node_energy(activity, SensorType.NONE, P)
+            energy_breakdown(activity, SensorType.NONE, P).total
 
     def test_lora_receive_is_free_at_cloud(self):
         activity = NodeActivity(bits_rx={Channel.LORA: 320256})
-        assert node_energy(activity, SensorType.NONE, P) == 0.0
+        assert energy_breakdown(activity, SensorType.NONE, P).total == 0.0
 
     def test_breakdown_terms_sum_to_total(self):
         activity = NodeActivity(captures=2, te_high=1, bits_tx={Channel.WBAN: 5000},
@@ -204,10 +202,10 @@ class TestEnergyProperties:
     @given(_activities, st.integers(1, 4))
     @settings(max_examples=60)
     def test_monotone_in_counts(self, a, extra):
-        base = node_energy(a, SensorType.OPTICAL, P)
+        base = energy_breakdown(a, SensorType.OPTICAL, P).total
         more = replace(a, captures=a.captures + extra,
                        bits_encrypted=a.bits_encrypted + extra)
-        assert node_energy(more, SensorType.OPTICAL, P) >= base
+        assert energy_breakdown(more, SensorType.OPTICAL, P).total >= base
 
 
 class TestRetries:

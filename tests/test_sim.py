@@ -11,9 +11,10 @@ from wearauth.design_space import (
     SystemConfig,
     evaluate,
 )
-from wearauth.energy import EnergyParams, SensorType
+from wearauth.energy import ConfigError, EnergyParams, SensorType
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
 from wearauth.sim import (
+    MAX_REQUESTS,
     BudgetExceeded,
     EnergyLedger,
     ScenarioConfig,
@@ -57,16 +58,6 @@ class TestEnergyLedger:
             led.charge("b", 0.5)
         assert led.total_charged == 0.75
         assert len(led.charges) == 1
-
-    def test_rollback_restores_exactly(self):
-        led = EnergyLedger("sensor", 1.0)
-        led.charge("a", 0.1)
-        mark = led.mark()
-        led.charge("b", 0.2)
-        led.charge("c", 0.3)
-        led.rollback(mark)
-        assert led.charges == [("a", 0.1)]
-        assert led.remaining == led.initial - 0.1
 
     def test_conservation_is_recomputable(self):
         led = EnergyLedger("hub", 5.0)
@@ -280,6 +271,81 @@ def test_ledger_terms_equal_closed_form(scenario_workspace, row):
                          "comm": breakdown.comm, "encrypt": breakdown.encrypt}, (row, role)
 
 
+def _request_events(report) -> list[list[tuple[str, str]]]:
+    """Each attempted request's (node, event) sequence, read from the trace."""
+    requests: list[list[tuple[str, str]]] = [[] for _ in range(report.requests_attempted)]
+    for _, req, node, label, _ in report.trace:
+        requests[req].append((node, label))
+    return requests
+
+
+_HBC_ATTEMPT = [("sensor", "tx_hbc"), ("hub", "rx_hbc")]
+_UPLINK = [("hub", "encrypt"), ("hub", "tx_lora"), ("cloud", "rx_lora")]
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("system,channel,seed,decision,retransmissions,expected", [
+        ({"te_location": "sensor", "on_body_channel": "wban"}, None, 3, "accept", 0,
+         [("sensor", "capture"), ("sensor", "te_extract"), ("sensor", "encrypt"),
+          ("sensor", "tx_wban"), ("hub", "rx_wban")] + _UPLINK + [("cloud", "match")]),
+        # seed 1 loses the first frame of request 0 and recovers on the retransmission
+        ({"te_location": "sensor"}, {"attenuation": 0.6, "noise_sigma": 0.8}, 1, "accept", 1,
+         [("sensor", "capture"), ("sensor", "te_extract")] + 2 * _HBC_ATTEMPT + _UPLINK
+         + [("cloud", "match")]),
+        ({}, {"attenuation": 0.0}, 3, "channel_error", 2,
+         [("sensor", "capture")] + 2 * _HBC_ATTEMPT),
+    ], ids=["row_a_wban", "hbc_one_retransmission", "hbc_channel_error"])
+    def test_request_event_sequence(self, scenario_workspace, system, channel, seed,
+                                    decision, retransmissions, expected):
+        report = run(scenario_workspace, system=dict(system, sensor_power="coin_cell"),
+                     channel=channel, seed=seed, max_requests=1)
+        assert report.decisions == [decision]
+        assert report.retransmissions == retransmissions
+        assert _request_events(report) == [expected]
+
+    def test_refused_request_is_charged_nothing(self, scenario_workspace):
+        one = run(scenario_workspace, max_requests=1)
+        hub_joules = dict(one.ledger("hub").charges)
+        # Two whole requests, then the third's rx_hbc fits but its hub te_extract does not.
+        budget = (2 * one.ledger("hub").total_charged + hub_joules["rx_hbc"]
+                  + hub_joules["te_extract"] / 2)
+        report = run(scenario_workspace, params=EnergyParams(budget_hub_total=budget,
+                                                             hub_share=1.0))
+        assert report.refusal == {"node": "hub", "event": "te_extract"}
+        assert report.requests_attempted == 2
+        assert {req for _, req, _, _, _ in report.trace} == {0, 1}
+        assert [seq for seq, *_ in report.trace] == list(range(len(report.trace)))
+        # the refused request's sensor events were affordable, yet none is charged
+        assert report.ledger("sensor").charges == 2 * one.ledger("sensor").charges
+        for led in report.ledgers:
+            assert led.charges == [(label, joules) for _, _, node, label, joules
+                                   in report.trace if node == led.role]
+            total = 0.0
+            for _, joules in led.charges:
+                total += joules
+            assert led.total_charged == total             # same fold, bit-exact
+
+    def test_dead_link_stops_at_max_requests(self, scenario_workspace):
+        report = run(scenario_workspace, system={"sensor_power": "coin_cell"},
+                     channel={"attenuation": 0.0})
+        assert MAX_REQUESTS == 65_536
+        assert report.requests_attempted == MAX_REQUESTS
+        assert report.requests_completed == 0
+        assert report.refusal is None
+        assert set(report.decisions) == {"channel_error"}
+
+    def test_unbounded_run_is_verified_against_the_cap(self, scenario_workspace):
+        params = EnergyParams(budget_coin_cell=1e9, budget_hub_total=1e12)
+        report = run(scenario_workspace, system={"te_location": "sensor",
+                                                 "on_body_channel": "wban",
+                                                 "sensor_power": "coin_cell"}, params=params)
+        assert report.analytic["supported_requests"] > MAX_REQUESTS
+        assert report.requests_completed == MAX_REQUESTS
+        verify = verify_against_analytic(report, params)
+        assert verify.passed, verify.details
+        assert verify.details["requests"] == {"sim": MAX_REQUESTS, "analytic_floor": MAX_REQUESTS}
+
+
 class TestScenarioConfig:
     def test_from_json_defaults(self, scenario_workspace):
         path = write_scenario(scenario_workspace, name="min.json", system=dict(BASE_SYSTEM))
@@ -297,6 +363,12 @@ class TestScenarioConfig:
         assert cfg.cipher_key == 0x0123456789ABCDEF0123
         assert cfg.cipher_nonce == 0x11
         assert run_scenario(cfg, P).requests_completed == 1
+
+    def test_max_requests_bounded(self, scenario_workspace):
+        path = write_scenario(scenario_workspace, name="huge.json", system=dict(BASE_SYSTEM),
+                              max_requests=MAX_REQUESTS + 1)
+        with pytest.raises(ConfigError, match="max_requests"):
+            ScenarioConfig.from_json(path)
 
     def test_bad_key_rejected(self, scenario_workspace):
         path = write_scenario(scenario_workspace, name="bad.json", system=dict(BASE_SYSTEM),
