@@ -10,16 +10,17 @@ results are deterministic.
 
 The search is exact but sparse.  At a rotation only the pairs that pass the
 kind and angle tests can ever be paired, so one vectorized pass over all
-rotations measures just those pairs under every candidate translation and
-turns them into a per-translation upper bound on the pair count.  Greedy
-pairing then runs on translations in descending-bound order and stops once
-no remaining bound reaches the best pair count.  On the benchmark prints
-(~23 minutiae) 40-170 of the 529 pairs are compatible at a rotation, so the
-pass measures a fifth or less of the distances a dense search would; a
-1:1 match takes ~8 ms instead of ~190 ms on a 2-core x86 host, and results
-are identical to the dense search's.  Time still grows as rotations x n^4 in
-the worst case (every pair compatible and in tolerance); memory does not
-(see ``match``).
+rotations turns those pairs into a per-translation upper bound on the pair
+count.  The pass is a sweep line: each rotation's pairs are sorted by their
+x offset, and a translation measures only the run of pairs within x
+tolerance of its own shift, found by binary search.  Greedy pairing then
+runs on translations in descending-bound order and stops once no remaining
+bound reaches the best pair count.  On the benchmark prints (~23 minutiae)
+the runs hold ~7 % of the (translation, compatible pair) elements; a 1:1
+match takes ~6 ms, ~4.5 ms of it in the bound pass, on a 2-core x86 host
+(~190 ms for the dense search), and results are identical to the dense
+search's.  Time still grows as rotations x n^4 in the worst case (every pair
+compatible and in tolerance); memory does not (see ``match``).
 """
 
 from __future__ import annotations
@@ -116,11 +117,10 @@ def _angular_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def _pair_ok(kind_ok: np.ndarray, p_ang: np.ndarray, g_ang: np.ndarray,
-             thetas: np.ndarray, angle_tolerance: float) -> np.ndarray:
-    """(rotation, probe, gallery) mask of the pairs passing kind and angle tests."""
-    rotated = (p_ang[None, :] + thetas[:, None]) % (2.0 * np.pi)
-    return kind_ok & (_angular_diff(rotated[:, :, None], g_ang) <= angle_tolerance)
+def _angle_ok(p_ang: np.ndarray, g_ang: np.ndarray, theta, angle_tolerance: float) -> np.ndarray:
+    """Whether probe angles rotated by ``theta`` lie within tolerance of gallery
+    angles (broadcasting)."""
+    return _angular_diff((p_ang + theta) % (2.0 * np.pi), g_ang) <= angle_tolerance
 
 
 def _greedy_pairs(dist: np.ndarray, admissible: np.ndarray) -> list[tuple[int, int]]:
@@ -148,64 +148,97 @@ def _pair_bounds(rot: np.ndarray, g_xy: np.ndarray, p_ang: np.ndarray, g_ang: np
     of ``np.nonzero(kind_ok)`` aligned.  Its bound is the smaller of the
     numbers of distinct probe and gallery minutiae that fall within the
     position tolerance of a kind- and angle-compatible partner.
+
+    A sweep line finds the candidates.  At each rotation the kind-compatible
+    pairs are sorted by ``key = rot_x - gal_x``; the key of anchor pair ``a``
+    is minus the x shift of its translation, and the compatible pairs within
+    x tolerance of that translation form one run of keys around it, found by
+    binary search.  Only that run, widened by a bound on the rounding error,
+    is measured.
     """
     n_rot, n_p = rot.shape[:2]
     n_g = g_xy.shape[0]
     anchor_p, anchor_g = np.nonzero(kind_ok)
     n_anchor = anchor_p.size
+    tol = params.position_tolerance
     bounds = np.zeros(n_rot * n_anchor, dtype=np.min_scalar_type(min(n_p, n_g)))
-    group = max(1, CHUNK_ELEMENTS // (n_p * n_g))
+    # Rounding slack of the run: with u = eps / 2 and M the largest
+    # |rot_x| + |gal_x|, key + sx lies within 6uM of the measured
+    # fl(fl(rot_x + sx) - gal_x), and the run's ends round by u(M + tol)
+    # more, so a run widened by 16u(M + tol) holds every pair that passes the
+    # x test below.  The y pre-test uses the same reach, so it drops only
+    # pairs that hypot would reject even if it erred by a few ulps.
+    reach = tol + 8 * np.finfo(np.float64).eps * (
+        np.abs(rot[..., 0]).max() + np.abs(g_xy[:, 0]).max() + tol)
+    # A group's per-translation arrays (~100 B each) stay near 3 MiB.
+    group = max(1, CHUNK_ELEMENTS // max(1, 2 * n_anchor))
+    rows = max(1, CHUNK_ELEMENTS // max(n_p, n_g))
     for r0 in range(0, n_rot, group):
-        ok = _pair_ok(kind_ok, p_ang, g_ang, thetas[r0:r0 + group], params.angle_tolerance)
-        n_group = ok.shape[0]
-        e_rot, e_p, e_g = np.nonzero(ok)
-        del ok
-        if e_rot.size == 0:
+        r = np.arange(r0, min(r0 + group, n_rot))[:, None]
+        key = rot[r, anchor_p, 0] - g_xy[anchor_g, 0]
+        order = np.argsort(key, axis=1)
+        key = np.take_along_axis(key, order, axis=1)
+        ap, ag = anchor_p[order], anchor_g[order]
+        compatible = _angle_ok(p_ang[ap], g_ang[ag], thetas[r], params.angle_tolerance)
+        if not compatible.any():
             continue
-        # Each rotation's compatible pairs, padded to a common width; padding
-        # sits at x = inf, so it never falls within the position tolerance.
-        per_rot = np.bincount(e_rot, minlength=n_group)
-        width = int(per_rot.max())
-        slot = np.arange(e_rot.size) - (np.cumsum(per_rot) - per_rot)[e_rot]
-        edge_p = np.zeros((n_group, width), dtype=np.intp)
-        edge_p[e_rot, slot] = e_p
-        edge_g = np.zeros((n_group, width), dtype=np.intp)
-        edge_g[e_rot, slot] = e_g
-        rot_x = np.full((n_group, width), np.inf)
-        rot_x[e_rot, slot] = rot[r0 + e_rot, e_p, 0]
-        gal_x = np.zeros((n_group, width))
-        gal_x[e_rot, slot] = g_xy[e_g, 0]
-        del e_rot, e_p, e_g, slot
-
-        rows = max(1, CHUNK_ELEMENTS // max(width, n_p, n_g))
-        n_rows = n_group * n_anchor
-        for q0 in range(0, n_rows, rows):
-            q = np.arange(q0, min(q0 + rows, n_rows))
-            r, a = np.divmod(q, n_anchor)
+        r = np.broadcast_to(r, order.shape)
+        # numpy orders complex numbers lexicographically, so one binary search
+        # over rotation + 1j * key finds a run within its own rotation.
+        sweep = np.empty(key.shape, dtype=np.complex128)
+        sweep.real = r
+        sweep.imag = key
+        del key
+        run_keys = sweep[compatible]
+        lo = np.searchsorted(run_keys, (sweep - 1j * reach).ravel(), side="left")
+        hi = np.searchsorted(run_keys, (sweep + 1j * reach).ravel(), side="right")
+        del sweep, run_keys
+        cr, cp, cg = r[compatible], ap[compatible], ag[compatible]
+        px, py, gx, gy = rot[cr, cp, 0], rot[cr, cp, 1], g_xy[cg, 0], g_xy[cg, 1]
+        del cr, compatible
+        sx = (g_xy[ag, 0] - rot[r, ap, 0]).ravel()
+        sy = (g_xy[ag, 1] - rot[r, ap, 1]).ravel()
+        target = (r * n_anchor + order).ravel()  # translation index
+        del r, ap, ag, order
+        count = hi - lo
+        done = np.cumsum(count)
+        n_rows = count.size
+        q0 = 0
+        while q0 < n_rows:
+            # At most CHUNK_ELEMENTS measured pairs (or one translation's run)
+            # and ``rows`` translations per chunk.
+            q1 = int(np.searchsorted(done, done[q0] - count[q0] + CHUNK_ELEMENTS,
+                                     side="right"))
+            q1 = min(max(q1, q0 + 1), q0 + rows, n_rows)
+            c = count[q0:q1]
+            t = np.repeat(np.arange(q0, q1), c)
+            pair = np.repeat(lo[q0:q1] - (np.cumsum(c) - c), c)
+            pair += np.arange(pair.size)
             # Same float operations, in the same order, as the pairing in
             # ``match``: shift = gallery anchor - rotated probe anchor and
             # dist = hypot(rotated probe + shift - gallery), so the admitted
             # set is exactly the one pairing sees.  x decides first (|dx| is
             # a lower bound on dist); y and hypot run on the survivors only.
-            shift = g_xy[anchor_g[a]] - rot[r0 + r, anchor_p[a]]
-            dx = rot_x[r]
-            dx += shift[:, 0, None]
-            dx -= gal_x[r]
+            dx = px[pair]
+            dx += sx[t]
+            dx -= gx[pair]
             np.abs(dx, out=dx)
-            near = np.flatnonzero(dx <= params.position_tolerance)
-            i, j = np.divmod(near, width)
-            ri = r[i]
-            p, g = edge_p[ri, j], edge_g[ri, j]
-            del j
-            dy = (rot[r0 + ri, p, 1] + shift[i, 1]) - g_xy[g, 1]
-            hit = np.hypot(dx.ravel()[near], dy) <= params.position_tolerance
-            del dx, dy, near, ri
-            i, p, g = i[hit], p[hit], g[hit]
-            seen_p = np.zeros((q.size, n_p), dtype=bool)
-            seen_p[i, p] = True
-            seen_g = np.zeros((q.size, n_g), dtype=bool)
-            seen_g[i, g] = True
-            bounds[r0 * n_anchor + q] = np.minimum(seen_p.sum(axis=1), seen_g.sum(axis=1))
+            near = np.flatnonzero(dx <= tol)
+            dx, t, pair = dx[near], t[near], pair[near]
+            dy = py[pair]
+            dy += sy[t]
+            dy -= gy[pair]
+            near = np.flatnonzero(np.abs(dy) <= reach)
+            hit = near[np.hypot(dx[near], dy[near]) <= tol]
+            t, pair = t[hit] - q0, pair[hit]
+            del dx, dy, near, hit
+            seen_p = np.zeros((q1 - q0, n_p), dtype=bool)
+            seen_p[t, cp[pair]] = True
+            seen_g = np.zeros((q1 - q0, n_g), dtype=bool)
+            seen_g[t, cg[pair]] = True
+            bounds[target[q0:q1]] = np.minimum(seen_p.sum(axis=1, dtype=bounds.dtype),
+                                               seen_g.sum(axis=1, dtype=bounds.dtype))
+            q0 = q1
     return bounds
 
 
@@ -216,12 +249,14 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
 
     The bound pass measures ``CHUNK_ELEMENTS`` = 2**16 (candidate
     translation, compatible pair) elements at a time, or one translation's
-    pairs when those alone are more (past 256 x 256 minutiae).  Transient
-    memory therefore stays under 10 MiB (6.5 MiB measured at 55 x 55 with
-    every pair compatible and in tolerance; ~1.5 MiB on real prints), plus
-    16 bytes per rotated probe minutia and up to 10 bytes per candidate
-    translation (rotations x kind-compatible pairs: at most 75,600 for two
-    60-minutia templates on the default 21-angle grid).
+    pairs when those alone are more (past 256 x 256 minutiae), and sorts the
+    pairs of 2**15 translations' worth of rotations at a time (one rotation
+    when that alone has more).  Transient memory therefore stays under
+    10 MiB (6.6 MiB measured at 55 x 55 with every pair compatible and in
+    tolerance, 7.1 MiB at 255 x 255 one-kind minutiae on one rotation,
+    ~2 MiB on real prints), plus 16 bytes per rotated probe minutia and up
+    to 10 bytes per candidate translation (rotations x kind-compatible pairs:
+    at most 75,600 for two 60-minutia templates on the default 21-angle grid).
     """
     params = params or MatchParams()
     n_p, n_g = len(probe), len(gallery)
@@ -258,8 +293,8 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
             r, a = divmod(t_idx, anchor_p.size)
             theta = thetas[r]
             if r != ok_rot:  # visits run in rotation order within a level
-                ok_rot, ok = r, _pair_ok(kind_ok, p_ang, g_ang, theta_arr[r:r + 1],
-                                         params.angle_tolerance)[0]
+                ok_rot, ok = r, kind_ok & _angle_ok(p_ang[:, None], g_ang, theta,
+                                                    params.angle_tolerance)
             shift = g_xy[anchor_g[a]] - rot[r, anchor_p[a]]
             delta = (rot[r] + shift)[:, None, :] - g_xy[None, :, :]
             dist = np.hypot(delta[..., 0], delta[..., 1])

@@ -1,11 +1,16 @@
-"""Exhaustive dense alignment search, kept as the oracle for ``matcher.match``.
+"""Oracles for ``matcher.match`` and its bound pass.
 
-This is the matcher's original search, unchanged: at every rotation it scores
-every kind-compatible anchor translation against every probe/gallery pair
-through a dense ``translations x n_probe x n_gallery`` distance tensor.  It is
-slow and memory-hungry on large templates, and it lives here only so that the
-property tests can check that the sparse search returns the very same
-``MatchResult``.
+``reference_match`` is the matcher's original search, unchanged: at every
+rotation it scores every kind-compatible anchor translation against every
+probe/gallery pair through a dense ``translations x n_probe x n_gallery``
+distance tensor.  It is slow and memory-hungry on large templates, and it
+lives here only so that the property tests can check that the sparse search
+returns the very same ``MatchResult``.
+
+``reference_pair_bounds`` is the padded bound pass that preceded the
+sweep-line one: it measures the x offset of every compatible pair under every
+candidate translation, and the property tests check that the sweep line
+returns the very same bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 from wearauth.fingerprint.minutiae import Template
-from wearauth.matcher import MatchParams, MatchResult
+from wearauth.matcher import CHUNK_ELEMENTS, MatchParams, MatchResult
 
 
 def _angular_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,6 +43,83 @@ def _greedy_pairs(dist: np.ndarray, admissible: np.ndarray) -> list[tuple[int, i
             used_p[p] = used_g[g] = True
             pairs.append((p, g))
     return pairs
+
+
+def _pair_ok(kind_ok: np.ndarray, p_ang: np.ndarray, g_ang: np.ndarray,
+             thetas: np.ndarray, angle_tolerance: float) -> np.ndarray:
+    """(rotation, probe, gallery) mask of the pairs passing kind and angle tests."""
+    rotated = (p_ang[None, :] + thetas[:, None]) % (2.0 * np.pi)
+    return kind_ok & (_angular_diff(rotated[:, :, None], g_ang) <= angle_tolerance)
+
+
+def reference_pair_bounds(rot: np.ndarray, g_xy: np.ndarray, p_ang: np.ndarray,
+                          g_ang: np.ndarray, kind_ok: np.ndarray, thetas: np.ndarray,
+                          params: MatchParams) -> np.ndarray:
+    """Upper bound on the pair count of every candidate translation.
+
+    Translation ``r * n_anchor + a`` is rotation ``r`` with anchor pair ``a``
+    of ``np.nonzero(kind_ok)`` aligned.  Its bound is the smaller of the
+    numbers of distinct probe and gallery minutiae that fall within the
+    position tolerance of a kind- and angle-compatible partner.
+    """
+    n_rot, n_p = rot.shape[:2]
+    n_g = g_xy.shape[0]
+    anchor_p, anchor_g = np.nonzero(kind_ok)
+    n_anchor = anchor_p.size
+    bounds = np.zeros(n_rot * n_anchor, dtype=np.min_scalar_type(min(n_p, n_g)))
+    group = max(1, CHUNK_ELEMENTS // (n_p * n_g))
+    for r0 in range(0, n_rot, group):
+        ok = _pair_ok(kind_ok, p_ang, g_ang, thetas[r0:r0 + group], params.angle_tolerance)
+        n_group = ok.shape[0]
+        e_rot, e_p, e_g = np.nonzero(ok)
+        del ok
+        if e_rot.size == 0:
+            continue
+        # Each rotation's compatible pairs, padded to a common width; padding
+        # sits at x = inf, so it never falls within the position tolerance.
+        per_rot = np.bincount(e_rot, minlength=n_group)
+        width = int(per_rot.max())
+        slot = np.arange(e_rot.size) - (np.cumsum(per_rot) - per_rot)[e_rot]
+        edge_p = np.zeros((n_group, width), dtype=np.intp)
+        edge_p[e_rot, slot] = e_p
+        edge_g = np.zeros((n_group, width), dtype=np.intp)
+        edge_g[e_rot, slot] = e_g
+        rot_x = np.full((n_group, width), np.inf)
+        rot_x[e_rot, slot] = rot[r0 + e_rot, e_p, 0]
+        gal_x = np.zeros((n_group, width))
+        gal_x[e_rot, slot] = g_xy[e_g, 0]
+        del e_rot, e_p, e_g, slot
+
+        rows = max(1, CHUNK_ELEMENTS // max(width, n_p, n_g))
+        n_rows = n_group * n_anchor
+        for q0 in range(0, n_rows, rows):
+            q = np.arange(q0, min(q0 + rows, n_rows))
+            r, a = np.divmod(q, n_anchor)
+            # Same float operations, in the same order, as the pairing in
+            # ``match``: shift = gallery anchor - rotated probe anchor and
+            # dist = hypot(rotated probe + shift - gallery), so the admitted
+            # set is exactly the one pairing sees.  x decides first (|dx| is
+            # a lower bound on dist); y and hypot run on the survivors only.
+            shift = g_xy[anchor_g[a]] - rot[r0 + r, anchor_p[a]]
+            dx = rot_x[r]
+            dx += shift[:, 0, None]
+            dx -= gal_x[r]
+            np.abs(dx, out=dx)
+            near = np.flatnonzero(dx <= params.position_tolerance)
+            i, j = np.divmod(near, width)
+            ri = r[i]
+            p, g = edge_p[ri, j], edge_g[ri, j]
+            del j
+            dy = (rot[r0 + ri, p, 1] + shift[i, 1]) - g_xy[g, 1]
+            hit = np.hypot(dx.ravel()[near], dy) <= params.position_tolerance
+            del dx, dy, near, ri
+            i, p, g = i[hit], p[hit], g[hit]
+            seen_p = np.zeros((q.size, n_p), dtype=bool)
+            seen_p[i, p] = True
+            seen_g = np.zeros((q.size, n_g), dtype=bool)
+            seen_g[i, g] = True
+            bounds[r0 * n_anchor + q] = np.minimum(seen_p.sum(axis=1), seen_g.sum(axis=1))
+    return bounds
 
 
 def reference_match(probe: Template, gallery: Template,

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wearauth.channel import (
+    MAX_PAYLOAD,
     MAX_SAMPLES,
+    PREAMBLE_BITS,
     SYNC_WORD,
+    TRANSMIT_CHUNK,
     ChannelModel,
     DecodeMode,
     FramingError,
@@ -16,6 +20,7 @@ from wearauth.channel import (
     Waveform,
     ber,
     crc16_ccitt,
+    decode_bits,
     encode_frame,
     eye_opening,
     frame_data_bits,
@@ -24,7 +29,7 @@ from wearauth.channel import (
     sweep_hum,
     transmit,
 )
-from wearauth.channel import _find_frame
+from wearauth.channel import _bit_statistics, _find_frame
 
 CLEAN = ChannelModel()
 
@@ -44,6 +49,21 @@ def _reference_transmit(symbols, bit_period, channel, seed, sample_rate=1_000_00
     if channel.noise_sigma:
         received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
     return received
+
+
+def _reference_bit_statistics(w, mode):
+    """Half-bit means through ``ndarray.mean``, kept as the oracle for ``_bit_statistics``."""
+    bp = w.bit_period
+    half = bp // 2
+    n_bits = w.samples.size // bp
+    if n_bits == 0:
+        return np.zeros(0)
+    halves = w.samples[:n_bits * bp].reshape(n_bits, 2, half)
+    if mode == DecodeMode.DIRECT:
+        stat = halves[:, :, half // 2]
+    else:
+        stat = halves.mean(axis=2)
+    return stat[:, 0] - stat[:, 1]
 
 
 def _reference_find_frame(bits):
@@ -178,16 +198,40 @@ class TestTransmit:
                               _reference_transmit(symbols, 8, cm, (5, 1), 250_000.0))
 
     def test_peak_memory_per_sample(self):
-        """Output plus one scratch buffer: 16 B per sample with hum and noise."""
+        """The output plus one chunk of scratch: 8 B per sample with hum and noise."""
         symbols = encode_frame(bytes(4000))
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.3, noise_sigma=0.5)
+        transmit(symbols[:8], 8, cm, seed=0)  # builds the chunk offsets once, unmeasured
         tracemalloc.start()
         try:
             w = transmit(symbols, 8, cm, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * w.samples.size + 64 * 1024
+        assert w.samples.size > 4 * TRANSMIT_CHUNK
+        assert peak <= 8 * w.samples.size + 8 * TRANSMIT_CHUNK + 64 * 1024
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(half=st.one_of(st.sampled_from((2, 4, 8, 16)), st.integers(2, 40)),
+           length=st.sampled_from(("below", "at", "across")),
+           extra=st.integers(0, 2 * TRANSMIT_CHUNK), symbol_seed=st.integers(0, 2**32 - 1),
+           sample_rate=st.floats(1.0, 1e9), attenuation=st.floats(0.0, 1.0),
+           hum=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), hum_frequency=st.floats(0.1, 1e5),
+           noise=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), seed=st.integers(0, 2**32 - 1))
+    def test_chunked_samples_equal_allocating_reference(self, half, length, extra, symbol_seed,
+                                                        sample_rate, attenuation, hum,
+                                                        hum_frequency, noise, seed):
+        """Frames shorter than a chunk, as long as one (exactly, where the half
+        bit divides it), and several chunks long with a tail."""
+        at = TRANSMIT_CHUNK // half
+        n_symbols = {"below": extra % at, "at": at, "across": at + 1 + extra // half}[length]
+        rng = np.random.default_rng(symbol_seed)
+        symbols = rng.choice(np.array([-1, 1], dtype=np.int8), n_symbols)
+        cm = ChannelModel(attenuation=attenuation, hum_amplitude=hum,
+                          hum_frequency=hum_frequency, noise_sigma=noise)
+        w = transmit(symbols, 2 * half, cm, seed=seed, sample_rate=sample_rate)
+        assert np.array_equal(w.samples, _reference_transmit(symbols, 2 * half, cm, seed,
+                                                             sample_rate))
 
     def test_sample_ceiling(self):
         # A capture-sized frame at the default bit period fits...
@@ -295,6 +339,75 @@ class TestReceiveDecode:
             if d["ber"] > 0 and i["ber"] < d["ber"]:
                 direct_failed_somewhere = True
         assert direct_failed_somewhere
+
+
+# Arbitrary finite waveforms, or a clean frame that is padded, rescaled, cut,
+# bit-inverted or spiked.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _waveforms(draw):
+    bit_period = 2 * draw(st.integers(2, 24))
+    shape = draw(st.sampled_from(("noise", "frame", "cut", "inverted", "spiked")))
+    if shape == "noise":
+        samples = draw(hnp.arrays(np.float64, st.integers(0, 600), elements=_finite))
+        return Waveform(draw(st.floats(1e-3, 1e9)), samples, bit_period)
+    payload = draw(st.binary(max_size=24))
+    frame = transmit(encode_frame(payload), bit_period, CLEAN, seed=0).samples
+    frame *= draw(st.sampled_from((1.0, -1.0, 1e-300, 1e300)))
+    if shape == "cut":
+        frame = frame[:draw(st.integers(0, frame.size - 1))]
+    elif shape == "inverted":
+        # Past the preamble, the sync word and the length field.
+        first = draw(st.integers((len(PREAMBLE_BITS) + 32) * bit_period, frame.size - 1))
+        frame[first:first + bit_period] *= -1.0
+    elif shape == "spiked":
+        frame[draw(st.integers(0, frame.size - 1))] += draw(st.sampled_from((1.5, -2.0, 1e300)))
+    # Whole bits of junk keep the bit clock; a remainder shifts it.
+    pad_size = (bit_period * draw(st.integers(0, 3))
+                + draw(st.sampled_from((0, 0, 1, bit_period // 2))))
+    pad = draw(hnp.arrays(np.float64, pad_size, elements=_finite))
+    return Waveform(draw(st.floats(1e-3, 1e9)), np.concatenate([pad, frame]), bit_period)
+
+
+class TestBitStatistics:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(samples=hnp.arrays(np.float64, st.integers(0, 900),
+                              elements=st.floats(-1e6, 1e6)),
+           half=st.integers(2, 40), mode=st.sampled_from(tuple(DecodeMode)))
+    def test_equal_half_bit_means_bit_for_bit(self, samples, half, mode):
+        """Column sums below 8 samples per half bit, ``mean`` from 8 on."""
+        w = Waveform(1e6, samples, 2 * half)
+        assert np.array_equal(_bit_statistics(w, mode), _reference_bit_statistics(w, mode))
+
+    def test_benchmark_bit_period_bit_for_bit(self):
+        cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45)
+        w = highpass_bias(transmit(encode_frame(bytes(range(256))), 8, cm, seed=(3, 0, 0)),
+                          1000.0)
+        mode = DecodeMode.INTEGRATE_AND_DUMP
+        assert np.array_equal(_bit_statistics(w, mode), _reference_bit_statistics(w, mode))
+
+
+class TestReceiveDecodeFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(w=_waveforms(), mode=st.sampled_from(tuple(DecodeMode)))
+    def test_only_documented_errors_and_valid_frames(self, w, mode):
+        """A returned payload is the located frame's, and its CRC verifies."""
+        # Half-bit sums of samples near the float64 limit overflow to inf;
+        # numpy warns and the decoder carries on.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                payload, stats = receive_decode(w, mode)
+            except (SyncError, IntegrityError, ValueError):
+                return
+            bits, _ = decode_bits(w, mode)
+        assert len(payload) <= MAX_PAYLOAD
+        assert stats.n_bits == bits.size
+        pos, length = _find_frame(bits)
+        body = frame_data_bits(payload)[len(PREAMBLE_BITS):]   # sync, length, payload, CRC
+        assert length == len(payload)
+        assert np.array_equal(bits[pos:pos + body.size], body)
 
 
 class TestFindFrame:

@@ -1,19 +1,20 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wearauth import codec
+from wearauth import codec, matcher
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
 from wearauth.matcher import (
-    MAX_ROTATIONS, MatchParams, load_gallery, match, match_gallery,
+    CHUNK_ELEMENTS, MAX_ROTATIONS, MatchParams, load_gallery, match, match_gallery,
 )
 
-from reference_matcher import reference_match
+from reference_matcher import reference_match, reference_pair_bounds
 
 E, B = MinutiaKind.ENDING, MinutiaKind.BIFURCATION
 
@@ -208,6 +209,95 @@ class TestSparseSearchIsExact:
             a, b = random_template(rng, 23), random_template(rng, 23)
             params = MatchParams(position_tolerance=30.0)
             assert match(a, b, params) == reference_match(a, b, params)
+
+
+def _bound_inputs(p_pts, g_pts, params):
+    """``_pair_bounds`` arguments for (x, y, angle, kind) points, as ``match`` builds them."""
+    p_xy = np.array([(x, y) for x, y, _, _ in p_pts], dtype=np.float64).reshape(-1, 2)
+    g_xy = np.array([(x, y) for x, y, _, _ in g_pts], dtype=np.float64).reshape(-1, 2)
+    p_ang = np.array([a for _, _, a, _ in p_pts], dtype=np.float64)
+    g_ang = np.array([a for _, _, a, _ in g_pts], dtype=np.float64)
+    kind_ok = (np.array([k for *_, k in p_pts])[:, None]
+               == np.array([k for *_, k in g_pts])[None, :])
+    thetas = params.rotations()
+    rot = np.stack([p_xy @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+                    for t in thetas])
+    return rot, g_xy, p_ang, g_ang, kind_ok, np.array(thetas), params
+
+
+def _bounds_agree(args, chunk=CHUNK_ELEMENTS):
+    expected = reference_pair_bounds(*args)
+    with mock.patch.object(matcher, "CHUNK_ELEMENTS", chunk):
+        bounds = matcher._pair_bounds(*args)
+    assert bounds.dtype == expected.dtype
+    assert np.array_equal(bounds, expected)
+    return bounds
+
+
+@st.composite
+def _bound_cases(draw):
+    """Points on a tiny to wide grid (coincident minutiae, whole-pixel
+    distances that meet whole-pixel tolerances exactly), or off it; one kind
+    or two; angle tolerances from nearly none to every pair compatible."""
+    spread = draw(st.sampled_from((0, 3, 12, 60, 400)))
+    coord = st.one_of(st.integers(-spread, spread),
+                      st.floats(-spread, spread, allow_subnormal=False))
+    one_kind = draw(st.booleans())
+    angle = st.one_of(st.sampled_from(_ANGLES), st.floats(0.0, 2 * math.pi, exclude_max=True))
+    points = st.lists(st.tuples(coord, coord, angle,
+                                st.just(0) if one_kind else st.integers(0, 1)),
+                      min_size=1, max_size=12)
+    rotation_range = draw(st.sampled_from((0.0, math.pi / 30, math.pi / 6)))
+    params = MatchParams(
+        position_tolerance=draw(st.one_of(st.sampled_from((1.0, 5.0, 10.0)),
+                                          st.floats(0.5, 40.0))),
+        angle_tolerance=draw(st.one_of(st.sampled_from((1e-3, math.pi)),
+                                       st.floats(0.01, math.pi))),
+        rotation_range=rotation_range,
+        rotation_step=rotation_range / draw(st.integers(1, 5)) if rotation_range else 0.1)
+    chunk = draw(st.sampled_from((CHUNK_ELEMENTS, 64, 5)))
+    return _bound_inputs(draw(points), draw(points), params), chunk
+
+
+class TestSweepBoundsAreExact:
+    """The sweep-line bound pass returns exactly the padded pass's bounds."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_bound_cases())
+    def test_equals_reference(self, case):
+        args, chunk = case
+        _bounds_agree(args, chunk)
+
+    def test_rotations_without_a_compatible_pair(self):
+        # Only theta = 0 brings the probe angle within 1e-3 of the gallery's.
+        pts = [(10 * i, 7 * i, 1.0, 0) for i in range(6)]
+        args = _bound_inputs(pts, pts, MatchParams(angle_tolerance=1e-3))
+        bounds = _bounds_agree(args).reshape(len(args[-2]), -1)
+        zero = list(args[-2]).index(0.0)
+        assert bounds[zero].max() == 6
+        assert not np.delete(bounds, zero, axis=0).any()
+
+    @pytest.mark.parametrize("chunk", [CHUNK_ELEMENTS, 64, 5])
+    def test_every_pair_compatible(self, chunk):
+        rng = np.random.default_rng(4)
+        pts = [(int(x), int(y), float(a), 0) for x, y, a in
+               zip(rng.integers(0, 40, 15), rng.integers(0, 40, 15), rng.uniform(0, 6, 15))]
+        _bounds_agree(_bound_inputs(pts, pts[::-1], MatchParams(angle_tolerance=math.pi)), chunk)
+
+    def test_coincident_minutiae(self):
+        pts = [(50, 50, 0.0, 0)] * 5
+        bounds = _bounds_agree(_bound_inputs(pts, pts[:3], MatchParams()))
+        assert bounds.max() == 3
+
+    def test_distance_of_exactly_the_tolerance(self):
+        # Aligned on their first minutiae, the second ones lie (3, 4) apart:
+        # in tolerance at 5.0, out of it one ulp below.
+        probe = [(0, 0, 0.0, 0), (10, 0, 0.0, 0)]
+        gallery = [(100, 100, 0.0, 0), (113, 104, 0.0, 0)]
+        first = [_bounds_agree(_bound_inputs(probe, gallery, MatchParams(
+                     position_tolerance=tol, rotation_range=0.0)))[0]
+                 for tol in (5.0, math.nextafter(5.0, 0.0))]
+        assert first == [2, 1]
 
 
 def _peak_bytes(fn, *args):
