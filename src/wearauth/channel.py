@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import binascii
 import enum
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,16 +43,13 @@ SYNC_WORD = 0xF3A5
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
 # Ceiling on one waveform: 2**23 float64 samples, 64 MiB.  transmit() peaks at
-# 8 bytes per sample plus one TRANSMIT_CHUNK scratch buffer (256 KiB), with or
-# without hum and noise (the first call with hum also builds the chunk's
-# 256 KiB of sample offsets, kept for later calls).  It admits a 40,047-byte
-# frame up to bit_period 26 and a 65,535-byte one up to 14.
+# 8 bytes per sample plus one TRANSMIT_CHUNK scratch buffer (256 KiB), and
+# with hum one more chunk of sample offsets.  It admits a 40,047-byte frame up
+# to bit_period 26 and a 65,535-byte one up to 14.
 MAX_SAMPLES = 1 << 23
 # Samples of hum and noise that transmit() builds at a time in its scratch,
 # small enough to stay in cache across the chunk's passes.
 TRANSMIT_CHUNK = 1 << 15
-# numpy sums fewer elements than this left to right, more pairwise.
-_SEQUENTIAL_SUM = 8
 
 
 class FramingError(Exception):
@@ -153,12 +149,6 @@ def encode_frame(payload: bytes) -> np.ndarray:
     return _manchester(frame_data_bits(payload))
 
 
-@functools.cache
-def _chunk_offsets() -> np.ndarray:
-    """0 .. TRANSMIT_CHUNK - 1 as float64, built on the first call with hum."""
-    return np.arange(TRANSMIT_CHUNK, dtype=np.float64)
-
-
 def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
              seed, sample_rate: float = 1_000_000.0) -> Waveform:
     """Expand symbols to samples and apply the channel impairments.
@@ -185,11 +175,13 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
     if channel.hum_amplitude or channel.noise_sigma:
         omega = 2.0 * np.pi * channel.hum_frequency
         scratch = np.empty(min(n, TRANSMIT_CHUNK))
+        if channel.hum_amplitude:
+            offsets = np.arange(scratch.size, dtype=np.float64)
         for start in range(0, n, TRANSMIT_CHUNK):
             out = received[start:start + TRANSMIT_CHUNK]
             buf = scratch[:out.size]
             if channel.hum_amplitude:
-                np.add(_chunk_offsets()[:out.size], start, out=buf)  # sample index, exact
+                np.add(offsets[:out.size], start, out=buf)  # sample index, exact
                 buf /= sample_rate
                 buf *= omega
                 np.sin(buf, out=buf)
@@ -220,11 +212,11 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
 def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     """Per-bit decision statistic: first half minus second half of each bit.
 
-    Integrate-and-dump takes the mean of each half bit.  Below 8 samples per
-    half bit numpy's ``mean`` adds them left to right, so the sums are built
-    here from strided half-bit columns in that order: bit for bit the same,
-    and ~3x faster at ``bit_period`` 8.  From 8 samples on its pairwise
-    summation reorders the additions, so ``mean`` itself runs.
+    Integrate-and-dump takes the mean of each half bit, summed left to right
+    over strided half-bit columns (~3x faster than ``mean`` at ``bit_period``
+    8).  Below 8 samples per half bit that is numpy's own order, so the result
+    equals ``mean`` bit for bit; from 8 on numpy sums pairwise and the two
+    differ only in rounding (within 1e-12 of the largest sample).
     """
     bp = w.bit_period
     half = bp // 2
@@ -235,13 +227,10 @@ def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     if mode == DecodeMode.DIRECT:
         stat = halves[:, half // 2]
     elif mode == DecodeMode.INTEGRATE_AND_DUMP:
-        if half < _SEQUENTIAL_SUM:
-            stat = halves[:, 0].copy()
-            for k in range(1, half):
-                stat += halves[:, k]
-            stat /= half
-        else:
-            stat = halves.mean(axis=1)
+        stat = halves[:, 0].copy()
+        for k in range(1, half):
+            stat += halves[:, k]
+        stat /= half
     else:
         raise ValueError(f"unknown decode mode {mode!r}")
     return stat[0::2] - stat[1::2]

@@ -170,7 +170,8 @@ def _pair_bounds(rot: np.ndarray, g_xy: np.ndarray, p_ang: np.ndarray, g_ang: np
     # pairs that hypot would reject even if it erred by a few ulps.
     reach = tol + 8 * np.finfo(np.float64).eps * (
         np.abs(rot[..., 0]).max() + np.abs(g_xy[:, 0]).max() + tol)
-    # A group's per-translation arrays (~100 B each) stay near 3 MiB.
+    # A group's per-translation arrays (~150 B each) stay under 5 MiB, unless
+    # one rotation alone holds more than 2**15 translations.
     group = max(1, CHUNK_ELEMENTS // max(1, 2 * n_anchor))
     rows = max(1, CHUNK_ELEMENTS // max(n_p, n_g))
     for r0 in range(0, n_rot, group):
@@ -236,9 +237,10 @@ def _pair_bounds(rot: np.ndarray, g_xy: np.ndarray, p_ang: np.ndarray, g_ang: np
             seen_p[t, cp[pair]] = True
             seen_g = np.zeros((q1 - q0, n_g), dtype=bool)
             seen_g[t, cg[pair]] = True
-            bounds[target[q0:q1]] = np.minimum(seen_p.sum(axis=1, dtype=bounds.dtype),
-                                               seen_g.sum(axis=1, dtype=bounds.dtype))
+            bounds[target[q0:q1]] = np.minimum(seen_p.sum(axis=1), seen_g.sum(axis=1))
             q0 = q1
+        # Free this group's arrays before the next group builds its own.
+        del lo, hi, px, py, gx, gy, cp, cg, sx, sy, target, count, done
     return bounds
 
 
@@ -253,10 +255,12 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
     pairs of 2**15 translations' worth of rotations at a time (one rotation
     when that alone has more).  Transient memory therefore stays under
     10 MiB (6.6 MiB measured at 55 x 55 with every pair compatible and in
-    tolerance, 7.1 MiB at 255 x 255 one-kind minutiae on one rotation,
-    ~2 MiB on real prints), plus 16 bytes per rotated probe minutia and up
-    to 10 bytes per candidate translation (rotations x kind-compatible pairs:
-    at most 75,600 for two 60-minutia templates on the default 21-angle grid).
+    tolerance, ~2 MiB on real prints), plus 16 bytes per rotated probe
+    minutia, up to 10 bytes per candidate translation (rotations x
+    kind-compatible pairs: at most 75,600 for two 60-minutia templates on the
+    default 21-angle grid) and, for the one-rotation sort, ~150 bytes per
+    kind-compatible pair past 2**15 (11.3 MiB measured at 256 x 256 one-kind
+    minutiae, 22 MiB at 400 x 400).
     """
     params = params or MatchParams()
     n_p, n_g = len(probe), len(gallery)

@@ -289,6 +289,14 @@ class TestSweepBoundsAreExact:
         bounds = _bounds_agree(_bound_inputs(pts, pts[:3], MatchParams()))
         assert bounds.max() == 3
 
+    def test_more_near_minutiae_than_a_byte_counts(self):
+        # 260 probe minutiae within tolerance of a 10-minutia gallery: the
+        # probe side's count passes 255 although the bound itself fits a byte.
+        probe = [(i % 4, i // 4 % 4, 0.0, 0) for i in range(260)]
+        gallery = [(i % 3, i // 3, 0.0, 0) for i in range(10)]
+        bounds = _bounds_agree(_bound_inputs(probe, gallery, MatchParams(rotation_range=0.0)))
+        assert bounds.min() == 10
+
     def test_distance_of_exactly_the_tolerance(self):
         # Aligned on their first minutiae, the second ones lie (3, 4) apart:
         # in tolerance at 5.0, out of it one ulp below.
@@ -325,6 +333,18 @@ class TestMatchMemory:
         # Ceiling from ``match``'s docstring.
         ceiling = 10 * 2**20 + 16 * rotations * len(a) + 10 * rotations * same_kind
         assert _peak_bytes(match, a, b) <= ceiling
+
+    def test_one_wide_rotation_stays_under_documented_ceiling(self):
+        # 65,536 kind-compatible pairs on one rotation: the sort past 2**15
+        # translations holds a whole rotation.
+        rng = np.random.default_rng(7)
+        pts = [(x, y, 0.0, 0) for x, y in rng.uniform(0, 3000, (512, 2)).tolist()]
+        args = _bound_inputs(pts[:256], pts[256:], MatchParams(rotation_range=0.0,
+                                                              angle_tolerance=math.pi))
+        pairs = 256 * 256
+        # Ceiling from ``match``'s docstring, on one rotation.
+        ceiling = 10 * 2**20 + 16 * 256 + 10 * pairs + 150 * (pairs - 2**15)
+        assert _peak_bytes(matcher._pair_bounds, *args) <= ceiling
 
 
 class TestMatchParams:
