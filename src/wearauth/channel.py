@@ -216,7 +216,7 @@ def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     over strided half-bit columns (~3x faster than ``mean`` at ``bit_period``
     8).  Below 8 samples per half bit that is numpy's own order, so the result
     equals ``mean`` bit for bit; from 8 on numpy sums pairwise and the two
-    differ only in rounding (within 1e-12 of the largest sample).
+    differ only in rounding.
     """
     bp = w.bit_period
     half = bp // 2
