@@ -73,8 +73,8 @@ def _cmd_explore(args) -> int:
 
 
 def _read_image(args) -> GrayImage:
-    if args.raw_width or args.raw_height:
-        if not (args.raw_width and args.raw_height):
+    if args.raw_width is not None or args.raw_height is not None:
+        if args.raw_width is None or args.raw_height is None:
             raise ValueError("raw input needs both --raw-width and --raw-height")
         return GrayImage.from_raw(Path(args.image).read_bytes(), args.raw_width, args.raw_height)
     return read_pgm(args.image)

@@ -210,8 +210,12 @@ def display_rate(value: float) -> str:
 
 
 def display_count(value: float) -> str:
-    """Per-charge retries are displayed floored to whole requests."""
-    return str(math.floor(value))
+    """Per-charge retries are displayed floored to whole requests.
+
+    An overflowing count (energies so small that budget / cost is inf) is
+    shown as ``inf``, as :func:`display_rate` shows it.
+    """
+    return str(math.floor(value)) if math.isfinite(value) else f"{value}"
 
 
 _TABLE2_COLUMNS = (

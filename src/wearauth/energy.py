@@ -118,10 +118,19 @@ class EnergyParams:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EnergyParams":
-        """Load overrides from a flat ``key = value`` file (SI units, '#' comments)."""
+        """Load overrides from a flat ``key = value`` file (SI units, '#' comments).
+
+        Raises :class:`ConfigError` for anything but UTF-8 lines of known keys
+        and values that make valid parameters (and :class:`OSError` when the
+        file cannot be read).
+        """
         fields = {f: None for f in cls.__dataclass_fields__}
         overrides: dict[str, float | int] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

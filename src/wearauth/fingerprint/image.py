@@ -42,7 +42,11 @@ class GrayImage:
 
     @classmethod
     def from_raw(cls, data: bytes, width: int, height: int) -> "GrayImage":
-        """Wrap a row-major byte blob with explicit dimensions."""
+        """Wrap a row-major byte blob with explicit dimensions.
+
+        Raises :class:`ValueError` unless both sizes are positive and the blob
+        holds exactly ``width * height`` bytes.
+        """
         if width <= 0 or height <= 0:
             raise ValueError("width and height must be positive")
         if len(data) != width * height:

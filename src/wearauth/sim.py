@@ -184,7 +184,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
-        """Load a scenario; unknown keys and mistyped values raise :class:`ConfigError`."""
+        """Load a scenario.
+
+        Unknown or missing keys and mistyped values raise :class:`ConfigError`;
+        text that is not UTF-8 JSON and values out of a field's range raise
+        :class:`ValueError`, and an unreadable file :class:`OSError`.
+        """
         path = Path(path)
         try:
             raw = json.loads(path.read_text())

@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import signal as sp_signal
 
 from wearauth.channel import (
     MAX_PAYLOAD,
@@ -64,6 +66,13 @@ def _reference_bit_statistics(w, mode):
     else:
         stat = halves.mean(axis=2)
     return stat[:, 0] - stat[:, 1]
+
+
+def _reference_highpass(w, cutoff):
+    """One ``lfilter`` over the whole waveform into a new array, kept as the
+    oracle for the chunked in-place ``highpass_bias``."""
+    b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=w.sample_rate)
+    return replace(w, samples=sp_signal.lfilter(b, a, w.samples))
 
 
 def _reference_find_frame(bits):
@@ -246,7 +255,7 @@ class TestHighpass:
     def test_60hz_attenuated_per_first_order_response(self):
         t = np.arange(200_000) / 1e6
         hum = Waveform(1e6, np.sin(2 * np.pi * 60.0 * t), 10)
-        out = highpass_bias(hum, 10_000.0)
+        out = highpass_bias(replace(hum, samples=hum.samples.copy()), 10_000.0)
         ratio = np.sqrt((out.samples[1000:] ** 2).mean()) / np.sqrt((hum.samples[1000:] ** 2).mean())
         analytic = (60.0 / 10_000.0) / np.sqrt(1 + (60.0 / 10_000.0) ** 2)
         assert ratio < 0.01
@@ -260,10 +269,56 @@ class TestHighpass:
     def test_in_band_square_wave_passes(self):
         # 100 kbit/s square wave against a 10 kHz cutoff
         square = np.repeat(np.resize([1.0, -1.0], 2000), 10)
-        w = Waveform(1e6, square, 10)
+        w = Waveform(1e6, square.copy(), 10)
         out = highpass_bias(w, 10_000.0)
         corr = np.corrcoef(square, out.samples)[0, 1]
         assert corr >= 0.9
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(length=st.one_of(st.sampled_from((0, 1, TRANSMIT_CHUNK - 1, TRANSMIT_CHUNK,
+                                             TRANSMIT_CHUNK + 1, 3 * TRANSMIT_CHUNK)),
+                            st.integers(0, TRANSMIT_CHUNK - 1),
+                            st.integers(TRANSMIT_CHUNK + 1, 3 * TRANSMIT_CHUNK)),
+           sample_rate=st.floats(1e-3, 1e9), fraction=st.floats(1e-6, 0.999),
+           scale=st.one_of(st.sampled_from((1.0, 1e-300, 1e300)), st.floats(1e-12, 1e12)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_shot_filter_bit_for_bit(self, length, sample_rate, fraction, scale, seed):
+        """Empty, shorter than a chunk, exactly one, and several with a tail."""
+        samples = scale * np.random.default_rng(seed).standard_normal(length)
+        cutoff = fraction * sample_rate / 2
+        expected = _reference_highpass(Waveform(sample_rate, samples.copy(), 8), cutoff)
+        out = highpass_bias(Waveform(sample_rate, samples, 8), cutoff)
+        assert np.array_equal(out.samples, expected.samples)
+
+    def test_filters_in_place_and_returns_the_input(self):
+        w = transmit(encode_frame(bytes(range(64))), 8,
+                     ChannelModel(attenuation=0.6, hum_amplitude=0.5), seed=0)
+        buffer = w.samples
+        out = highpass_bias(w, 1000.0)
+        assert out is w
+        assert np.shares_memory(out.samples, buffer)
+
+    def test_read_only_samples_rejected(self):
+        samples = np.ones(64)
+        samples.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            highpass_bias(Waveform(1e6, samples, 8), 1000.0)
+        assert np.all(samples == 1.0)
+
+    def test_peak_memory_is_two_chunks(self):
+        """A 40 KB capture's hop (2.56 M samples) adds no second waveform, where
+        one ``lfilter`` into a new array allocated ~20 MB."""
+        w = transmit(encode_frame(bytes(40047)), 8,
+                     ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45), seed=0)
+        highpass_bias(Waveform(1e6, np.zeros(16), 8), 1000.0)     # first-call set-up
+        tracemalloc.start()
+        try:
+            highpass_bias(w, 1000.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.samples.size > 2_500_000
+        assert peak <= 2 * 8 * TRANSMIT_CHUNK + 64 * 1024
 
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
@@ -387,6 +442,46 @@ class TestBitStatistics:
             scale = np.abs(samples).max(initial=0.0)
             np.testing.assert_allclose(stats, expected, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    def test_clean_frame_scaled_to_1e300_decodes_without_warning(self, mode):
+        w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
+        w.samples[:] *= 1e300
+        payload, stats = receive_decode(w, mode)
+        assert payload == b"hello"
+        assert stats.eye_opening == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    def test_overflowing_statistics_raise_value_error(self, mode):
+        """At 1e308 the half-bit sums (integrate-and-dump) and the half-bit
+        difference (direct) overflow; the bits are refused, not decided as 0."""
+        w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
+        w.samples[:] *= 1e308
+        with pytest.raises(ValueError, match="overflow"):
+            decode_bits(w, mode)
+        with pytest.raises(ValueError, match="overflow"):
+            receive_decode(w, mode)
+
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    def test_receive_decode_peak_memory_per_bit(self, mode):
+        """One 40 KB capture's frame at ``bit_period`` 8: ~17.3 B per bit at the
+        peak (two per-bit sums, or the statistic, its magnitude and the bits),
+        where a half-bit array and its difference took 24."""
+        payload = bytes(range(256)) * 156 + bytes(111)
+        w = highpass_bias(transmit(encode_frame(payload), 8,
+                                   ChannelModel(attenuation=0.6, hum_amplitude=0.5),
+                                   seed=0), 1000.0)
+        n_bits = w.samples.size // w.bit_period
+        tracemalloc.start()
+        try:
+            out, _ = receive_decode(w, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == payload
+        assert peak <= 18 * n_bits
+
     def test_benchmark_bit_period_bit_for_bit(self):
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45)
         w = highpass_bias(transmit(encode_frame(bytes(range(256))), 8, cm, seed=(3, 0, 0)),
@@ -400,14 +495,11 @@ class TestReceiveDecodeFuzz:
     @given(w=_waveforms(), mode=st.sampled_from(tuple(DecodeMode)))
     def test_only_documented_errors_and_valid_frames(self, w, mode):
         """A returned payload is the located frame's, and its CRC verifies."""
-        # Half-bit sums of samples near the float64 limit overflow to inf;
-        # numpy warns and the decoder carries on.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                payload, stats = receive_decode(w, mode)
-            except (SyncError, IntegrityError, ValueError):
-                return
-            bits, _ = decode_bits(w, mode)
+        try:
+            payload, stats = receive_decode(w, mode)
+        except (SyncError, IntegrityError, ValueError):
+            return
+        bits, _ = decode_bits(w, mode)
         assert len(payload) <= MAX_PAYLOAD
         assert stats.n_bits == bits.size
         pos, length = _find_frame(bits)

@@ -1,15 +1,20 @@
 import contextlib
+import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearauth import codec
+from wearauth.channel import ChannelModel
 from wearauth.cli import _build_parser, main
+from wearauth.energy import ConfigError, EnergyParams
 from wearauth.matcher import MatchParams
-from wearauth.sim import MAX_REQUESTS
+from wearauth.sim import _SCENARIO_KEYS, _SYSTEM_KEYS, MAX_REQUESTS, ScenarioConfig
 from wearauth.fingerprint import GrayImage, TemplateAlgorithm, extract_template, write_pgm
 
 from conftest import write_scenario
@@ -125,6 +130,18 @@ class TestExtractAndMatch:
                              "--raw-width", "64", "--raw-height", "48", "--algo", "light")
         assert code == 0
         assert out_path.read_bytes()[:4] == b"FPT\x01"
+
+    @pytest.mark.parametrize("dims", [("0", "0"), ("0", "48"), ("-64", "-48")])
+    def test_extract_non_positive_raw_size_is_domain_error(self, capsys, tmp_path, dims):
+        # A zero size is still a raw request: refused, not read as a PGM.
+        write_pgm(stripe_image(64, 48), tmp_path / "img.pgm")
+        code, out, err = run_cli(capsys, "extract", str(tmp_path / "img.pgm"),
+                                 "-o", str(tmp_path / "t.fpt"),
+                                 f"--raw-width={dims[0]}", f"--raw-height={dims[1]}")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+        assert not (tmp_path / "t.fpt").exists()
 
     def test_extract_missing_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "extract", str(tmp_path / "nope.pgm"),
@@ -262,6 +279,193 @@ class TestHostileFiles:
         else:
             assert code == 0
             assert json.loads(out)[0]["label"] == "bob"
+
+
+# Values a hand-edited or damaged file may hold: numbers at and past the float
+# range, the enum spellings the parsers know, and nested junk.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.integers(-2**80, 2**80), st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(("hub", "sensor", "cloud", "hbc", "wban", "lora", "capacitive", "optical",
+                     "rf_harvest", "coin_cell", "high_accuracy", "lightweight",
+                     "direct_sample", "integrate_and_dump", "probe.pgm", "gallery", ".",
+                     "ff", "0x1f", "-1")),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_NUMBERS = st.one_of(st.integers(-3, 12), st.floats(-2.0, 2e6), st.floats(),
+                    st.integers(-2**80, 2**80))
+_DELETE = object()
+_NUMERIC_PATHS = ([("seed",), ("max_requests",), ("bit_period",), ("sample_rate",),
+                   ("system", "lora_distance")]
+                  + [("channel", f.name) for f in fields(ChannelModel)]
+                  + [("match", f.name) for f in fields(MatchParams)])
+_SCENARIO_PATHS = (_NUMERIC_PATHS + [(key,) for key in _SCENARIO_KEYS] + [("bogus",)]
+                   + [("system", key) for key in _SYSTEM_KEYS])
+
+
+@st.composite
+def _scenario_files(draw):
+    """A valid one-request HBC scenario with up to four keys replaced (any key
+    by any value, or a numeric key by a number) or deleted; or an arbitrary
+    JSON value, or arbitrary bytes."""
+    shape = draw(st.sampled_from(("edited", "numbers", "numbers", "value", "bytes")))
+    if shape == "bytes":
+        return draw(st.binary(max_size=64))
+    if shape == "value":
+        return json.dumps(draw(_JSON_VALUES)).encode()
+    doc = {"system": {"te_location": "hub", "on_body_channel": "hbc"},
+           "probe_image": "probe.pgm", "gallery_dir": "gallery", "max_requests": 1,
+           "channel": {"attenuation": 0.6, "noise_sigma": 0.2, "highpass_cutoff": 1000.0},
+           "match": {}}
+    if shape == "numbers":
+        edits = st.tuples(st.sampled_from(_NUMERIC_PATHS), _NUMBERS)
+    else:
+        edits = st.tuples(st.sampled_from(_SCENARIO_PATHS),
+                          st.one_of(st.just(_DELETE), _NUMBERS, _JSON_VALUES))
+    for path, value in draw(st.lists(edits, max_size=4)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent.get(key), dict) else None
+            if parent is None:
+                break
+        else:
+            if value is _DELETE:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+_PARAM_NAMES = [f.name for f in fields(EnergyParams)]
+_PARAM_VALUES = st.one_of(
+    st.floats().map(repr), st.integers(-10**400, 10**400).map(str), st.text(max_size=8),
+    st.sampled_from(("1e-320", "0", "-0.0", "1_000", "0x10", "1e400", " 7 ", "nan", "-inf")))
+
+
+@st.composite
+def _param_files(draw):
+    """``key = value`` lines with known and unknown keys, any number spelling,
+    junk lines and comments; or arbitrary bytes (not always UTF-8)."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    line = st.one_of(
+        st.tuples(st.sampled_from(_PARAM_NAMES + ["bogus", ""]),
+                  st.sampled_from(("=", " = ", "==", "", " = 1 # ")),
+                  _PARAM_VALUES).map("".join),
+        st.text(max_size=16))
+    return "\n".join(draw(st.lists(line, max_size=6))).encode("utf-8", "surrogatepass")
+
+
+_ENERGY_COMMANDS = (("table2",), ("table2", "--json"), ("figure4",), ("explore",))
+
+
+def _check_energy_output(command, code, out):
+    """Exit 0 with valid JSON or rectangular CSV, or exit 1 with no output."""
+    assert code in (0, 1)
+    if code == 1:
+        assert out == ""
+    elif "--json" in command or command == ("explore",):
+        json.loads(out)
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and {len(row) for row in rows} == {len(rows[0])}
+
+
+def _main_status(*argv):
+    """``main``'s exit status, output and diagnostics; argparse's usage error
+    (a ``SystemExit`` of 2) counts as exit status 2."""
+    try:
+        return _quiet_main(*argv)
+    except SystemExit as exc:
+        return exc.code, "", ""
+
+
+class TestParserFuzz:
+    """Hostile input files: each parser lets only its documented errors escape,
+    and the command that reads the file exits 0, 1 or 2 without a traceback."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.one_of(st.binary(max_size=64),
+                          st.integers(0, 40 * 40).map(lambda n: bytes(range(256)) * (n // 256)
+                                                      + bytes(n % 256))),
+           width=st.one_of(st.none(), st.integers(-3, 40), st.integers(-2**80, 2**80)),
+           height=st.one_of(st.none(), st.integers(-3, 40), st.integers(-2**80, 2**80)),
+           algo=st.sampled_from(("high", "light")))
+    def test_raw_image(self, tmp_path_factory, data, width, height, algo):
+        root = tmp_path_factory.getbasetemp()
+        (root / "hostile.raw").write_bytes(data)
+        refused = width is None or height is None
+        if not refused:
+            try:
+                img = GrayImage.from_raw(data, width, height)
+            except ValueError:
+                refused = True
+            else:
+                assert img.to_raw() == data and (img.width, img.height) == (width, height)
+        argv = ["extract", str(root / "hostile.raw"), "-o", str(root / "hostile.fpt"),
+                "--algo", algo]
+        argv += [f"--raw-width={width}"] if width is not None else []
+        argv += [f"--raw-height={height}"] if height is not None else []
+        code, out, err = _main_status(*argv)
+        assert out == ""
+        if width is None and height is None:
+            assert code in (0, 1)       # read as a PGM
+        elif refused:
+            assert code == 1 and err.startswith("error:")
+        else:
+            assert code in (0, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(blob=_param_files(), command=st.sampled_from(_ENERGY_COMMANDS))
+    def test_energy_params(self, tmp_path_factory, blob, command):
+        path = tmp_path_factory.getbasetemp() / "hostile.cfg"
+        path.write_bytes(blob)
+        try:
+            EnergyParams.from_file(path)
+        except ConfigError:
+            refused = True
+        else:
+            refused = False
+        code, out, err = _main_status(*command, "--params", str(path))
+        if refused:
+            assert code == 1 and out == "" and err.startswith("error:")
+        else:
+            _check_energy_output(command, code, out)
+
+    @pytest.mark.parametrize("command", _ENERGY_COMMANDS)
+    def test_subnormal_energies(self, tmp_path, command):
+        """Per-request costs near 1e-317 J make every retry count overflow to
+        inf: shown as ``inf`` in CSV, refused by the strict JSON writer."""
+        path = tmp_path / "tiny.cfg"
+        path.write_text("".join(f"{name} = 1e-320\n" for name in _PARAM_NAMES
+                                if name.startswith(("e_bit", "e_capture", "e_te_high"))))
+        code, out, err = _main_status(*command, "--params", str(path))
+        _check_energy_output(command, code, out)
+        assert (code, "inf" in out) == ((1, False) if command == ("explore",) else (0, True))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(blob=_scenario_files())
+    def test_scenario(self, scenario_workspace, blob):
+        path = scenario_workspace / "hostile.json"
+        path.write_bytes(blob)
+        try:
+            cfg = ScenarioConfig.from_json(path)
+        except (ConfigError, ValueError):
+            code, out, err = _main_status("simulate", str(path))
+            assert code == 1 and out == "" and err.startswith("error:")
+            return
+        if cfg.max_requests is None:
+            return      # a run to ledger refusal is too long to fuzz
+        code, out, err = _main_status("simulate", str(path))
+        assert code in (0, 1)
+        if code == 0:
+            assert json.loads(out)["requests_attempted"] <= cfg.max_requests
+        else:
+            assert out == "" and err.startswith("error:")
 
 
 class TestCrypt:

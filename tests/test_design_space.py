@@ -210,3 +210,4 @@ class TestInvariants:
         assert display_rate(142.166) == "142.2"
         assert display_count(119.98) == "119"
         assert display_count(5452.46) == "5452"
+        assert display_count(float("inf")) == "inf"
