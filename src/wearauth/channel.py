@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import binascii
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "SyncError",
     "IntegrityError",
     "DecodeMode",
+    "check_modem",
     "crc16_ccitt",
     "frame_data_bits",
     "encode_frame",
@@ -44,12 +46,13 @@ PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
 # Ceiling on one waveform: 2**23 float64 samples, 64 MiB.  transmit() peaks at
 # 8 bytes per sample plus one TRANSMIT_CHUNK scratch buffer (256 KiB), and
-# with hum one more chunk of sample offsets.  It admits a 40,047-byte frame up
-# to bit_period 26 and a 65,535-byte one up to 14.
+# with hum one more chunk for the half-chunk cos/sin tables of its phasor.  It
+# admits a 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
 MAX_SAMPLES = 1 << 23
-# Samples of hum and noise that transmit() builds at a time in its scratch,
-# small enough to stay in cache across the chunk's passes; highpass_bias()
-# filters and the integrate-and-dump receiver sums in chunks of the same size.
+# Samples of transmit()'s scratch, in whose two halves it builds hum and noise
+# half a chunk at a time, small enough to stay in cache across a block's
+# passes; highpass_bias() filters, the integrate-and-dump receiver sums and
+# the eye opening scans the statistics in chunks of this size.
 TRANSMIT_CHUNK = 1 << 15
 
 
@@ -68,6 +71,23 @@ class IntegrityError(Exception):
 class DecodeMode(str, enum.Enum):
     DIRECT = "direct_sample"
     INTEGRATE_AND_DUMP = "integrate_and_dump"
+
+
+def check_modem(bit_period: int, sample_rate: float,
+                highpass_cutoff: float | None = None) -> None:
+    """Refuse modem settings the body channel cannot run.
+
+    ``bit_period`` must be an even integer of at least 4, so that each
+    Manchester half bit has a midpoint sample; ``sample_rate`` finite and
+    positive; and a ``highpass_cutoff`` (``None``: no filter) inside
+    (0, ``sample_rate``/2).  Raises :class:`ValueError` otherwise.
+    """
+    if bit_period < 4 or bit_period % 2:
+        raise ValueError("bit_period must be an even integer >= 4")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be finite and positive")
+    if highpass_cutoff is not None and not 0 < highpass_cutoff < sample_rate / 2:
+        raise ValueError("highpass cutoff must lie in (0, sample_rate/2)")
 
 
 def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
@@ -112,10 +132,7 @@ class Waveform:
     bit_period: int
 
     def __post_init__(self) -> None:
-        if self.bit_period < 4 or self.bit_period % 2:
-            raise ValueError("bit_period must be an even integer >= 4")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        check_modem(self.bit_period, self.sample_rate)
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
 
 
@@ -154,16 +171,26 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
              seed, sample_rate: float = 1_000_000.0) -> Waveform:
     """Expand symbols to samples and apply the channel impairments.
 
-    The clean symbols are written straight into the output; hum and noise are
-    added ``TRANSMIT_CHUNK`` samples at a time through one scratch buffer, with
-    the same float operations in the same order as ``a * clean + hum + noise``
-    (the noise chunks continue one ``standard_normal`` stream), so the samples
-    do not depend on the chunk size.
+    The clean symbols are written straight into the output, and hum and noise
+    are added to it in blocks of half a ``TRANSMIT_CHUNK`` through one
+    chunk-sized scratch buffer, in the order ``a * clean + hum + noise``.  The
+    noise blocks continue one ``standard_normal`` stream, so the noise does
+    not depend on the block size.
 
-    Raises :class:`ValueError` when the waveform would exceed ``MAX_SAMPLES``.
+    The hum is rotated, not evaluated per sample.  At sample ``s + k`` of a
+    block starting at ``s`` it is
+    ``amp*sin(theta) * cos(phi_k) + amp*cos(theta) * sin(phi_k)``, with
+    ``theta = s / sample_rate * omega`` computed afresh for each block (never
+    accumulated) and one cos/sin table of ``phi_k = k / sample_rate * omega``
+    per call: one ``sin`` and one ``cos`` per block instead of one ``sin``
+    per sample.  It differs from ``amp * sin(i / sample_rate * omega)`` by
+    rounding only, within a few ulp of ``amp`` times
+    ``1 + omega * i / sample_rate``, as that formula does from the exact hum.
+
+    Raises :class:`ValueError` when the modem settings fail
+    :func:`check_modem` or the waveform would exceed ``MAX_SAMPLES``.
     """
-    if bit_period < 4 or bit_period % 2:
-        raise ValueError("bit_period must be an even integer >= 4")
+    check_modem(bit_period, sample_rate)
     half = bit_period // 2
     symbols = np.asarray(symbols)
     n = symbols.size * half
@@ -174,19 +201,24 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
     received = np.empty(n)
     np.multiply(symbols.reshape(-1, 1), a, out=received.reshape(-1, half))
     if channel.hum_amplitude or channel.noise_sigma:
-        omega = 2.0 * np.pi * channel.hum_frequency
-        scratch = np.empty(min(n, TRANSMIT_CHUNK))
+        block = min(n, TRANSMIT_CHUNK // 2)
+        scratch = np.empty(2 * block)
         if channel.hum_amplitude:
-            offsets = np.arange(scratch.size, dtype=np.float64)
-        for start in range(0, n, TRANSMIT_CHUNK):
-            out = received[start:start + TRANSMIT_CHUNK]
-            buf = scratch[:out.size]
+            amp = a * channel.hum_amplitude
+            omega = 2.0 * np.pi * channel.hum_frequency
+            phase = np.arange(block, dtype=np.float64)
+            phase /= sample_rate
+            phase *= omega
+            cos_k = np.cos(phase)
+            sin_k = np.sin(phase, out=phase)
+        for start in range(0, n, TRANSMIT_CHUNK // 2):
+            out = received[start:start + block]
+            buf, spare = scratch[:out.size], scratch[block:block + out.size]
             if channel.hum_amplitude:
-                np.add(offsets[:out.size], start, out=buf)  # sample index, exact
-                buf /= sample_rate
-                buf *= omega
-                np.sin(buf, out=buf)
-                buf *= a * channel.hum_amplitude
+                theta = start / sample_rate * omega
+                np.multiply(cos_k[:out.size], amp * math.sin(theta), out=buf)
+                np.multiply(sin_k[:out.size], amp * math.cos(theta), out=spare)
+                buf += spare
                 out += buf
             if channel.noise_sigma:
                 rng.standard_normal(out=buf)
@@ -201,15 +233,14 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     Filters ``w.samples`` ``TRANSMIT_CHUNK`` samples at a time, carrying the
     filter state from chunk to chunk, so the result equals one ``lfilter``
     over the whole waveform bit for bit while no second waveform is held.
-    Returns ``w`` itself.  Raises :class:`ValueError` when the samples are
-    read-only.
+    Returns ``w`` itself.  Raises :class:`ValueError` when the cutoff fails
+    :func:`check_modem` or the samples are read-only.
 
     ``scipy.signal`` is imported here, on the first call, so that a process
     which never filters does not load it (~47 MB and ~0.9 s of imports on a
     2-core x86 host).
     """
-    if not 0 < cutoff < w.sample_rate / 2:
-        raise ValueError("cutoff must lie in (0, sample_rate/2)")
+    check_modem(w.bit_period, w.sample_rate, cutoff)
     if not w.samples.flags.writeable:
         raise ValueError("highpass_bias filters in place; the samples are read-only")
     from scipy import signal as sp_signal
@@ -280,10 +311,21 @@ def decode_bits(w: Waveform, mode: DecodeMode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eye(stats: np.ndarray) -> float:
-    """Eye opening of per-bit statistics that a decoder has already computed."""
-    magnitude = np.abs(stats)
-    peak = magnitude.max() if magnitude.size else 0.0
-    return float(magnitude.min() / peak) if peak > 0 else 0.0
+    """Eye opening of per-bit statistics that a decoder has already computed.
+
+    Takes the magnitudes ``TRANSMIT_CHUNK`` statistics at a time, so that no
+    per-bit copy is held beside the statistics and the decided bits.
+    """
+    if not stats.size:
+        return 0.0
+    buf = np.empty(min(stats.size, TRANSMIT_CHUNK))
+    low, peak = math.inf, 0.0
+    for start in range(0, stats.size, TRANSMIT_CHUNK):
+        part = stats[start:start + TRANSMIT_CHUNK]
+        magnitude = np.abs(part, out=buf[:part.size])
+        low = min(low, magnitude.min())
+        peak = max(peak, magnitude.max())
+    return float(low / peak) if peak > 0 else 0.0
 
 
 def eye_opening(w: Waveform, mode: DecodeMode) -> float:

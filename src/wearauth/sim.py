@@ -35,6 +35,7 @@ from .channel import (
     DecodeMode,
     IntegrityError,
     SyncError,
+    check_modem,
     encode_frame,
     highpass_bias,
     receive_decode,
@@ -181,6 +182,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.max_requests is not None and not 0 <= self.max_requests <= MAX_REQUESTS:
             raise ConfigError(f"max_requests must lie in [0, {MAX_REQUESTS}]")
+        # Checked on every on-body link, so a WBAN scenario cannot carry
+        # settings an HBC one would refuse.
+        check_modem(self.bit_period, self.sample_rate, self.channel.highpass_cutoff)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":

@@ -1,0 +1,31 @@
+"""Oracle for ``channel.transmit``.
+
+``reference_transmit`` is the allocating transmit that preceded the chunked
+one: one float64 array per term, and the hum as ``np.sin`` of every sample's
+own phase ``2*pi*f * (i / sample_rate)``.  The clean symbols and the noise
+equal ``transmit``'s bit for bit; the hum, which ``transmit`` builds by
+phasor rotation, differs by rounding only (see ``tests/test_channel.py``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wearauth.channel import ChannelModel, Waveform
+
+
+def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed,
+                       sample_rate: float = 1_000_000.0) -> Waveform:
+    half = bit_period // 2
+    symbols = np.asarray(symbols, dtype=np.float64)
+    clean = np.repeat(symbols, half)
+    rng = np.random.default_rng(seed)
+    a = channel.attenuation
+    received = a * clean
+    if channel.hum_amplitude:
+        t = np.arange(clean.size) / sample_rate
+        received = received + a * channel.hum_amplitude * np.sin(
+            2.0 * np.pi * channel.hum_frequency * t)
+    if channel.noise_sigma:
+        received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
+    return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)

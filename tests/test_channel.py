@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from wearauth.channel import (
     SyncError,
     Waveform,
     ber,
+    check_modem,
     crc16_ccitt,
     decode_bits,
     encode_frame,
@@ -31,26 +34,53 @@ from wearauth.channel import (
     sweep_hum,
     transmit,
 )
-from wearauth.channel import _bit_statistics, _find_frame
+from wearauth.channel import _bit_statistics, _eye, _find_frame
+
+from reference_channel import reference_transmit
 
 CLEAN = ChannelModel()
+EPS = np.finfo(np.float64).eps
+
+# Rounding allowance of transmit's hum against a reference hum, in units of
+# EPS * amp (amp = attenuation * hum_amplitude): HUM_ULPS + 2 * x_i at sample
+# i, where x_i = omega * i / sample_rate is the unreduced phase.  u = EPS / 2
+# is the unit roundoff, and every sin and cos is taken to be within 4 ulp
+# (<= 4 EPS on a value in [-1, 1]; glibc's are within 1).
+#  - Phase.  transmit's theta = s / fs * omega and phi_k = k / fs * omega
+#    (i = s + k) each carry two roundings, and omega = fl(fl(2*pi) * f) two
+#    more: within 4u * x_i of the exact phase in all.  Against the per-sample
+#    sin(i / fs * omega), which shares omega, each side is within 2u * x_i of
+#    the other's exact phase.  Either way 2 EPS * x_i, and sin is 1-Lipschitz.
+#  - transmit's sum.  sin(theta) cos(phi_k) + cos(theta) sin(phi_k) moves
+#    by at most 4 EPS * 2 * sqrt(2) < 12 EPS through its four function values;
+#    its four products and one sum round by under 3 EPS: 15.
+#  - The reference.  The exact-phase one reduces i * f / fs to [-1/2, 1/2)
+#    exactly and takes sin(2 * pi * frac): three roundings of a phase of at
+#    most pi (< 5 EPS), sin (4 EPS) and the product by amp (EPS / 2), 9.5 in
+#    all; the per-sample one costs sin and the product, 4.5.
+# 15 + 9.5 < 25.
+HUM_ULPS = 25
 
 
-def _reference_transmit(symbols, bit_period, channel, seed, sample_rate=1_000_000.0):
-    """The allocating transmit (one array per term), kept as the oracle."""
-    half = bit_period // 2
-    symbols = np.asarray(symbols, dtype=np.float64)
-    clean = np.repeat(symbols, half)
-    rng = np.random.default_rng(seed)
+def _hum_allowance(channel: ChannelModel, sample_rate: float, indices: np.ndarray) -> np.ndarray:
+    """Largest |transmit's hum - a reference hum| that rounding allows."""
+    amp = channel.attenuation * channel.hum_amplitude
+    phase = 2.0 * np.pi * channel.hum_frequency * indices / sample_rate
+    return EPS * amp * (HUM_ULPS + 2.0 * phase)
+
+
+def _assert_equals_reference(w, symbols, bit_period, channel, seed, sample_rate):
+    """Bit for bit without hum.  With hum, ``a * clean + hum + noise`` is rounded
+    once per sum on each side: besides the hum allowance, each sum may round
+    by u of its value, which adds at most EPS * (a + amp + |sample|)."""
+    expected = reference_transmit(symbols, bit_period, channel, seed, sample_rate).samples
+    if not channel.hum_amplitude:
+        assert np.array_equal(w.samples, expected)
+        return
     a = channel.attenuation
-    received = a * clean
-    if channel.hum_amplitude:
-        t = np.arange(clean.size) / sample_rate
-        received = received + a * channel.hum_amplitude * np.sin(
-            2.0 * np.pi * channel.hum_frequency * t)
-    if channel.noise_sigma:
-        received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
-    return received
+    allowance = (_hum_allowance(channel, sample_rate, np.arange(expected.size))
+                 + EPS * (a + a * channel.hum_amplitude + np.abs(expected)))
+    assert np.all(np.abs(w.samples - expected) <= allowance)
 
 
 def _reference_bit_statistics(w, mode):
@@ -197,18 +227,34 @@ class TestTransmit:
         with pytest.raises(ValueError):
             Waveform(1e6, np.zeros(8), 2)
 
+    @pytest.mark.parametrize("bit_period,sample_rate,cutoff", [
+        (7, 1e6, None), (2, 1e6, None), (8, 0.0, None), (8, -1.0, None), (8, math.inf, None),
+        (8, math.nan, None), (8, 1e6, 0.0), (8, 1e6, -5.0), (8, 1e6, 5e5), (8, 1e6, math.nan)])
+    def test_modem_rules_hold_everywhere(self, bit_period, sample_rate, cutoff):
+        """``check_modem`` owns the rules that ``Waveform``, ``transmit`` and
+        ``highpass_bias`` (and the scenario parser) apply."""
+        with pytest.raises(ValueError):
+            check_modem(bit_period, sample_rate, cutoff)
+        if cutoff is None:
+            with pytest.raises(ValueError):
+                Waveform(sample_rate, np.zeros(16), bit_period)
+            with pytest.raises(ValueError):
+                transmit(encode_frame(b""), bit_period, CLEAN, seed=0, sample_rate=sample_rate)
+        else:
+            with pytest.raises(ValueError):
+                highpass_bias(Waveform(sample_rate, np.zeros(16), bit_period), cutoff)
+
     @pytest.mark.parametrize("hum", [0.0, 0.4])
     @pytest.mark.parametrize("noise", [0.0, 0.6])
     def test_samples_equal_allocating_reference(self, hum, noise):
         symbols = encode_frame(bytes(range(200)))
         cm = ChannelModel(attenuation=0.7, hum_amplitude=hum, noise_sigma=noise)
         w = transmit(symbols, 8, cm, seed=(5, 1), sample_rate=250_000.0)
-        assert np.array_equal(w.samples,
-                              _reference_transmit(symbols, 8, cm, (5, 1), 250_000.0))
+        _assert_equals_reference(w, symbols, 8, cm, (5, 1), 250_000.0)
 
     def test_peak_memory_per_sample(self):
-        """The output, one chunk of scratch and one of hum offsets: 8 B per sample
-        with hum and noise."""
+        """The output, one chunk of scratch and the hum's two half-chunk cos/sin
+        tables: 8 B per sample with hum and noise."""
         symbols = encode_frame(bytes(4000))
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.3, noise_sigma=0.5)
         tracemalloc.start()
@@ -239,8 +285,30 @@ class TestTransmit:
         cm = ChannelModel(attenuation=attenuation, hum_amplitude=hum,
                           hum_frequency=hum_frequency, noise_sigma=noise)
         w = transmit(symbols, 2 * half, cm, seed=seed, sample_rate=sample_rate)
-        assert np.array_equal(w.samples, _reference_transmit(symbols, 2 * half, cm, seed,
-                                                             sample_rate))
+        _assert_equals_reference(w, symbols, 2 * half, cm, seed, sample_rate)
+
+    @pytest.mark.parametrize("sample_rate,frequency", [
+        (1e6, 60.0), (250_000.0, 50.0), (44_100.0, 60.7), (1e3, 400.0)])
+    def test_hum_within_rounding_of_exact_phase(self, sample_rate, frequency):
+        """Zero symbols leave the bare hum in the samples of a 40 KB capture's
+        frame.  Against sin of the exactly reduced phase, at 4,000 random
+        samples, either side of every block and chunk edge, and the last."""
+        symbols = np.zeros(encode_frame(bytes(40047)).size, dtype=np.int8)
+        cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, hum_frequency=frequency)
+        samples = transmit(symbols, 8, cm, seed=0, sample_rate=sample_rate).samples
+        n = samples.size
+        edges = np.arange(TRANSMIT_CHUNK // 2, n, TRANSMIT_CHUNK // 2)
+        indices = np.unique(np.concatenate([
+            np.random.default_rng(0).integers(0, n, 4000), edges - 1, edges, edges + 1,
+            [0, n - 1]]))
+        indices = indices[indices < n]
+        cycles = Fraction(frequency) / Fraction(sample_rate)
+        half = Fraction(1, 2)
+        exact = np.array([
+            0.6 * 0.5 * math.sin(2 * math.pi * float((i * cycles + half) % 1 - half))
+            for i in indices.tolist()])
+        error = np.abs(samples[indices] - exact)
+        assert np.all(error <= _hum_allowance(cm, sample_rate, indices))
 
     def test_sample_ceiling(self):
         # A capture-sized frame at the default bit period fits...
@@ -465,9 +533,9 @@ class TestBitStatistics:
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     def test_receive_decode_peak_memory_per_bit(self, mode):
-        """One 40 KB capture's frame at ``bit_period`` 8: ~17.3 B per bit at the
-        peak (two per-bit sums, or the statistic, its magnitude and the bits),
-        where a half-bit array and its difference took 24."""
+        """One 40 KB capture's frame at ``bit_period`` 8: 16 B per bit at the
+        peak (integrate-and-dump's two per-bit sums), where a half-bit array and
+        its difference took 24, and a magnitude copy for the eye 17.3."""
         payload = bytes(range(256)) * 156 + bytes(111)
         w = highpass_bias(transmit(encode_frame(payload), 8,
                                    ChannelModel(attenuation=0.6, hum_amplitude=0.5),
@@ -480,7 +548,7 @@ class TestBitStatistics:
         finally:
             tracemalloc.stop()
         assert out == payload
-        assert peak <= 18 * n_bits
+        assert peak <= 16 * n_bits + 64 * 1024
 
     def test_benchmark_bit_period_bit_for_bit(self):
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45)
@@ -533,6 +601,26 @@ class TestEyeOpening:
     def test_dead_waveform_is_closed(self):
         w = Waveform(1e6, np.zeros(80), 8)
         assert eye_opening(w, DecodeMode.DIRECT) == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(length=st.one_of(st.sampled_from((0, 1, TRANSMIT_CHUNK, TRANSMIT_CHUNK + 1,
+                                             3 * TRANSMIT_CHUNK - 7)),
+                            st.integers(0, 100)),
+           seed=st.integers(0, 2**32 - 1),
+           low_at=st.one_of(st.just(-1), st.integers(0, 2**32 - 1)),
+           peak_at=st.one_of(st.just(-1), st.integers(0, 2**32 - 1)), zeros=st.booleans())
+    def test_blockwise_eye_equals_whole_array(self, length, seed, low_at, peak_at, zeros):
+        """The smallest and the largest magnitude are planted anywhere, the last
+        statistic (index -1) included."""
+        stats = np.random.default_rng(seed).standard_normal(length)
+        if length:
+            stats[low_at % length] = -1e-9
+            stats[peak_at % length] = 1e9
+        if zeros:
+            stats[::3] = 0.0
+        magnitude = np.abs(stats)
+        peak = magnitude.max() if length else 0.0
+        assert _eye(stats) == (float(magnitude.min() / peak) if peak > 0 else 0.0)
 
     def test_integrator_opens_noisy_eye(self):
         cm = ChannelModel(attenuation=0.5, noise_sigma=0.8)

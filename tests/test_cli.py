@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wearauth import codec
+from wearauth import codec, sim
 from wearauth.channel import ChannelModel
 from wearauth.cli import _build_parser, main
 from wearauth.energy import ConfigError, EnergyParams
@@ -576,6 +576,28 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("link", ["wban", "hbc"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("bit_period", 3, "bit_period"),
+        ("sample_rate", -1.0, "sample_rate"),
+        ("channel", {"highpass_cutoff": -5.0}, "cutoff"),
+    ], ids=["odd_bit_period", "negative_sample_rate", "negative_cutoff"])
+    def test_modem_fields_refused_before_inputs_load(self, capsys, scenario_workspace,
+                                                     monkeypatch, link, field, value, message):
+        """A WBAN run never reaches the modem and an HBC one only after loading
+        the probe and gallery: the parser refuses these on either link first."""
+        def unreachable(*args):
+            raise AssertionError("the scenario's inputs were loaded")
+
+        monkeypatch.setattr(sim, "read_pgm", unreachable)
+        monkeypatch.setattr(sim, "load_gallery", unreachable)
+        path = write_scenario(scenario_workspace, name="bad_modem.json", system={
+            "te_location": "hub", "on_body_channel": link}, max_requests=2, **{field: value})
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
     def test_unframeable_capture_is_domain_error(self, capsys, scenario_workspace):
         # A 300x300 capture does not fit the body channel's 16-bit length field.

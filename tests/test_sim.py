@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from wearauth import codec, present
+from wearauth import codec, present, sim
 from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
@@ -24,6 +24,7 @@ from wearauth.sim import (
 )
 
 from conftest import write_scenario
+from reference_channel import reference_transmit
 
 P = EnergyParams()
 
@@ -245,6 +246,39 @@ class TestRunScenario:
             blocks = {(nonce + i) % 2**64 for i in range((len(payload) + 7) // 8)}
             assert not blocks & seen
             seen |= blocks
+
+
+def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, monkeypatch):
+    """A noisy, high-passed HBC link with hum, run as is and with the per-sample
+    ``sin`` transmit: the hum differs by rounding only, so every decision,
+    score, retransmission, BER and ledger is equal, and the eye openings
+    (min/max of the bit statistics) agree to 1e-12 relative."""
+    channel = {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6,
+               "highpass_cutoff": 1000.0}
+    oracle_calls = []
+
+    def oracle_transmit(*args, **kwargs):
+        oracle_calls.append(args)
+        return reference_transmit(*args, **kwargs)
+
+    retransmissions = 0
+    for seed in range(4):
+        path = write_scenario(scenario_workspace, name="phasor.json", system=dict(
+            BASE_SYSTEM, sensor_power="coin_cell"), channel=channel, seed=seed, max_requests=4)
+        cfg = ScenarioConfig.from_json(path)
+        ours = run_scenario(cfg, P)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "transmit", oracle_transmit)
+            oracle = run_scenario(cfg, P)
+        assert ours.decisions == oracle.decisions
+        assert ours.scores == oracle.scores
+        assert ours.retransmissions == oracle.retransmissions
+        assert ours.bit_error_rates == oracle.bit_error_rates
+        assert [(led.role, led.charges) for led in ours.ledgers] == \
+            [(led.role, led.charges) for led in oracle.ledgers]
+        assert ours.eye_openings == pytest.approx(oracle.eye_openings, rel=1e-12, abs=0)
+        retransmissions += ours.retransmissions
+    assert oracle_calls and retransmissions > 0
 
 
 def _term(label: str) -> str:
