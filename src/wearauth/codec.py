@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
+from .fingerprint.minutiae import MAX_MINUTIAE, Minutia, MinutiaKind, Template, TemplateAlgorithm
 
 __all__ = [
     "MAGIC",
@@ -76,8 +76,8 @@ def _quantize_angle(angle: float) -> int:
 def encode(template: Template) -> bytes:
     """Serialize a template; minutiae order is fixed by the Template invariant."""
     n = len(template.minutiae)
-    if n > 255:
-        raise EncodeError(f"{n} minutiae exceed the 255-record limit")
+    if n > MAX_MINUTIAE:
+        raise EncodeError(f"{n} minutiae exceed the {MAX_MINUTIAE}-record limit")
     w4 = (template.width + 3) // 4
     h4 = (template.height + 3) // 4
     if w4 > 255 or h4 > 255:

@@ -11,9 +11,8 @@ pass through unfiltered.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import ndimage
 
+from . import _kernels
 from .image import GrayImage
 
 __all__ = [
@@ -51,8 +50,7 @@ def orientation_field(norm: np.ndarray, block: int = BLOCK_SIZE) -> tuple[np.nda
 
     Invalid blocks have no gradient energy (flat image regions).
     """
-    gy = ndimage.sobel(norm, axis=0, mode="reflect")
-    gx = ndimage.sobel(norm, axis=1, mode="reflect")
+    gy, gx = _kernels.sobel_pair(norm)
     gxx = _block_reduce(gx * gx, block)
     gyy = _block_reduce(gy * gy, block)
     gxy = _block_reduce(gx * gy, block)
@@ -60,8 +58,8 @@ def orientation_field(norm: np.ndarray, block: int = BLOCK_SIZE) -> tuple[np.nda
     vx = gxx - gyy
     vy = 2.0 * gxy
     # 3x3 vector smoothing keeps the field coherent on noisy input.
-    vx = ndimage.uniform_filter(vx, size=3, mode="nearest")
-    vy = ndimage.uniform_filter(vy, size=3, mode="nearest")
+    vx = _kernels.uniform3_nearest(vx)
+    vy = _kernels.uniform3_nearest(vy)
     energy = np.hypot(vx, vy)
     grad_dir = 0.5 * np.arctan2(vy, vx)
     theta = np.mod(grad_dir + np.pi / 2.0, np.pi)   # ridges run normal to the gradient
@@ -94,7 +92,7 @@ def ridge_wavelength(norm: np.ndarray, theta: np.ndarray, valid: np.ndarray,
         ry, rx = np.sin(t), np.cos(t)
         ys = cy + uu * ny + vv * ry
         xs = cx + uu * nx + vv * rx
-        patch = ndimage.map_coordinates(norm, [ys, xs], order=1, mode="nearest")
+        patch = _kernels.bilinear_nearest(norm, ys, xs)
         sig = patch.mean(axis=2)
         sig = sig - sig.mean(axis=1, keepdims=True)
         spectrum = np.abs(np.fft.rfft(sig, axis=1))
@@ -154,14 +152,14 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
         bins = np.unique(theta_bin[at_lam])
         kernels = [_gabor_kernel(tb * np.pi / _N_THETA_BINS, float(lam)) for tb in bins]
         full = [n + k - 1 for n, k in zip(norm.shape, kernels[0].shape)]
-        fshape = [sp_fft.next_fast_len(n, True) for n in full]
-        image_spectrum = sp_fft.rfftn(norm, fshape)
+        fshape = tuple(_kernels.next_fast_len(n) for n in full)
+        image_spectrum = _kernels.rfft2(norm, fshape)
         same = tuple(slice((f - n) // 2, (f - n) // 2 + n) for f, n in zip(full, norm.shape))
         for tb, kernel in zip(bins, kernels):
             # A named operand: numpy would multiply into a temporary in place,
             # which rounds differently from fftconvolve's product.
-            kernel_spectrum = sp_fft.rfftn(kernel, fshape)
-            filtered = sp_fft.irfftn(image_spectrum * kernel_spectrum, fshape)[same]
+            kernel_spectrum = _kernels.rfft2(kernel, fshape)
+            filtered = _kernels.irfft2(image_spectrum * kernel_spectrum, fshape)[same]
             members = (at_lam & (theta_bin == tb))[:, None, :, None]
             np.copyto(out_blocks, filtered[:hb * block, :wb * block].reshape(hb, block, wb, block),
                       where=members)

@@ -26,11 +26,15 @@ __all__ = [
     "extract_template",
     "DEFAULT_BORDER_MARGIN",
     "DEFAULT_MIN_DISTANCE",
+    "MAX_MINUTIAE",
 ]
 
 DEFAULT_BORDER_MARGIN = 10   # px; minutiae closer to an edge are discarded
 DEFAULT_MIN_DISTANCE = 8.0   # px; both members of any closer pair are discarded
 _TRACE_DEPTH = 5             # skeleton pixels followed per branch for the angle
+# Most minutiae one template holds: the .fpt header stores the count in one
+# byte.  It lives here, not in the codec, because the codec imports this module.
+MAX_MINUTIAE = 255
 
 
 class MinutiaKind(str, enum.Enum):
@@ -166,9 +170,19 @@ def _minutia_angle(bits: np.ndarray, x: int, y: int) -> float:
     return angle if angle < 2.0 * np.pi else 0.0
 
 
-def _scan_minutiae(skeleton: BinaryImage) -> list[Minutia]:
+def _scan_minutiae(skeleton: BinaryImage, limit: int | None = None) -> list[Minutia]:
+    """Endings and bifurcations of a skeleton, with their angles.
+
+    Raises :class:`ValueError` when there are more than ``limit`` of them,
+    before any branch is traced: tracing is the costly part, ~0.5 ms per
+    minutia in Python.
+    """
     bits = skeleton.bits
     cn = _crossing_number_map(bits)
+    if limit is not None:
+        found = np.count_nonzero(cn == 1) + np.count_nonzero(cn == 3)
+        if found > limit:
+            raise ValueError(f"{found} minutiae exceed the {limit}-record limit of a template")
     minutiae = []
     for kind, value in ((MinutiaKind.ENDING, 1), (MinutiaKind.BIFURCATION, 3)):
         ys, xs = np.nonzero(cn == value)
@@ -214,7 +228,8 @@ def extract_template(img: GrayImage, algorithm: TemplateAlgorithm,
     then removes border artifacts and close pairs; the lightweight route is
     a bare global-threshold / thin / scan chain with no cleanup.  Raises
     :class:`ValueError` for images under ``MIN_PIPELINE_SIZE`` on a side or
-    over ``MAX_PIXELS`` in all.
+    over ``MAX_PIXELS`` in all, and for a lightweight skeleton with more
+    than ``MAX_MINUTIAE`` minutiae, which no template could hold.
     """
     if img.width < MIN_PIPELINE_SIZE or img.height < MIN_PIPELINE_SIZE:
         raise ValueError(f"image must be at least {MIN_PIPELINE_SIZE}px on each side")
@@ -230,6 +245,6 @@ def extract_template(img: GrayImage, algorithm: TemplateAlgorithm,
     else:
         binary = binarize(img, BinarizeMethod.GLOBAL_OTSU)
         skeleton = thin(binary)
-        minutiae = _scan_minutiae(skeleton)
+        minutiae = _scan_minutiae(skeleton, limit=MAX_MINUTIAE)
     return Template(width=img.width, height=img.height, algorithm=algorithm,
                     minutiae=tuple(minutiae))

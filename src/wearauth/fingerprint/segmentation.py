@@ -9,8 +9,8 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy import ndimage
 
+from ._kernels import gaussian_reflect
 from .image import BinaryImage, GrayImage
 
 __all__ = ["BinarizeMethod", "binarize", "otsu_threshold"]
@@ -54,8 +54,7 @@ def binarize(img: GrayImage, method: BinarizeMethod) -> BinaryImage:
     if method is BinarizeMethod.ADAPTIVE_MEAN:
         # A Gaussian window, unlike a boxcar, passes almost none of the ridge
         # frequency, so the reference level does not ripple with the pattern.
-        local_mean = ndimage.gaussian_filter(px.astype(np.float64),
-                                             sigma=ADAPTIVE_SIGMA, mode="reflect")
+        local_mean = gaussian_reflect(px.astype(np.float64), ADAPTIVE_SIGMA)
         # The offset keeps near-flat regions background; without it any
         # arbitrarily faint oscillation would binarize into ridges.
         return BinaryImage(px < local_mean - ADAPTIVE_OFFSET)

@@ -16,6 +16,10 @@ __all__ = ["thin"]
 # Neighbour offsets in ring order N, NE, E, SE, S, SW, W, NW; neighbour i is
 # bit i of a pixel's ring code.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+# A pass re-tests only the neighbours of the latest removals once those number
+# under 1/_FRONTIER_SHARE of the pixels; above that, testing every pixel at
+# once is cheaper.
+_FRONTIER_SHARE = 128
 
 
 def _removal_tables() -> np.ndarray:
@@ -37,24 +41,65 @@ def _removal_tables() -> np.ndarray:
 
 
 _REMOVABLE = _removal_tables()
+_REMOVABLE_U8 = _REMOVABLE.astype(np.uint8)
 
 
-def _thin_pass(img: np.ndarray, subiteration: int) -> np.ndarray:
-    padded = np.pad(img, 1)
-    h, w = img.shape
-    code = np.zeros((h, w), dtype=np.uint8)
-    for bit, (dy, dx) in enumerate(_RING):
-        code |= padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] << bit
-    return img & ~_REMOVABLE[subiteration][code]
+def _full_pass(flat: np.ndarray, offsets: np.ndarray, start: int, n: int,
+               subiteration: int) -> np.ndarray:
+    """Test every pixel of ``flat[start:start + n]`` at once and remove the
+    removable ones; returns their flat indices."""
+    body = flat[start:start + n]
+    code = np.zeros(n, dtype=np.uint8)
+    shifted = np.empty(n, dtype=np.uint8)
+    for bit, off in enumerate(offsets):
+        np.left_shift(flat[start + off:start + off + n], bit, out=shifted)
+        code |= shifted
+    gone = np.take(_REMOVABLE_U8[subiteration], code)
+    gone &= body
+    body -= gone
+    return np.flatnonzero(gone.view(bool)) + start
+
+
+def _frontier_pass(flat: np.ndarray, offsets: np.ndarray, changed: np.ndarray,
+                   subiteration: int) -> np.ndarray:
+    """Test only the ridge neighbours of ``changed`` and remove the removable
+    ones; returns their flat indices."""
+    near = np.unique((changed[:, None] + offsets).ravel())
+    near = near[flat[near].view(bool)]
+    code = np.zeros(near.size, dtype=np.uint8)
+    for bit, off in enumerate(offsets):
+        code |= flat[near + off] << bit
+    gone = near[_REMOVABLE[subiteration][code]]
+    flat[gone] = 0
+    return gone
 
 
 def thin(binary: BinaryImage) -> BinaryImage:
-    """One-pixel-wide 8-connected skeleton of a binary image."""
-    img = binary.bits.astype(np.uint8)
+    """One-pixel-wide 8-connected skeleton of a binary image.
+
+    Each subiteration removes its removable pixels all at once.  A pixel
+    that one pass of a subiteration kept can become removable in its next
+    pass only if a neighbour was removed in between, by either
+    subiteration; so once removals are few, a pass re-tests just the
+    neighbours of the two latest passes' removals.  It stops when a pass of
+    each subiteration in turn removes nothing.
+    """
+    h, w = binary.bits.shape
+    padded = np.pad(binary.bits.astype(np.uint8), 1)   # the frame stays 0
+    flat = padded.reshape(-1)
+    stride = w + 2
+    offsets = np.array([dy * stride + dx for dy, dx in _RING])
+    # Pixels (0, 0) to (h-1, w-1) span one run of the padded buffer; the
+    # frame columns inside it are 0 and so never removed.
+    start, n = stride + 1, max(0, (h - 1) * stride + w)
+    removed: list[np.ndarray | None] = [None, None]   # None: not yet run
     while True:
-        before = img
-        img = _thin_pass(img, 0)
-        img = _thin_pass(img, 1)
-        if np.array_equal(img, before):
-            break
-    return BinaryImage(img.astype(bool))
+        for sub in (0, 1):
+            own, other = removed[sub], removed[1 - sub]
+            if (own is None or other is None
+                    or (own.size + other.size) * _FRONTIER_SHARE > h * w):
+                removed[sub] = _full_pass(flat, offsets, start, n, sub)
+            else:
+                removed[sub] = _frontier_pass(flat, offsets, np.concatenate((own, other)), sub)
+        if removed[0].size == 0 and removed[1].size == 0:
+            return BinaryImage(padded[1:-1, 1:-1].astype(bool))

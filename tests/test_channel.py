@@ -244,6 +244,18 @@ class TestTransmit:
             with pytest.raises(ValueError):
                 highpass_bias(Waveform(sample_rate, np.zeros(16), bit_period), cutoff)
 
+    @pytest.mark.parametrize("bit_period", [8.0, np.float64(8.0), True, "8", None])
+    def test_bit_period_must_be_an_int(self, bit_period):
+        with pytest.raises(ValueError, match="bit_period"):
+            transmit(encode_frame(b"hi"), bit_period, ChannelModel(), seed=0)
+        with pytest.raises(ValueError, match="bit_period"):
+            Waveform(1e6, np.zeros(16), bit_period)
+
+    def test_numpy_integer_bit_period_accepted(self):
+        symbols = encode_frame(b"hi")
+        assert np.array_equal(transmit(symbols, np.int64(8), CLEAN, seed=0).samples,
+                              transmit(symbols, 8, CLEAN, seed=0).samples)
+
     @pytest.mark.parametrize("hum", [0.0, 0.4])
     @pytest.mark.parametrize("noise", [0.0, 0.6])
     def test_samples_equal_allocating_reference(self, hum, noise):

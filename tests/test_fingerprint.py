@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,11 +22,13 @@ from wearauth.fingerprint import (
     orientation_field,
     read_pgm,
     thin,
+    thinning,
     write_pgm,
 )
 from wearauth.fingerprint.enhance import gabor_enhance, ridge_wavelength
 from wearauth.fingerprint.image import MAX_PIXELS
 from wearauth.fingerprint.minutiae import (
+    MAX_MINUTIAE,
     Minutia,
     _crossing_number_map,
     _filter_false_minutiae,
@@ -42,6 +45,7 @@ from patterns import (
     stripe_image,
 )
 from reference_enhance import reference_gabor_enhance, reference_ridge_wavelength
+from reference_thinning import reference_thin
 
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity structuring element
 
@@ -279,6 +283,57 @@ class TestThin:
                 assert pieces <= 1
 
 
+def _diagonal_band(length: int) -> np.ndarray:
+    """A 2-px diagonal band: thinning peels 2 pixels off each end per pass,
+    for ``length / 2`` iterations."""
+    y, x = np.mgrid[0:length, 0:length + 2]
+    return (x - y >= 0) & (x - y <= 1)
+
+
+@st.composite
+def _bit_images(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.tuples(st.integers(1, 64), st.integers(1, 64)))
+    bits = rng.random(shape) < draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()) and min(shape) > 4:
+        n = min(shape[0], shape[1] - 2)
+        band = _diagonal_band(n)
+        y0, x0 = draw(st.integers(0, shape[0] - n)), draw(st.integers(0, shape[1] - n - 2))
+        bits[y0:y0 + n, x0:x0 + n + 2] = band
+    return bits
+
+
+class TestThinMatchesWholeImageLoop:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bits=_bit_images())
+    @example(bits=_diagonal_band(150))
+    @example(bits=np.ones((1, 1), dtype=bool))
+    @example(bits=binarize(enhance(degrade(sinusoidal_ridges(278, 144, 9.0, 0.4))),
+                           BinarizeMethod.ADAPTIVE_MEAN).bits)
+    @example(bits=binarize(degrade(sinusoidal_ridges(278, 144, 7.5, 2.0)),
+                           BinarizeMethod.GLOBAL_OTSU).bits)
+    def test_same_skeleton(self, bits):
+        assert np.array_equal(thin(BinaryImage(bits)).bits, reference_thin(bits))
+
+    def test_long_peel_runs_on_the_frontier(self, monkeypatch):
+        calls = {"full": 0, "frontier": 0}
+        for name in calls:
+            original = getattr(thinning, f"_{name}_pass")
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(thinning, f"_{name}_pass", counted)
+        bits = _diagonal_band(150)
+        assert np.array_equal(thin(BinaryImage(bits)).bits, reference_thin(bits))
+        assert calls["full"] == 2 and calls["frontier"] >= 140
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_image(self, shape):
+        assert thin(BinaryImage(np.zeros(shape, dtype=bool))).bits.shape == shape
+
+
 def _mask(rows):
     return BinaryImage(np.array([[c == "1" for c in row] for row in rows]))
 
@@ -434,9 +489,33 @@ class TestMinutiaAngle:
     @pytest.mark.parametrize("algorithm", list(TemplateAlgorithm))
     def test_uniform_noise_extracts(self, seed, algorithm):
         img = GrayImage(np.random.default_rng(seed).integers(0, 256, (144, 278), dtype=np.uint8))
-        t = extract_template(img, algorithm)
-        assert len(t) > 0
-        assert all(0.0 <= m.angle < 2 * np.pi for m in t.minutiae)
+        if algorithm is TemplateAlgorithm.HIGH_ACCURACY:
+            minutiae = extract_template(img, algorithm).minutiae
+        else:
+            # ~5,500 minutiae: the route refuses them, so scan the skeleton directly.
+            with pytest.raises(ValueError, match=f"{MAX_MINUTIAE}-record limit"):
+                extract_template(img, algorithm)
+            minutiae = _scan_minutiae(thin(binarize(img, BinarizeMethod.GLOBAL_OTSU)))
+        assert len(minutiae) > 0
+        assert all(0.0 <= m.angle < 2 * np.pi for m in minutiae)
+
+    def test_lightweight_refuses_noise_before_tracing(self):
+        """512x512 noise has ~37,000 crossing-number minutiae; tracing them
+        took ~19 s before the codec refused the template."""
+        img = GrayImage(np.random.default_rng(0).integers(0, 256, (512, 512), dtype=np.uint8))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{MAX_MINUTIAE}-record limit"):
+            extract_template(img, TemplateAlgorithm.LIGHTWEIGHT)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_limit_counts_endings_and_bifurcations(self):
+        bits = np.zeros((16, 40), dtype=bool)
+        bits[4, 2:38] = True
+        bits[4:13, 20] = True           # a T: three endings and one bifurcation
+        skeleton = BinaryImage(bits)
+        assert len(_scan_minutiae(skeleton, limit=4)) == 4
+        with pytest.raises(ValueError, match="4 minutiae exceed the 3-record limit"):
+            _scan_minutiae(skeleton, limit=3)
 
 
 def _dense_filter(minutiae, width, height, border_margin, min_distance):

@@ -1,9 +1,11 @@
-"""Start-up footprint: which scipy subpackages a process loads.
+"""Start-up footprint: which scipy modules a process loads.
 
-``scipy.signal`` (~47 MB and ~0.9 s of imports, with ``scipy.stats``,
-``scipy.interpolate`` and ``scipy.spatial`` behind it) is loaded only by the
-body channel's high-pass.  This pytest process has imported it already, so
-the checks run in fresh interpreters.
+The extractor runs on numpy alone, so extraction, matching, the cipher, the
+energy model and every scenario without a high-pass load no scipy module at
+all.  ``scipy.signal`` (~74 MB and ~1.3 s of imports, with scipy's core,
+``scipy.stats``, ``scipy.interpolate`` and ``scipy.spatial`` behind it) is
+loaded only by the body channel's high-pass.  This pytest process has
+imported scipy already, so the checks run in fresh interpreters.
 """
 
 import json
@@ -31,7 +33,7 @@ _PRELUDE = textwrap.dedent("""
     from wearauth.sim import ScenarioConfig, run_scenario
 
     def loaded():
-        return sorted(m for m in ("scipy.signal", "scipy.spatial") if m in sys.modules)
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
     px = np.full((72, 96), 230, dtype=np.uint8)
     for top in range(2, 69, 8):
@@ -73,7 +75,7 @@ def test_data_plane_without_highpass_never_loads_signal_or_spatial(tmp_path):
         print(json.dumps({"ran": ran, "loaded": loaded()}))
     """, tmp_path)
     assert out["ran"][:2] == [2, 2]
-    assert out["loaded"] == []
+    assert out["loaded"] == []          # nor any other scipy module
 
 
 def test_highpass_loads_signal_on_first_use(tmp_path):
