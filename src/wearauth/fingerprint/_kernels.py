@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "bilinear_nearest",
     "gaussian_reflect",
-    "irfft2",
+    "irfft2_rows",
     "next_fast_len",
     "rfft2",
     "sobel_pair",
@@ -177,13 +177,17 @@ def rfft2(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.rfftn(x, shape, axes=(0, 1))
 
 
-def irfft2(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``scipy.fft.irfftn(spectrum, shape)`` of a 2-D spectrum.
+def irfft2_rows(spectrum: np.ndarray, shape: tuple[int, int], rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``scipy.fft.irfftn(spectrum, shape)`` of a 2-D spectrum.
 
-    scipy scales once, by ``1 / (s0 * s1)``, after the last axis; numpy's
-    default scales each axis by its own length, which rounds differently.
-    So numpy runs unscaled (``norm="forward"``) and the one factor follows.
+    numpy's ``irfftn`` runs a complex inverse along axis 0 and then a real
+    one along axis 1, each line on its own, so the axis-0 pass runs whole and
+    the axis-1 pass only on the rows asked for.  scipy scales once, by
+    ``1 / (s0 * s1)``, after the last axis; numpy's default scales each axis
+    by its own length, which rounds differently.  So numpy runs unscaled
+    (``norm="forward"``) and the one factor follows.
     """
-    out = np.fft.irfftn(spectrum, shape, axes=(0, 1), norm="forward")
+    columns = np.fft.ifft(spectrum, shape[0], axis=0, norm="forward")
+    out = np.fft.irfft(columns[rows], shape[1], axis=1, norm="forward")
     out *= 1.0 / (shape[0] * shape[1])
     return out

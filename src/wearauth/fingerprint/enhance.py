@@ -134,7 +134,8 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
     Each (orientation bin, wavelength) group is one FFT convolution of the
     whole image, composed as ``signal.fftconvolve(norm, kernel, "same")``
     does it; kernels of one wavelength share a size, so the image is
-    transformed once per wavelength.
+    transformed once per wavelength.  The inverse's second pass runs only on
+    the rows of the group's member blocks, which are written directly.
     """
     out = norm.copy()
     if not valid.any():
@@ -154,15 +155,18 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
         full = [n + k - 1 for n, k in zip(norm.shape, kernels[0].shape)]
         fshape = tuple(_kernels.next_fast_len(n) for n in full)
         image_spectrum = _kernels.rfft2(norm, fshape)
-        same = tuple(slice((f - n) // 2, (f - n) // 2 + n) for f, n in zip(full, norm.shape))
+        # The "same" window starts at this row and column of the full convolution.
+        top, left = ((f - n) // 2 for f, n in zip(full, norm.shape))
         for tb, kernel in zip(bins, kernels):
+            by, bx = np.nonzero(at_lam & (theta_bin == tb))
+            band = np.unique(by)         # block rows holding a member of the group
+            lines = (band[:, None] * block + np.arange(block)).ravel()
             # A named operand: numpy would multiply into a temporary in place,
             # which rounds differently from fftconvolve's product.
             kernel_spectrum = _kernels.rfft2(kernel, fshape)
-            filtered = _kernels.irfft2(image_spectrum * kernel_spectrum, fshape)[same]
-            members = (at_lam & (theta_bin == tb))[:, None, :, None]
-            np.copyto(out_blocks, filtered[:hb * block, :wb * block].reshape(hb, block, wb, block),
-                      where=members)
+            filtered = _kernels.irfft2_rows(image_spectrum * kernel_spectrum, fshape, top + lines)
+            filtered = filtered[:, left:left + wb * block].reshape(band.size, block, wb, block)
+            out_blocks[by, :, bx, :] = filtered[np.searchsorted(band, by), :, bx, :]
     return out
 
 

@@ -1,15 +1,22 @@
-"""Oracle for ``channel.transmit``.
+"""Oracles for ``channel.transmit`` and ``channel.highpass_bias``.
 
 ``reference_transmit`` is the allocating transmit that preceded the chunked
 one: one float64 array per term, and the hum as ``np.sin`` of every sample's
 own phase ``2*pi*f * (i / sample_rate)``.  The clean symbols and the noise
 equal ``transmit``'s bit for bit; the hum, which ``transmit`` builds by
 phasor rotation, differs by rounding only (see ``tests/test_channel.py``).
+
+``reference_highpass`` is one ``scipy.signal.lfilter`` over the whole
+waveform into a new array, the high-pass before the blocked in-place scan;
+the two differ by rounding only (the allowance is in ``tests/test_channel.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+from scipy import signal as sp_signal
 
 from wearauth.channel import ChannelModel, Waveform
 
@@ -29,3 +36,8 @@ def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed,
     if channel.noise_sigma:
         received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
     return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)
+
+
+def reference_highpass(w: Waveform, cutoff: float) -> Waveform:
+    b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=w.sample_rate)
+    return replace(w, samples=sp_signal.lfilter(b, a, w.samples))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
 
+from wearauth import channel as channel_module
 from wearauth.channel import (
     MAX_PAYLOAD,
     MAX_SAMPLES,
@@ -34,9 +35,9 @@ from wearauth.channel import (
     sweep_hum,
     transmit,
 )
-from wearauth.channel import _bit_statistics, _eye, _find_frame
+from wearauth.channel import _bit_statistics, _eye, _find_frame, _highpass_coefficients
 
-from reference_channel import reference_transmit
+from reference_channel import reference_highpass, reference_transmit
 
 CLEAN = ChannelModel()
 EPS = np.finfo(np.float64).eps
@@ -98,11 +99,46 @@ def _reference_bit_statistics(w, mode):
     return stat[:, 0] - stat[:, 1]
 
 
-def _reference_highpass(w, cutoff):
-    """One ``lfilter`` over the whole waveform into a new array, kept as the
-    oracle for the chunked in-place ``highpass_bias``."""
-    b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=w.sample_rate)
-    return replace(w, samples=sp_signal.lfilter(b, a, w.samples))
+# Rounding allowance of highpass_bias against reference_highpass, in units of
+# EPS * X / (1 - |p|), where X = max|x| and p is the pole; u = EPS / 2.
+#  - Sizes.  The response to x is b0 at lag 0 and -b0 (1 - p) p**(m-1) after
+#    it, whose absolute sum is 1 + p for p >= 0 and 1 for p < 0, as
+#    b0 = (1 + p) / 2: so |y| <= 2X.  A block's output from rest differs from
+#    y by p**(i+1) * y[s-1], so it stays within 4X.  An error made at one
+#    sample reaches a later one scaled by |p| per sample, so errors of at
+#    most e per sample add up to at most e / (1 - |p|) anywhere.
+#  - lfilter rounds b0*x, the sum y = b0*x + z, and the new state's two
+#    products and sum, on terms within 3X: at most 9u X = 4.5 EPS X a sample.
+#  - The scan rounds the difference (2X), its scaling, the partial sum (both
+#    p**-i times values within 4X, scaled back by p**i), the carry term and
+#    the final scaling: at most 5u * 4X = 10 EPS X a sample.  Each block's
+#    carry sums at most 16 taps of (p**L)**m times block ends within 4X, two
+#    roundings a tap: at most 2u * 4X * sum |p**L|**m, which is under 8.3u X
+#    where |p**L| <= 1/32 (blocks under the 2048 cap, at worst one a sample)
+#    and 128u X over a capped block's 2048 samples; the taps dropped below
+#    (p**L)**m = 2**-60 add under EPS X.  So 4 EPS X a sample, and 1.
+#  - Coefficients.  Both sides take them from the same tan, butter through
+#    its pole and zero: b0 within 4u relative and p within 4u, as
+#    test_coefficients_equal_butter checks on a few.  A relative error e in
+#    b0 moves y by at most 2eX; one of e in p by at most e * b0 * X times the
+#    absolute sum of d/dp of H, which is at most 4 / (1 - |p|) for p >= 0
+#    (the sum telescopes) and (1 + |p|) / (2 b0 (1 - |p|)) for p < 0: under
+#    4 EPS X + 8 EPS X / (1 - |p|) in all.
+# 4.5 + 10 + 4 + 1 + 4 + 8 = 31.5 < 40.
+HIGHPASS_ULPS = 40
+
+
+def _assert_highpass_equals_reference(samples, sample_rate, cutoff):
+    """``highpass_bias`` on a copy of ``samples`` against the one-shot
+    ``lfilter``: finite at the same samples, and within the allowance."""
+    expected = reference_highpass(Waveform(sample_rate, samples.copy(), 8), cutoff).samples
+    out = highpass_bias(Waveform(sample_rate, samples.copy(), 8), cutoff).samples
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(out), finite)
+    if samples.size:
+        _, p = _highpass_coefficients(cutoff, sample_rate)
+        allowance = HIGHPASS_ULPS * EPS * np.abs(samples).max() / (1.0 - abs(p))
+        assert np.all(np.abs(out[finite] - expected[finite]) <= allowance)
 
 
 def _reference_find_frame(bits):
@@ -118,6 +154,24 @@ def _reference_find_frame(bits):
         if after + 16 > bits.size:
             break
         length = int(np.packbits(bits[after:after + 16]).view(">u2")[0])
+        end = after + 16 + 8 * length + 16
+        if end <= bits.size:
+            return pos, length
+    raise SyncError("no complete frame found in the bit stream")
+
+
+def _whole_array_find_frame(bits):
+    """The hunt that read the 16-bit code at every offset before visiting the
+    sync candidates, kept as the oracle for the windowed ``_find_frame``."""
+    code = np.zeros(max(bits.size - 15, 0), dtype=np.uint16)
+    for j in range(16):
+        code <<= 1
+        code |= bits[j:j + code.size]
+    for pos in np.flatnonzero(code == SYNC_WORD).tolist():
+        after = pos + 16
+        if after + 16 > bits.size:
+            break
+        length = int(code[after])
         end = after + 16 + 8 * length + 16
         if end <= bits.size:
             return pos, length
@@ -362,13 +416,38 @@ class TestHighpass:
            sample_rate=st.floats(1e-3, 1e9), fraction=st.floats(1e-6, 0.999),
            scale=st.one_of(st.sampled_from((1.0, 1e-300, 1e300)), st.floats(1e-12, 1e12)),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_one_shot_filter_bit_for_bit(self, length, sample_rate, fraction, scale, seed):
+    def test_equals_one_shot_filter_within_rounding(self, length, sample_rate, fraction,
+                                                    scale, seed):
         """Empty, shorter than a chunk, exactly one, and several with a tail."""
         samples = scale * np.random.default_rng(seed).standard_normal(length)
-        cutoff = fraction * sample_rate / 2
-        expected = _reference_highpass(Waveform(sample_rate, samples.copy(), 8), cutoff)
-        out = highpass_bias(Waveform(sample_rate, samples, 8), cutoff)
-        assert np.array_equal(out.samples, expected.samples)
+        _assert_highpass_equals_reference(samples, sample_rate, fraction * sample_rate / 2)
+
+    @pytest.mark.parametrize("fraction", [
+        0.5,            # cutoff fs/4: p = 5.6e-17, one block per sample
+        0.3, 0.8,       # p > 0 and p < 0, blocks of a few samples
+        0.999,          # p -> -1: b0 = 0.0016
+        0.002, 1e-6,    # p -> 1: 1 kHz at 1 MHz, and blocks at their 2048 cap
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e307])
+    def test_pole_range_and_scale_within_rounding(self, fraction, scale):
+        """At 1e307 the scan's sums overflow and the step is filtered again
+        rescaled; the output stays finite wherever lfilter's does."""
+        samples = scale * np.random.default_rng(7).standard_normal(3 * TRANSMIT_CHUNK + 5)
+        _assert_highpass_equals_reference(samples, 1e6, fraction * 1e6 / 2)
+
+    def test_zero_pole_is_the_scaled_first_difference(self, monkeypatch):
+        """p == 0 exactly (no cutoff reaches it: tan rounds pi/4 below 1)."""
+        monkeypatch.setattr(channel_module, "_highpass_coefficients", lambda c, fs: (0.5, 0.0))
+        samples = np.random.default_rng(3).standard_normal(2 * TRANSMIT_CHUNK + 3)
+        out = highpass_bias(Waveform(1e6, samples.copy(), 8), 250_000.0)
+        assert np.array_equal(out.samples, 0.5 * np.diff(samples, prepend=0.0))
+
+    def test_coefficients_equal_butter(self):
+        for fs, cutoff in ((1e6, 1000.0), (1e6, 1.0), (1e6, 250_000.0), (1e6, 499_000.0),
+                           (48_000.0, 60.0), (1e-3, 1e-4)):
+            b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=fs)
+            b0, p = _highpass_coefficients(cutoff, fs)
+            assert (b0, -b0, 1.0, -p) == pytest.approx((*b, *a), rel=4 * EPS, abs=4 * EPS)
 
     def test_filters_in_place_and_returns_the_input(self):
         w = transmit(encode_frame(bytes(range(64))), 8,
@@ -588,7 +667,38 @@ class TestReceiveDecodeFuzz:
         assert np.array_equal(bits[pos:pos + body.size], body)
 
 
+@st.composite
+def _long_streams(draw):
+    """Noise of up to 6,000 bits (past several widenings of the hunt's window),
+    optionally a spurious sync word with any length field, then a frame of up
+    to 64 bytes and more noise, the whole cut by up to 48 bits at the end."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def noise(most):
+        return rng.integers(0, 2, draw(st.integers(0, most)), dtype=np.uint8)
+
+    parts = [noise(6000)]
+    if draw(st.booleans()):
+        parts += [np.array(_bits16(SYNC_WORD) + _bits16(draw(st.integers(0, 0xFFFF))),
+                           dtype=np.uint8), noise(200)]
+    parts += [frame_data_bits(draw(st.binary(max_size=64))), noise(40)]
+    bits = np.concatenate(parts)
+    return bits[:bits.size - draw(st.integers(0, min(48, bits.size)))]
+
+
 class TestFindFrame:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(bits=_long_streams())
+    def test_windowed_hunt_equals_whole_array_hunt(self, bits):
+        """Same frame or same error, with spurious sync words and cut frames."""
+        try:
+            expected = _whole_array_find_frame(bits)
+        except SyncError:
+            with pytest.raises(SyncError):
+                _find_frame(bits)
+        else:
+            assert _find_frame(bits) == expected
+
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(segments=st.lists(_segment, max_size=8), cut=st.integers(0, 60))
     def test_equals_sliding_window_hunt(self, segments, cut):

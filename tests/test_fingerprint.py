@@ -1,5 +1,7 @@
+import importlib.util
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,11 @@ from wearauth.fingerprint import (
 from wearauth.fingerprint.enhance import gabor_enhance, ridge_wavelength
 from wearauth.fingerprint.image import MAX_PIXELS
 from wearauth.fingerprint.minutiae import (
+    DEFAULT_BORDER_MARGIN,
+    DEFAULT_MIN_DISTANCE,
     MAX_MINUTIAE,
     Minutia,
+    Template,
     _crossing_number_map,
     _filter_false_minutiae,
     _minutia_angle,
@@ -516,6 +521,39 @@ class TestMinutiaAngle:
         assert len(_scan_minutiae(skeleton, limit=4)) == 4
         with pytest.raises(ValueError, match="4 minutiae exceed the 3-record limit"):
             _scan_minutiae(skeleton, limit=3)
+
+
+def _load_captures():
+    """The benchmark's seeded capture generator, ``perfbench/captures.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "captures.py"
+    spec = importlib.util.spec_from_file_location("perfbench_captures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _trace_then_filter(img):
+    """The high-accuracy route that traced every candidate's angle before the
+    position filter, kept as the oracle for filtering first."""
+    skeleton = thin(binarize(enhance(img), BinarizeMethod.ADAPTIVE_MEAN))
+    kept = _filter_false_minutiae(_scan_minutiae(skeleton), img.width, img.height,
+                                  DEFAULT_BORDER_MARGIN, DEFAULT_MIN_DISTANCE)
+    return Template(img.width, img.height, TemplateAlgorithm.HIGH_ACCURACY, tuple(kept))
+
+
+class TestFilterBeforeTracing:
+    @pytest.mark.parametrize("identity,noise_seed,shift", [
+        (0, 0, (0, 0)), (1, 5, (3, -2)), (2, 9, (-8, 8)), (17, 1, (5, 0)), (40, 3, (0, -6))])
+    def test_same_template_on_captures(self, identity, noise_seed, shift):
+        img = GrayImage(_load_captures().capture(identity, noise_seed, shift))
+        template = extract_template(img, TemplateAlgorithm.HIGH_ACCURACY)
+        assert len(template) > 0
+        assert template == _trace_then_filter(img)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 19, 21, 25, 27, 28])
+    def test_same_template_on_uniform_noise(self, seed):
+        img = GrayImage(np.random.default_rng(seed).integers(0, 256, (144, 278), dtype=np.uint8))
+        assert extract_template(img, TemplateAlgorithm.HIGH_ACCURACY) == _trace_then_filter(img)
 
 
 def _dense_filter(minutiae, width, height, border_margin, min_distance):

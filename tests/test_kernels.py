@@ -15,7 +15,7 @@ from scipy import ndimage
 from wearauth.fingerprint._kernels import (
     bilinear_nearest,
     gaussian_reflect,
-    irfft2,
+    irfft2_rows,
     next_fast_len,
     rfft2,
     sobel_pair,
@@ -93,15 +93,20 @@ class TestFilters:
 class TestFft:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(x=_images(), kernel=_images(st.tuples(st.integers(1, 21), st.integers(1, 21))),
-           grow=st.tuples(st.integers(0, 24), st.integers(0, 24)))
-    def test_convolution_round_trip(self, x, kernel, grow):
+           grow=st.tuples(st.integers(0, 24), st.integers(0, 24)),
+           pick=st.integers(0, 2**32 - 1))
+    def test_convolution_round_trip(self, x, kernel, grow, pick):
         """The transforms of a ``gabor_enhance`` group: both spectra, their
-        product and its inverse."""
+        product and its inverse, on every row and on a sorted subset."""
         shape = tuple(next_fast_len(n + g) for n, g in zip(x.shape, grow))
         image_spectrum = rfft2(x, shape)
         assert _identical(image_spectrum, sp_fft.rfftn(x, shape))
         product = image_spectrum * rfft2(kernel, shape)
-        assert _identical(irfft2(product, shape), sp_fft.irfftn(product, shape))
+        inverse = sp_fft.irfftn(product, shape)
+        every = np.arange(shape[0])
+        some = np.flatnonzero(np.random.default_rng(pick).random(shape[0]) < 0.3)
+        assert _identical(irfft2_rows(product, shape, every), inverse)
+        assert _identical(irfft2_rows(product, shape, some), inverse[some])
 
     def test_next_fast_len(self):
         for n in range(5000):

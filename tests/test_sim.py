@@ -24,7 +24,7 @@ from wearauth.sim import (
 )
 
 from conftest import write_scenario
-from reference_channel import reference_transmit
+from reference_channel import reference_highpass, reference_transmit
 
 P = EnergyParams()
 
@@ -269,6 +269,39 @@ def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, m
         ours = run_scenario(cfg, P)
         with monkeypatch.context() as patch:
             patch.setattr(sim, "transmit", oracle_transmit)
+            oracle = run_scenario(cfg, P)
+        assert ours.decisions == oracle.decisions
+        assert ours.scores == oracle.scores
+        assert ours.retransmissions == oracle.retransmissions
+        assert ours.bit_error_rates == oracle.bit_error_rates
+        assert [(led.role, led.charges) for led in ours.ledgers] == \
+            [(led.role, led.charges) for led in oracle.ledgers]
+        assert ours.eye_openings == pytest.approx(oracle.eye_openings, rel=1e-12, abs=0)
+        retransmissions += ours.retransmissions
+    assert oracle_calls and retransmissions > 0
+
+
+def test_highpass_scan_leaves_decisions_and_ledgers_unchanged(scenario_workspace, monkeypatch):
+    """A noisy, hummed, high-passed HBC link, run as is and with the one-shot
+    ``lfilter`` high-pass: the two differ by rounding only, so every decision,
+    score, retransmission, BER and ledger is equal, and the eye openings agree
+    to 1e-12 relative."""
+    channel = {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6,
+               "highpass_cutoff": 1000.0}
+    oracle_calls = []
+
+    def oracle_highpass(*args, **kwargs):
+        oracle_calls.append(args)
+        return reference_highpass(*args, **kwargs)
+
+    retransmissions = 0
+    for seed in range(4):
+        path = write_scenario(scenario_workspace, name="scan.json", system=dict(
+            BASE_SYSTEM, sensor_power="coin_cell"), channel=channel, seed=seed, max_requests=4)
+        cfg = ScenarioConfig.from_json(path)
+        ours = run_scenario(cfg, P)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "highpass_bias", oracle_highpass)
             oracle = run_scenario(cfg, P)
         assert ours.decisions == oracle.decisions
         assert ours.scores == oracle.scores
