@@ -8,6 +8,7 @@ from .energy import (
     EnergyParams,
     NodeActivity,
     SensorType,
+    TemplateAlgorithm,
     energy_breakdown,
     lora_energy_per_bit,
     retries,
@@ -21,7 +22,6 @@ from .design_space import (
     figure4_export,
     table2,
 )
-from .fingerprint.minutiae import TemplateAlgorithm
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,6 @@ __all__ = [
     "highpass_bias",
     "decode_bits",
     "receive_decode",
-    "eye_opening",
     "ber",
     "sweep_hum",
 ]
@@ -91,9 +90,9 @@ def check_modem(bit_period: int, sample_rate: float,
         raise ValueError("highpass cutoff must lie in (0, sample_rate/2)")
 
 
-def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
+def crc16_ccitt(data: bytes) -> int:
     """CRC-16/CCITT (poly 0x1021, init 0xFFFF, no reflection)."""
-    return binascii.crc_hqx(data, init)
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,8 @@ def decode_bits(w: Waveform, mode: DecodeMode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eye(stats: np.ndarray) -> float:
-    """Eye opening of per-bit statistics that a decoder has already computed.
+    """Eye opening of per-bit statistics that a decoder has already computed:
+    min|statistic| / max|statistic| over all bits, 1 fully open, 0 closed.
 
     Takes the magnitudes ``TRANSMIT_CHUNK`` statistics at a time, so that no
     per-bit copy is held beside the statistics and the decided bits.
@@ -406,11 +406,6 @@ def _eye(stats: np.ndarray) -> float:
         low = min(low, magnitude.min())
         peak = max(peak, magnitude.max())
     return float(low / peak) if peak > 0 else 0.0
-
-
-def eye_opening(w: Waveform, mode: DecodeMode) -> float:
-    """min|statistic| / max|statistic| over all bits: 1 fully open, 0 closed."""
-    return _eye(_bit_statistics(w, mode))
 
 
 def _find_frame(bits: np.ndarray) -> tuple[int, int]:

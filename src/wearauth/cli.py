@@ -23,9 +23,9 @@ from .design_space import (
     table2_csv,
     table2_json,
 )
-from .energy import Channel, ConfigError, EnergyParams, SensorType
+from .energy import Channel, ConfigError, EnergyParams, SensorType, TemplateAlgorithm
 from .fingerprint.image import GrayImage, read_pgm
-from .fingerprint.minutiae import TemplateAlgorithm, extract_template
+from .fingerprint.minutiae import extract_template
 from .matcher import MatchParams, match_gallery
 
 __all__ = ["main"]

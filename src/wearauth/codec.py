@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import struct
 
-from .fingerprint.minutiae import MAX_MINUTIAE, Minutia, MinutiaKind, Template, TemplateAlgorithm
+from .energy import TemplateAlgorithm
+from .fingerprint.minutiae import MAX_MINUTIAE, Minutia, MinutiaKind, Template
 
 __all__ = [
     "MAGIC",

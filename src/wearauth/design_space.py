@@ -19,10 +19,10 @@ from .energy import (
     EnergyParams,
     NodeActivity,
     SensorType,
+    TemplateAlgorithm,
     energy_breakdown,
     retries,
 )
-from .fingerprint.minutiae import TemplateAlgorithm
 
 __all__ = [
     "TeLocation",
@@ -119,15 +119,12 @@ def derive_activities(config: SystemConfig, params: EnergyParams) -> tuple[NodeA
 
     sensor = NodeActivity(
         captures=1,
-        te_high=1 if te_at_sensor and config.te_variant is TemplateAlgorithm.HIGH_ACCURACY else 0,
-        te_light=1 if te_at_sensor and config.te_variant is TemplateAlgorithm.LIGHTWEIGHT else 0,
+        te_runs={config.te_variant: 1} if te_at_sensor else {},
         bits_tx={config.on_body_channel: on_body_bits},
         bits_encrypted=on_body_bits if wban else 0,
     )
-    te_at_hub = config.te_location is TeLocation.HUB
     hub = NodeActivity(
-        te_high=1 if te_at_hub and config.te_variant is TemplateAlgorithm.HIGH_ACCURACY else 0,
-        te_light=1 if te_at_hub and config.te_variant is TemplateAlgorithm.LIGHTWEIGHT else 0,
+        te_runs={config.te_variant: 1} if config.te_location is TeLocation.HUB else {},
         bits_rx={config.on_body_channel: on_body_bits},
         bits_tx={Channel.LORA: lora_bits},
         bits_encrypted=lora_bits,

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fingerprint.minutiae import TemplateAlgorithm
-
 __all__ = [
     "Channel",
     "ConfigError",
@@ -20,6 +18,7 @@ __all__ = [
     "EnergyParams",
     "NodeActivity",
     "SensorType",
+    "TemplateAlgorithm",
     "lora_energy_per_bit",
     "energy_breakdown",
     "per_bit_cost",
@@ -41,6 +40,13 @@ class SensorType(str, enum.Enum):
     CAPACITIVE = "capacitive"
     OPTICAL = "optical"
     NONE = "none"  # hub/cloud roles: capture energy is always zero
+
+
+class TemplateAlgorithm(str, enum.Enum):
+    """Template-extraction (TE) variant; the extractor runs it, the model prices it."""
+
+    HIGH_ACCURACY = "high_accuracy"
+    LIGHTWEIGHT = "lightweight"
 
 
 @dataclass(frozen=True)
@@ -158,17 +164,19 @@ class NodeActivity:
     """Countable work one node performs for a single authentication request."""
 
     captures: int = 0
-    te_high: int = 0            # high-accuracy extraction runs
-    te_light: int = 0           # lightweight extraction runs
+    te_runs: dict[TemplateAlgorithm, int] = field(default_factory=dict)  # extractions per variant
     bits_rx: dict[Channel, int] = field(default_factory=dict)
     bits_tx: dict[Channel, int] = field(default_factory=dict)
     bits_encrypted: int = 0
     lora_distance: float | None = None  # m, required when LoRa bits are present
 
     def __post_init__(self) -> None:
-        for name in ("captures", "te_high", "te_light", "bits_encrypted"):
+        for name in ("captures", "bits_encrypted"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for variant, runs in self.te_runs.items():
+            if runs < 0:
+                raise ValueError(f"negative run count for {variant}")
         for mapping in (self.bits_rx, self.bits_tx):
             for channel, bits in mapping.items():
                 if bits < 0:
@@ -216,10 +224,9 @@ def energy_breakdown(activity: NodeActivity, sensor: SensorType,
     """Decompose one node's per-request energy into capture/TE/comm/encrypt terms."""
     capture = activity.captures * params.capture_energy(sensor)
     te = 0.0
-    if activity.te_high:
-        te += activity.te_high * params.te_energy(TemplateAlgorithm.HIGH_ACCURACY)
-    if activity.te_light:
-        te += activity.te_light * params.te_energy(TemplateAlgorithm.LIGHTWEIGHT)
+    for variant, runs in activity.te_runs.items():
+        if runs:
+            te += runs * params.te_energy(TemplateAlgorithm(variant))
     comm = 0.0
     for direction, mapping in (("tx", activity.bits_tx), ("rx", activity.bits_rx)):
         for channel, bits in mapping.items():

@@ -39,21 +39,22 @@ def normalize(img: GrayImage) -> np.ndarray:
     return (px - px.mean()) / std
 
 
-def _block_reduce(arr: np.ndarray, block: int) -> np.ndarray:
+def _block_reduce(arr: np.ndarray) -> np.ndarray:
+    block = BLOCK_SIZE
     h, w = arr.shape
     hb, wb = h // block, w // block
     return arr[:hb * block, :wb * block].reshape(hb, block, wb, block).sum(axis=(1, 3))
 
 
-def orientation_field(norm: np.ndarray, block: int = BLOCK_SIZE) -> tuple[np.ndarray, np.ndarray]:
+def orientation_field(norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ridge orientation per block, radians in [0, pi), and a validity mask.
 
     Invalid blocks have no gradient energy (flat image regions).
     """
     gy, gx = _kernels.sobel_pair(norm)
-    gxx = _block_reduce(gx * gx, block)
-    gyy = _block_reduce(gy * gy, block)
-    gxy = _block_reduce(gx * gy, block)
+    gxx = _block_reduce(gx * gx)
+    gyy = _block_reduce(gy * gy)
+    gxy = _block_reduce(gx * gy)
     # Doubled-angle averaging of the gradient direction.
     vx = gxx - gyy
     vy = 2.0 * gxy
@@ -63,18 +64,19 @@ def orientation_field(norm: np.ndarray, block: int = BLOCK_SIZE) -> tuple[np.nda
     energy = np.hypot(vx, vy)
     grad_dir = 0.5 * np.arctan2(vy, vx)
     theta = np.mod(grad_dir + np.pi / 2.0, np.pi)   # ridges run normal to the gradient
-    valid = energy > 1e-9 * block * block
+    valid = energy > 1e-9 * BLOCK_SIZE * BLOCK_SIZE
     return theta, valid
 
 
-def ridge_wavelength(norm: np.ndarray, theta: np.ndarray, valid: np.ndarray,
-                     block: int = BLOCK_SIZE) -> tuple[np.ndarray, np.ndarray]:
+def ridge_wavelength(norm: np.ndarray, theta: np.ndarray,
+                     valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominant ridge wavelength per block in pixels, with a validity mask.
 
     Samples an oriented window around each block centre, averages along the
     ridge direction and takes the strongest DFT bin of that signature.  All
     valid blocks are sampled and transformed together.
     """
+    block = BLOCK_SIZE
     win_len = 2 * block          # samples across the ridges
     win_width = block            # samples along the ridges
     wavelengths = np.zeros_like(theta)
@@ -128,7 +130,7 @@ def _gabor_kernel(theta: float, wavelength: float) -> np.ndarray:
 
 
 def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
-                  valid: np.ndarray, block: int = BLOCK_SIZE) -> np.ndarray:
+                  valid: np.ndarray) -> np.ndarray:
     """Oriented band-pass filtering; invalid blocks are copied unfiltered.
 
     Each (orientation bin, wavelength) group is one FFT convolution of the
@@ -137,6 +139,7 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
     transformed once per wavelength.  The inverse's second pass runs only on
     the rows of the group's member blocks, which are written directly.
     """
+    block = BLOCK_SIZE
     out = norm.copy()
     if not valid.any():
         return out

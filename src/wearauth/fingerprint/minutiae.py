@@ -13,6 +13,7 @@ from typing import NamedTuple, TypeVar
 
 import numpy as np
 
+from ..energy import TemplateAlgorithm
 from .enhance import enhance
 from .image import MAX_PIXELS, MIN_PIPELINE_SIZE, BinaryImage, GrayImage
 from .segmentation import BinarizeMethod, binarize
@@ -41,11 +42,6 @@ MAX_MINUTIAE = 255
 class MinutiaKind(str, enum.Enum):
     ENDING = "ending"
     BIFURCATION = "bifurcation"
-
-
-class TemplateAlgorithm(str, enum.Enum):
-    HIGH_ACCURACY = "high_accuracy"
-    LIGHTWEIGHT = "lightweight"
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,13 @@ def _crossing_number_map(bits: np.ndarray) -> np.ndarray:
     return cn
 
 
-def _trace_branch(bits: np.ndarray, start: tuple[int, int], first: tuple[int, int],
-                  depth: int = _TRACE_DEPTH) -> tuple[int, int]:
+def _trace_branch(bits: np.ndarray, start: tuple[int, int],
+                  first: tuple[int, int]) -> tuple[int, int]:
     """Follow a skeleton branch from ``start`` through ``first``; return the
-    endpoint reached within ``depth`` steps."""
+    endpoint reached within ``_TRACE_DEPTH`` steps."""
     visited = {start, first}
     cur = first
-    for _ in range(depth - 1):
+    for _ in range(_TRACE_DEPTH - 1):
         y, x = cur
         nxt = None
         for dy, dx in _RING:
@@ -203,15 +199,6 @@ def _traced(bits: np.ndarray, candidates: list[_Candidate]) -> list[Minutia]:
             for c in candidates]
 
 
-def _scan_minutiae(skeleton: BinaryImage, limit: int | None = None) -> list[Minutia]:
-    """Endings and bifurcations of a skeleton, with their angles.
-
-    Raises :class:`ValueError` when there are more than ``limit`` of them,
-    before any branch is traced.
-    """
-    return _traced(skeleton.bits, _candidates(skeleton, limit))
-
-
 _Located = TypeVar("_Located", Minutia, _Candidate)
 
 
@@ -244,9 +231,7 @@ def _filter_false_minutiae(minutiae: list[_Located], width: int, height: int,
     return [m for m, c in zip(kept, close) if not c]
 
 
-def extract_template(img: GrayImage, algorithm: TemplateAlgorithm,
-                     border_margin: int = DEFAULT_BORDER_MARGIN,
-                     min_distance: float = DEFAULT_MIN_DISTANCE) -> Template:
+def extract_template(img: GrayImage, algorithm: TemplateAlgorithm) -> Template:
     """Extract a minutiae template from a gray image.
 
     The high-accuracy route enhances, binarizes adaptively, thins, scans and
@@ -267,11 +252,12 @@ def extract_template(img: GrayImage, algorithm: TemplateAlgorithm,
         # The filter reads positions only, so it runs before the angles are
         # traced: most candidates on a capture are border or close-pair ones.
         kept = _filter_false_minutiae(_candidates(skeleton), img.width, img.height,
-                                      border_margin, min_distance)
+                                      DEFAULT_BORDER_MARGIN, DEFAULT_MIN_DISTANCE)
         minutiae = _traced(skeleton.bits, kept)
     else:
         binary = binarize(img, BinarizeMethod.GLOBAL_OTSU)
         skeleton = thin(binary)
-        minutiae = _scan_minutiae(skeleton, limit=MAX_MINUTIAE)
+        # The limit is checked before any branch is traced.
+        minutiae = _traced(skeleton.bits, _candidates(skeleton, limit=MAX_MINUTIAE))
     return Template(width=img.width, height=img.height, algorithm=algorithm,
                     minutiae=tuple(minutiae))

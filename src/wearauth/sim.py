@@ -47,12 +47,13 @@ from .energy import (
     ConfigError,
     EnergyParams,
     SensorType,
+    TemplateAlgorithm,
     energy_breakdown,
     per_bit_cost,
     retries,
 )
 from .fingerprint.image import GrayImage, read_pgm
-from .fingerprint.minutiae import TemplateAlgorithm, extract_template
+from .fingerprint.minutiae import extract_template
 from .matcher import MatchParams, load_gallery, match
 
 __all__ = [
@@ -74,6 +75,10 @@ COUNTER_BLOCKS_PER_MESSAGE = 1 << 32
 _HOP_WBAN, _HOP_LORA = 0, 1
 # Requests one run may drive; a ``max_requests: null`` run stops here too.  A
 # dead body link on a coin cell would otherwise run ~7 M channel_error requests.
+# The bound keeps a run's memory finite, not its time: when noise fails every
+# frame (hub TE over HBC on a coin cell at noise_sigma 0.8, say) all 65,536
+# requests cross the modem, ~24 min at 96x72 and ~2.4 h at 278x144 on a 2-core
+# x86 host.  An explicit max_requests bounds the time.
 MAX_REQUESTS = 1 << 16
 
 

@@ -28,7 +28,6 @@ from wearauth.channel import (
     crc16_ccitt,
     decode_bits,
     encode_frame,
-    eye_opening,
     frame_data_bits,
     highpass_bias,
     receive_decode,
@@ -717,12 +716,12 @@ class TestFindFrame:
 class TestEyeOpening:
     def test_clean_waveform_is_fully_open(self):
         w = transmit(encode_frame(b"\xaa\x55"), 8, CLEAN, seed=0)
-        assert eye_opening(w, DecodeMode.DIRECT) == pytest.approx(1.0)
-        assert eye_opening(w, DecodeMode.INTEGRATE_AND_DUMP) == pytest.approx(1.0)
+        assert _eye(decode_bits(w, DecodeMode.DIRECT)[1]) == pytest.approx(1.0)
+        assert _eye(decode_bits(w, DecodeMode.INTEGRATE_AND_DUMP)[1]) == pytest.approx(1.0)
 
     def test_dead_waveform_is_closed(self):
         w = Waveform(1e6, np.zeros(80), 8)
-        assert eye_opening(w, DecodeMode.DIRECT) == 0.0
+        assert _eye(decode_bits(w, DecodeMode.DIRECT)[1]) == 0.0
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(length=st.one_of(st.sampled_from((0, 1, TRANSMIT_CHUNK, TRANSMIT_CHUNK + 1,
@@ -747,8 +746,8 @@ class TestEyeOpening:
     def test_integrator_opens_noisy_eye(self):
         cm = ChannelModel(attenuation=0.5, noise_sigma=0.8)
         w = transmit(encode_frame(bytes(64)), 32, cm, seed=5)
-        direct = eye_opening(w, DecodeMode.DIRECT)
-        integ = eye_opening(w, DecodeMode.INTEGRATE_AND_DUMP)
+        direct = _eye(decode_bits(w, DecodeMode.DIRECT)[1])
+        integ = _eye(decode_bits(w, DecodeMode.INTEGRATE_AND_DUMP)[1])
         assert integ > direct
 
 

@@ -19,7 +19,7 @@ from wearauth.design_space import (
     table2_csv,
     table2_json,
 )
-from wearauth.energy import Channel, EnergyParams, SensorType
+from wearauth.energy import Channel, EnergyParams, SensorType, TemplateAlgorithm
 
 P = EnergyParams()
 
@@ -33,20 +33,20 @@ class TestDeriveActivities:
     def test_row_d_te_at_hub_over_hbc(self):
         sensor, hub = derive_activities(cfg("hub", "hbc"), P)
         assert sensor.captures == 1
-        assert sensor.te_high == 0
+        assert sensor.te_runs == {}
         assert sensor.bits_tx == {Channel.HBC: P.image_bits}
         assert sensor.bits_encrypted == 0          # the body channel needs none
         assert hub.bits_rx == {Channel.HBC: P.image_bits}
-        assert hub.te_high == 1
+        assert hub.te_runs == {TemplateAlgorithm.HIGH_ACCURACY: 1}
         assert hub.bits_tx == {Channel.LORA: P.template_bits}
         assert hub.bits_encrypted == P.template_bits
 
     def test_row_b_te_at_sensor_over_hbc(self):
         sensor, hub = derive_activities(cfg("sensor", "hbc"), P)
-        assert sensor.te_high == 1
+        assert sensor.te_runs == {TemplateAlgorithm.HIGH_ACCURACY: 1}
         assert sensor.bits_tx == {Channel.HBC: P.template_bits}
         assert sensor.bits_encrypted == 0
-        assert hub.te_high == 0
+        assert hub.te_runs == {}
         assert hub.bits_tx == {Channel.LORA: P.template_bits}
 
     def test_row_e_te_at_cloud_over_wban(self):

@@ -11,6 +11,7 @@ from wearauth.energy import (
     EnergyParams,
     NodeActivity,
     SensorType,
+    TemplateAlgorithm,
     energy_breakdown,
     lora_energy_per_bit,
     retries,
@@ -131,7 +132,8 @@ class TestLoraEnergyPerBit:
 
 class TestNodeEnergy:
     def test_sensor_with_te_over_hbc(self):
-        activity = NodeActivity(captures=1, te_high=1, bits_tx={Channel.HBC: 1408})
+        activity = NodeActivity(captures=1, te_runs={TemplateAlgorithm.HIGH_ACCURACY: 1},
+                                bits_tx={Channel.HBC: 1408})
         expected = 22.3e-9 + 2.94 + 1408 * 79e-12
         got = energy_breakdown(activity, SensorType.CAPACITIVE, P).total
         assert got == pytest.approx(expected, rel=1e-12)
@@ -142,7 +144,7 @@ class TestNodeEnergy:
 
     def test_hub_role_with_lora_uplink(self):
         activity = NodeActivity(
-            te_high=1,
+            te_runs={TemplateAlgorithm.HIGH_ACCURACY: 1},
             bits_rx={Channel.HBC: 320256},
             bits_encrypted=1408,
             bits_tx={Channel.LORA: 1408},
@@ -158,7 +160,7 @@ class TestNodeEnergy:
         assert energy_breakdown(activity, SensorType.NONE, P).total == 0.0
 
     def test_lightweight_without_energy_is_config_error(self):
-        activity = NodeActivity(te_light=1)
+        activity = NodeActivity(te_runs={TemplateAlgorithm.LIGHTWEIGHT: 1})
         with pytest.raises(ConfigError):
             energy_breakdown(activity, SensorType.CAPACITIVE, P).total
         params = EnergyParams(e_te_light=0.294)
@@ -174,7 +176,8 @@ class TestNodeEnergy:
         assert energy_breakdown(activity, SensorType.NONE, P).total == 0.0
 
     def test_breakdown_terms_sum_to_total(self):
-        activity = NodeActivity(captures=2, te_high=1, bits_tx={Channel.WBAN: 5000},
+        activity = NodeActivity(captures=2, te_runs={TemplateAlgorithm.HIGH_ACCURACY: 1},
+                                bits_tx={Channel.WBAN: 5000},
                                 bits_rx={Channel.HBC: 700}, bits_encrypted=5000)
         bd = energy_breakdown(activity, SensorType.OPTICAL, P)
         assert bd.total == bd.capture + bd.te + bd.comm + bd.encrypt
@@ -184,12 +187,15 @@ class TestNodeEnergy:
             NodeActivity(captures=-1)
         with pytest.raises(ValueError):
             NodeActivity(bits_tx={Channel.HBC: -5})
+        with pytest.raises(ValueError):
+            NodeActivity(te_runs={TemplateAlgorithm.LIGHTWEIGHT: -1})
 
 
 _activities = st.builds(
     NodeActivity,
     captures=st.integers(0, 5),
-    te_high=st.integers(0, 3),
+    te_runs=st.fixed_dictionaries(
+        {}, optional={variant: st.integers(0, 3) for variant in TemplateAlgorithm}),
     bits_tx=st.fixed_dictionaries(
         {}, optional={Channel.WBAN: st.integers(0, 10**6), Channel.HBC: st.integers(0, 10**6)}),
     bits_rx=st.fixed_dictionaries(
@@ -199,13 +205,16 @@ _activities = st.builds(
 
 
 class TestEnergyProperties:
-    @given(_activities, st.integers(1, 4))
+    @given(_activities, st.integers(1, 4), st.sampled_from(TemplateAlgorithm))
     @settings(max_examples=60)
-    def test_monotone_in_counts(self, a, extra):
-        base = energy_breakdown(a, SensorType.OPTICAL, P).total
-        more = replace(a, captures=a.captures + extra,
+    def test_monotone_in_counts(self, a, extra, variant):
+        params = EnergyParams(e_te_light=0.294)
+        base = energy_breakdown(a, SensorType.OPTICAL, params).total
+        te_runs = dict(a.te_runs)
+        te_runs[variant] = te_runs.get(variant, 0) + extra
+        more = replace(a, captures=a.captures + extra, te_runs=te_runs,
                        bits_encrypted=a.bits_encrypted + extra)
-        assert energy_breakdown(more, SensorType.OPTICAL, P).total >= base
+        assert energy_breakdown(more, SensorType.OPTICAL, params).total > base
 
 
 class TestRetries:

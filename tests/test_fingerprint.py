@@ -35,10 +35,11 @@ from wearauth.fingerprint.minutiae import (
     MAX_MINUTIAE,
     Minutia,
     Template,
+    _candidates,
     _crossing_number_map,
     _filter_false_minutiae,
     _minutia_angle,
-    _scan_minutiae,
+    _traced,
 )
 
 from patterns import (
@@ -53,6 +54,11 @@ from reference_enhance import reference_gabor_enhance, reference_ridge_wavelengt
 from reference_thinning import reference_thin
 
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity structuring element
+
+
+def _scan(skeleton: BinaryImage) -> list[Minutia]:
+    """Every crossing-number minutia of a skeleton, with its angle."""
+    return _traced(skeleton.bits, _candidates(skeleton))
 
 
 def _reference_thin(bits: np.ndarray) -> np.ndarray:
@@ -479,7 +485,7 @@ class TestExtractTemplate:
         bits[8, 2:14] = True
         for i in range(1, 5):
             bits[8 - i, 8 + i] = True
-        minutiae = _scan_minutiae(BinaryImage(bits))
+        minutiae = _scan(BinaryImage(bits))
         kinds = sorted(m.kind.value for m in minutiae)
         assert kinds == ["bifurcation", "ending", "ending", "ending"]
 
@@ -500,7 +506,7 @@ class TestMinutiaAngle:
             # ~5,500 minutiae: the route refuses them, so scan the skeleton directly.
             with pytest.raises(ValueError, match=f"{MAX_MINUTIAE}-record limit"):
                 extract_template(img, algorithm)
-            minutiae = _scan_minutiae(thin(binarize(img, BinarizeMethod.GLOBAL_OTSU)))
+            minutiae = _scan(thin(binarize(img, BinarizeMethod.GLOBAL_OTSU)))
         assert len(minutiae) > 0
         assert all(0.0 <= m.angle < 2 * np.pi for m in minutiae)
 
@@ -518,9 +524,9 @@ class TestMinutiaAngle:
         bits[4, 2:38] = True
         bits[4:13, 20] = True           # a T: three endings and one bifurcation
         skeleton = BinaryImage(bits)
-        assert len(_scan_minutiae(skeleton, limit=4)) == 4
+        assert len(_candidates(skeleton, limit=4)) == 4
         with pytest.raises(ValueError, match="4 minutiae exceed the 3-record limit"):
-            _scan_minutiae(skeleton, limit=3)
+            _candidates(skeleton, limit=3)
 
 
 def _load_captures():
@@ -536,7 +542,7 @@ def _trace_then_filter(img):
     """The high-accuracy route that traced every candidate's angle before the
     position filter, kept as the oracle for filtering first."""
     skeleton = thin(binarize(enhance(img), BinarizeMethod.ADAPTIVE_MEAN))
-    kept = _filter_false_minutiae(_scan_minutiae(skeleton), img.width, img.height,
+    kept = _filter_false_minutiae(_scan(skeleton), img.width, img.height,
                                   DEFAULT_BORDER_MARGIN, DEFAULT_MIN_DISTANCE)
     return Template(img.width, img.height, TemplateAlgorithm.HIGH_ACCURACY, tuple(kept))
 

@@ -1,12 +1,13 @@
-"""Start-up footprint: which scipy modules a process loads.
+"""Start-up footprint: which modules a process loads.
 
 The whole package runs on numpy alone: extraction, matching, the cipher, the
 energy model and every scenario, the body channel's high-pass included, load
 no scipy module.  ``scipy.signal``, which the high-pass used to import, pulls
 in ~74 MB and ~1.3 s of imports with scipy's core, ``scipy.stats``,
-``scipy.interpolate`` and ``scipy.spatial`` behind it.  scipy stays in the
-tests as an oracle, and this pytest process has imported it already, so the
-checks run in fresh interpreters.
+``scipy.interpolate`` and ``scipy.spatial`` behind it.  The closed-form model
+(``energy`` and ``design_space``) loads neither numpy nor the data plane.
+scipy stays in the tests as an oracle, and this pytest process has imported it
+and numpy already, so the checks run in fresh interpreters.
 """
 
 import json
@@ -15,6 +16,9 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import wearauth
+from wearauth import energy, fingerprint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,8 +62,8 @@ _PRELUDE = textwrap.dedent("""
 """)
 
 
-def _run(body: str, workdir: Path) -> dict:
-    script = _PRELUDE + textwrap.dedent(body)
+def _run(body: str, workdir: Path, prelude: str = _PRELUDE) -> dict:
+    script = prelude + textwrap.dedent(body)
     proc = subprocess.run([sys.executable, "-c", script, str(workdir)],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=300)
@@ -101,3 +105,37 @@ def test_channel_sweep_with_highpass_loads_no_scipy(tmp_path):
     """, tmp_path)
     assert out["code"] == 0 and out["rows"] == 5     # header, 2 hum levels x 2 modes
     assert out["loaded"] == []
+
+
+def test_model_core_loads_no_data_plane(tmp_path):
+    out = _run("""
+        import json, sys
+
+        import wearauth
+        from wearauth import design_space, energy
+
+        rows = [design_space.evaluate(design_space.SystemConfig(te_location=loc,
+                                                                on_body_channel=ch),
+                                      energy.EnergyParams()).sensor_retries
+                for loc, ch in design_space.ALLOCATION_ROWS.values()]
+        light = design_space.evaluate(
+            design_space.SystemConfig(te_location=design_space.TeLocation.SENSOR,
+                                      on_body_channel=energy.Channel.HBC,
+                                      te_variant=energy.TemplateAlgorithm.LIGHTWEIGHT),
+            energy.EnergyParams(e_te_light=0.294))
+        ran = [len(wearauth.table2()), len(wearauth.figure4_export()), len(rows),
+               light.sensor_breakdown.te]
+        data_plane = ("numpy", "wearauth.fingerprint", "wearauth.channel", "wearauth.sim",
+                      "wearauth.matcher", "wearauth.codec", "wearauth.present")
+        loaded = sorted(m for m in sys.modules
+                        if any(m == p or m.startswith(p + ".") for p in data_plane))
+        print(json.dumps({"ran": ran, "loaded": loaded}))
+    """, tmp_path, prelude="")
+    assert out["ran"] == [2, 16, 6, 0.294]
+    assert out["loaded"] == []
+
+
+def test_one_template_algorithm():
+    assert wearauth.TemplateAlgorithm is energy.TemplateAlgorithm
+    assert energy.TemplateAlgorithm is fingerprint.TemplateAlgorithm
+    assert fingerprint.TemplateAlgorithm is fingerprint.minutiae.TemplateAlgorithm
