@@ -5,8 +5,12 @@ AC, so the line code must be DC-balanced): an alternating preamble, a sync
 word, a 16-bit byte length, the payload and a CRC-16/CCITT, all MSB-first.
 The channel applies attenuation, mains hum and Gaussian noise; the receiver
 decides each bit either from the two half-bit midpoint samples or from the
-integrate-and-dump sums over each half bit.  The conventional on-body radio
-is modelled as an error-free byte pipe (its cost lives in the energy model).
+integrate-and-dump sums over each half bit.  The channel is linear in its
+noise, so :func:`noisy_statistics` can also draw a hop's noise straight into
+the per-bit statistics of its noise-free pass, exact in distribution; the
+simulator does, and :func:`sweep_hum` stays sample-level.  The conventional
+on-body radio is modelled as an error-free byte pipe (its cost lives in the
+energy model).
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ __all__ = [
     "transmit",
     "highpass_bias",
     "decode_bits",
+    "StatisticNoise",
+    "statistic_noise",
+    "noisy_statistics",
     "receive_decode",
     "ber",
     "sweep_hum",
@@ -241,30 +248,80 @@ def _highpass_coefficients(cutoff: float, sample_rate: float) -> tuple[float, fl
     return 1.0 / (1.0 + t), (1.0 - t) / (1.0 + t)
 
 
-# The blocked scan of highpass_bias().  Within a block it scales the input by
+# The blocked scan of _FirstOrderScan.  Within a block it scales the input by
 # p**-i, which grows to at most _SCAN_GAIN, so the partial sums stay within
 # 4 * _SCAN_GAIN of the largest sample; blocks hold at most _SCAN_BLOCK
 # samples and a step at most _SCAN_ROWS blocks, so the per-block arrays stay
-# a few KiB.  A step whose sums overflow float64 anyway (samples past ~1e304)
-# is filtered again scaled by _SCAN_RESCALE, a power of two, so it is exact.
+# a few KiB.  A high-pass step whose sums overflow float64 anyway (samples
+# past ~1e304) is filtered again scaled by _SCAN_RESCALE, a power of two, so
+# it is exact.
 _SCAN_GAIN = 1024.0
 _SCAN_BLOCK = 2048
 _SCAN_ROWS = 1024
 _SCAN_RESCALE = 2.0 ** -16
 
 
+class _FirstOrderScan:
+    """``y[i] = b * v[i] + p * y[i-1]`` as a blocked scan, one step of at
+    most ``step`` values at a time.
+
+    In a block of ``L`` values starting at ``s`` with ``c = y[s-1]``,
+    ``y[s+i] = p**i * (cumsum(b * p**-j * v[s+j])[i] + p * c)``.  Every
+    block's sums run at once from ``c = 0``; the block ends then give each
+    block's ``c`` through ``c_k = end_k + p**L * c_(k-1)``, unrolled for
+    as many taps as ``(p**L)**m`` stays above 2**-60.  A caller writes a
+    step's ``v`` into ``buffer[:n]`` and calls :meth:`scan`.
+    """
+
+    def __init__(self, p: float, b: float = 1.0):
+        block = 1
+        while block < _SCAN_BLOCK and abs(p) ** (2 * block) * _SCAN_GAIN >= 1.0:
+            block *= 2
+        self.p, self.block = p, block
+        self.step = min(TRANSMIT_CHUNK, _SCAN_ROWS * block)
+        index = np.arange(block, dtype=np.float64)
+        self.gain = b * np.power(p, -index)               # b * p**-i
+        self.shrink = np.power(p, index)                  # p**i
+        self.decay = (p ** block) ** np.arange(1, self.step // block + 1)   # (p**L)**k, k >= 1
+        self.taps = int(np.count_nonzero(np.abs(self.decay) > 2.0 ** -60))
+        self.buffer = np.empty(self.step)
+
+    def scan(self, out: np.ndarray, y_prev: float) -> None:
+        """``y`` of the first ``out.size`` values of ``buffer``, from
+        ``y[-1] = y_prev``, into ``out``; the buffer is overwritten."""
+        p, block, shrink, decay = self.p, self.block, self.shrink, self.decay
+        n = out.size
+        rows = -(-n // block)
+        v = self.buffer[:rows * block]
+        v[n:] = 0.0
+        sums = v.reshape(rows, block)
+        sums *= self.gain
+        np.cumsum(sums, axis=1, out=sums)
+        ends = sums[:, -1] * shrink[-1]              # each block's last y from c = 0
+        carry = ends.copy()                          # ...and its true last y
+        for m in range(1, min(self.taps + 1, rows)):
+            carry[m:] += decay[m - 1] * ends[:-m]
+        carry += decay[:rows] * y_prev
+        start = np.empty(rows)                       # p * c of each block
+        start[0] = y_prev
+        start[1:] = carry[:-1]
+        start *= p
+        sums += start[:, None]
+        if n == rows * block:
+            np.multiply(sums, shrink, out=out.reshape(rows, block))
+        else:
+            sums *= shrink
+            out[...] = v[:n]
+
+
 def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     """First-order high-pass, in place; kills DC and mains hum, passes the signal band.
 
     Computes ``y[n] = b0 * (x[n] - x[n-1]) + p * y[n-1]`` from rest (the
-    coefficients of :func:`_highpass_coefficients`) as a blocked scan, in
-    steps of at most ``TRANSMIT_CHUNK`` samples that carry ``x`` and ``y``
-    from step to step, so no second waveform is held.  In a block of ``L``
-    samples starting at ``s`` with ``c = y[s-1]``,
-    ``y[s+i] = p**i * (cumsum(b0 * p**-j * d[s+j])[i] + p * c)``.  Every
-    block's sums run at once from ``c = 0``; the block ends then give each
-    block's ``c`` through ``c_k = end_k + p**L * c_(k-1)``, unrolled for
-    as many taps as ``(p**L)**m`` stays above 2**-60.
+    coefficients of :func:`_highpass_coefficients`) with
+    :class:`_FirstOrderScan`, in steps of at most ``TRANSMIT_CHUNK`` samples
+    that carry ``x`` and ``y`` from step to step, so no second waveform is
+    held.
 
     It agrees with ``scipy.signal.lfilter`` on the same coefficients by
     rounding only: within ``40 * eps * max|x| / (1 - |p|)`` (the derivation
@@ -277,56 +334,27 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     if not w.samples.flags.writeable:
         raise ValueError("highpass_bias filters in place; the samples are read-only")
     b0, p = _highpass_coefficients(cutoff, w.sample_rate)
-    block = 1
-    while block < _SCAN_BLOCK and abs(p) ** (2 * block) * _SCAN_GAIN >= 1.0:
-        block *= 2
-    step = min(TRANSMIT_CHUNK, _SCAN_ROWS * block)
-    index = np.arange(block, dtype=np.float64)
-    gain = b0 * np.power(p, -index)                  # b0 * p**-i
-    shrink = np.power(p, index)                      # p**i
-    decay = (p ** block) ** np.arange(1, step // block + 1)   # (p**L)**k, k >= 1
-    taps = int(np.count_nonzero(np.abs(decay) > 2.0 ** -60))
-    scratch = np.empty(step)
+    scan = _FirstOrderScan(p, b0)
+    diff = scan.buffer
 
-    def scan(part: np.ndarray, x_prev: float, y_prev: float) -> None:
-        n = part.size
-        rows = -(-n // block)
-        diff = scratch[:rows * block]
+    def filter_step(part: np.ndarray, x_prev: float, y_prev: float) -> None:
         diff[0] = part[0] - x_prev
-        np.subtract(part[1:], part[:-1], out=diff[1:n])
-        diff[n:] = 0.0
-        sums = diff.reshape(rows, block)
-        sums *= gain
-        np.cumsum(sums, axis=1, out=sums)
-        ends = sums[:, -1] * shrink[-1]              # each block's last y from c = 0
-        carry = ends.copy()                          # ...and its true last y
-        for m in range(1, min(taps + 1, rows)):
-            carry[m:] += decay[m - 1] * ends[:-m]
-        carry += decay[:rows] * y_prev
-        start = np.empty(rows)                       # p * c of each block
-        start[0] = y_prev
-        start[1:] = carry[:-1]
-        start *= p
-        sums += start[:, None]
-        if n == rows * block:
-            np.multiply(sums, shrink, out=part.reshape(rows, block))
-        else:
-            sums *= shrink
-            part[...] = diff[:n]
+        np.subtract(part[1:], part[:-1], out=diff[1:part.size])
+        scan.scan(part, y_prev)
 
     x_prev = y_prev = 0.0
     with np.errstate(over="raise", invalid="ignore"):
-        for begin in range(0, w.samples.size, step):
-            part = w.samples[begin:begin + step]
+        for begin in range(0, w.samples.size, scan.step):
+            part = w.samples[begin:begin + scan.step]
             x_last = float(part[-1])
             try:
-                scan(part, x_prev, y_prev)
+                filter_step(part, x_prev, y_prev)
             except FloatingPointError:
-                # Only scratch arrays were written: the one write to part,
-                # a product by |p**i| <= 1, cannot overflow.
+                # Only the buffer was written: the one write to part, a
+                # product by |p**i| <= 1, cannot overflow.
                 with np.errstate(over="ignore"):
                     part *= _SCAN_RESCALE
-                    scan(part, x_prev * _SCAN_RESCALE, y_prev * _SCAN_RESCALE)
+                    filter_step(part, x_prev * _SCAN_RESCALE, y_prev * _SCAN_RESCALE)
                     part /= _SCAN_RESCALE
             x_prev, y_prev = x_last, float(part[-1])
     return w
@@ -389,6 +417,137 @@ def decode_bits(w: Waveform, mode: DecodeMode) -> tuple[np.ndarray, np.ndarray]:
     return (stats > 0).astype(np.uint8), stats
 
 
+def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[float, int, int], ...]:
+    """The receiver of ``mode`` as boxes ``(weight, lo, hi)``: a bit's
+    statistic is the sum over the boxes of ``weight * sum(y[lo:hi])``, ``y``
+    the bit's ``bit_period`` samples (what :func:`_bit_statistics` computes,
+    up to rounding)."""
+    half = bit_period // 2
+    if mode == DecodeMode.DIRECT:
+        tap = half // 2
+        return (1.0, tap, tap + 1), (-1.0, half + tap, half + tap + 1)
+    if mode == DecodeMode.INTEGRATE_AND_DUMP:
+        return (1.0 / half, 0, half), (-1.0 / half, half, bit_period)
+    raise ValueError(f"unknown decode mode {mode!r}")
+
+
+@dataclass(frozen=True)
+class StatisticNoise:
+    """The per-bit decision statistics ``S`` of unit white noise through the
+    high-pass and the receiver, as a recurrence over bits.
+
+    The channel is linear in its noise, so a hop's statistics are those of
+    its noise-free pass plus ``attenuation * noise_sigma * S``.  In
+    transposed form the high-pass is ``y = b0*x + s``, then
+    ``s <- p*y - b0*x``: its state ``s`` is one number.  Over bit ``k``,
+    which starts in state ``s_k``,
+    ``S_k = gain * s_k + u_k`` and ``s_(k+1) = carry * s_k + d_k``, from
+    ``s_0 = 0`` (the filter starts at rest), where ``carry = p**bit_period``
+    and ``(u_k, d_k) = root @ z_k`` for two standard normals ``z_k``, fresh
+    for every bit.  Without a high-pass ``root`` is 1x1 and ``S_k = root *
+    z_k``: one normal per bit and no state.
+    """
+
+    gain: float
+    carry: float
+    root: np.ndarray      # lower triangular, 1x1 or 2x2
+
+    def statistics(self, normals: np.ndarray) -> np.ndarray:
+        """``S`` for standard normals of shape ``(len(root), n_bits)``, in
+        place: the result is a view of ``normals``, which it overwrites.
+
+        The state recurrence runs as one :class:`_FirstOrderScan` over the
+        bits, a few multiply-adds per bit.
+        """
+        out = normals[0]
+        if self.root.shape[0] == 1:
+            out *= self.root[0, 0]
+            return out
+        (l11, _), (l21, l22) = self.root
+        state = normals[1]
+        state *= l22
+        state += l21 * out                                        # d_k
+        scan = _FirstOrderScan(self.carry)
+        y_prev = 0.0
+        for begin in range(0, state.size, scan.step):             # state[k] = s_(k+1)
+            part = state[begin:begin + scan.step]
+            scan.buffer[:part.size] = part
+            scan.scan(part, y_prev)
+            y_prev = float(part[-1])
+        state *= self.gain
+        out *= l11                                                # u_k
+        out[1:] += state[:-1]
+        return out
+
+
+def _covariance_root(uu: float, ud: float, dd: float) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L @ L.T = [[uu, ud], [ud, dd]]``, also
+    where that matrix is singular (a zero or rounded-away pivot)."""
+    l11 = math.sqrt(uu)
+    l21 = ud / l11 if l11 > 0.0 else 0.0
+    return np.array([[l11, 0.0], [l21, math.sqrt(max(dd - l21 * l21, 0.0))]])
+
+
+def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | None = None,
+                    sample_rate: float = 1_000_000.0) -> StatisticNoise:
+    """The :class:`StatisticNoise` of a receiver, in closed form.
+
+    With the coefficients ``b0, p`` of :func:`_highpass_coefficients` and the
+    receiver's weights ``w`` (:func:`_decode_weights`), sample ``j`` of a bit
+    holds ``y_j = b0*x_j + p**j * s + b0*(p - 1) * sum_(i<j) p**(j-1-i) x_i``.
+    So ``gain = sum_j w_j p**j``, and ``u`` and ``d`` weigh the bit's noise
+    samples by ``c_i = b0 * (w_i + (p - 1) * sum_(j>i) w_j p**(j-1-i))`` and
+    ``e_i = b0 * (p - 1) * p**(bit_period-1-i)``.  Over a box of ``w`` the
+    sum in ``c_i`` is geometric and ``(p - 1)`` cancels its denominator, so
+    ``c`` takes powers of ``p`` alone.  The covariance of ``(u, d)`` is that
+    of ``(c, e)``.  Raises :class:`ValueError` when the settings fail
+    :func:`check_modem` or ``mode`` is unknown.
+    """
+    check_modem(bit_period, sample_rate, highpass_cutoff)
+    boxes = _decode_weights(bit_period, mode)
+    if highpass_cutoff is None:
+        variance = sum(weight * weight * (hi - lo) for weight, lo, hi in boxes)
+        return StatisticNoise(gain=0.0, carry=0.0, root=np.array([[math.sqrt(variance)]]))
+    b0, p = _highpass_coefficients(highpass_cutoff, sample_rate)
+    i = np.arange(bit_period)
+    w = np.zeros(bit_period)
+    c = np.zeros(bit_period)
+    for weight, lo, hi in boxes:
+        w[lo:hi] = weight
+        j = i[:hi - 1]           # the samples that a sample of the box follows
+        first = np.maximum(lo, j + 1)
+        c[:hi - 1] += weight * (np.power(p, hi - 1 - j) - np.power(p, first - 1 - j))
+    c += w
+    c *= b0
+    e = b0 * (p - 1.0) * np.power(p, bit_period - 1 - i)
+    return StatisticNoise(gain=float(np.dot(w, np.power(p, i))), carry=p ** bit_period,
+                          root=_covariance_root(float(c @ c), float(c @ e), float(e @ e)))
+
+
+def noisy_statistics(clean: np.ndarray, bit_period: int, channel: ChannelModel,
+                     mode: DecodeMode, seed, sample_rate: float = 1_000_000.0) -> np.ndarray:
+    """Per-bit statistics of a noisy hop, with the noise drawn per bit.
+
+    ``clean`` holds the statistics of the hop's noise-free pass:
+    :func:`transmit` with ``noise_sigma`` 0, :func:`highpass_bias` at
+    ``channel.highpass_cutoff`` where it is set, and :func:`decode_bits` in
+    ``mode``.  Returns ``clean + attenuation * noise_sigma * S``, with ``S``
+    of :func:`statistic_noise` drawn from ``default_rng(seed)``: the
+    distribution of decoding :func:`transmit`'s noisy waveform, from two
+    normals a bit (one without a high-pass) where that waveform draws
+    ``bit_period``.  It is exact in distribution, not in samples.  A channel
+    without noise draws nothing and returns ``clean`` itself.
+    """
+    if not channel.noise_sigma:
+        return clean
+    model = statistic_noise(bit_period, mode, channel.highpass_cutoff, sample_rate)
+    normals = np.random.default_rng(seed).standard_normal((model.root.shape[0], clean.size))
+    noise = model.statistics(normals)
+    noise *= channel.attenuation * channel.noise_sigma
+    noise += clean
+    return noise
+
+
 def _eye(stats: np.ndarray) -> float:
     """Eye opening of per-bit statistics that a decoder has already computed:
     min|statistic| / max|statistic| over all bits, 1 fully open, 0 closed.
@@ -436,14 +595,17 @@ def _find_frame(bits: np.ndarray) -> tuple[int, int]:
     raise SyncError("no complete frame found in the bit stream")
 
 
-def receive_decode(w: Waveform, mode: DecodeMode,
+def receive_decode(stats: np.ndarray,
                    reference_bits: np.ndarray | None = None) -> tuple[bytes, RxStats]:
-    """Demodulate, hunt for the sync word and verify the checksum.
+    """Decide per-bit statistics, hunt for the sync word and verify the checksum.
 
-    Raises :class:`SyncError` when no complete frame is present and
-    :class:`IntegrityError` (payload withheld) when the CRC fails.
+    ``stats`` are a receiver's per-bit decision statistics: those of
+    :func:`decode_bits` on a waveform, or of :func:`noisy_statistics`; a bit
+    is 1 where its statistic is positive.  Raises :class:`SyncError` when no
+    complete frame is present and :class:`IntegrityError` (payload withheld)
+    when the CRC fails.
     """
-    bits, stats = decode_bits(w, mode)
+    bits = (stats > 0).astype(np.uint8)
     pos, length = _find_frame(bits)
     after = pos + 16
     frame_bytes = np.packbits(bits[after:after + 16 + 8 * length + 16]).tobytes()

@@ -14,6 +14,15 @@ Every ciphered message (the on-body radio hop and the LoRa uplink of each
 request) gets its own PRESENT-CTR counter range, so no keystream is reused;
 see :meth:`_Runner._counter_base`.
 
+The body channel draws its link noise at the statistic level.  The channel is
+linear in its noise, so a run makes one noise-free pass over its payload's
+frame (``transmit`` with ``noise_sigma`` 0, ``highpass_bias``, the receiver's
+per-bit statistics), and each frame attempt adds per-bit noise drawn from its
+exact distribution (:func:`~wearauth.channel.noisy_statistics`, two normals a
+bit, seeded by seed, request and attempt) before ``receive_decode``.  Link
+statistics are exact in distribution, not sample for sample the ones
+``transmit``'s own noise would give; ``channel-sweep`` stays sample-level.
+
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request is charged whole or
 not at all: its first event that would overdraw a ledger is the refusal, which
@@ -25,9 +34,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from . import codec, present
 from .channel import (
@@ -36,8 +47,10 @@ from .channel import (
     IntegrityError,
     SyncError,
     check_modem,
+    decode_bits,
     encode_frame,
     highpass_bias,
+    noisy_statistics,
     receive_decode,
     transmit,
 )
@@ -77,8 +90,9 @@ _HOP_WBAN, _HOP_LORA = 0, 1
 # dead body link on a coin cell would otherwise run ~7 M channel_error requests.
 # The bound keeps a run's memory finite, not its time: when noise fails every
 # frame (hub TE over HBC on a coin cell at noise_sigma 0.8, say) all 65,536
-# requests cross the modem, ~24 min at 96x72 and ~2.4 h at 278x144 on a 2-core
-# x86 host.  An explicit max_requests bounds the time.
+# requests draw two frames' noise and decode them, ~1.7 ms a request at 96x72
+# and ~11 ms at 278x144 on a 2-core x86 host (~2 min and ~12 min in all).  An
+# explicit max_requests bounds the time.
 MAX_REQUESTS = 1 << 16
 
 
@@ -339,6 +353,7 @@ class _Runner:
         self.cloud = EnergyLedger("cloud", math.inf)
         self.ledgers = [self.sensor, self.hub, self.cloud]
         self.request_idx = 0
+        self._clean: tuple[bytes, np.ndarray, np.ndarray] | None = None
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -374,17 +389,30 @@ class _Runner:
         message = 2 * self.request_idx + hop
         return (self.cfg.cipher_nonce + message * COUNTER_BLOCKS_PER_MESSAGE) % (1 << 64)
 
+    def _clean_link(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """The run's noise-free body-channel pass: the per-bit statistics of
+        ``payload``'s frame without noise, and the frame bits.  A run sends
+        one payload, so this runs once; its waveform is freed on return."""
+        if self._clean is None or self._clean[0] != payload:
+            cfg = self.cfg
+            symbols = encode_frame(payload)
+            w = transmit(symbols, cfg.bit_period, replace(cfg.channel, noise_sigma=0.0),
+                         seed=cfg.seed, sample_rate=cfg.sample_rate)
+            if cfg.channel.highpass_cutoff is not None:
+                w = highpass_bias(w, cfg.channel.highpass_cutoff)
+            reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
+            self._clean = payload, decode_bits(w, cfg.decode_mode)[1], reference
+        return self._clean[1], self._clean[2]
+
     def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
-        symbols = encode_frame(payload)
-        reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
-        w = transmit(symbols, self.cfg.bit_period, self.cfg.channel,
-                     seed=(self.cfg.seed, self.request_idx, attempt),
-                     sample_rate=self.cfg.sample_rate)
-        if self.cfg.channel.highpass_cutoff is not None:
-            w = highpass_bias(w, self.cfg.channel.highpass_cutoff)
-        decoded, stats = receive_decode(w, self.cfg.decode_mode, reference_bits=reference)
-        return decoded, stats.eye_opening, stats.ber if stats.ber is not None else 0.0
+        clean, reference = self._clean_link(payload)
+        cfg = self.cfg
+        stats = noisy_statistics(clean, cfg.bit_period, cfg.channel, cfg.decode_mode,
+                                 seed=(cfg.seed, self.request_idx, attempt),
+                                 sample_rate=cfg.sample_rate)
+        decoded, rx = receive_decode(stats, reference_bits=reference)
+        return decoded, rx.eye_opening, rx.ber if rx.ber is not None else 0.0
 
     def _transfer_on_body(self, payload: bytes) -> tuple[bytes | None, int, list[float], list[float]]:
         """Run the on-body hop; one retransmission on a bad frame."""

@@ -16,6 +16,7 @@ from wearauth.channel import (
     DecodeMode,
     IntegrityError,
     SyncError,
+    decode_bits,
     encode_frame,
     frame_data_bits,
     receive_decode,
@@ -195,7 +196,7 @@ def test_criterion_7_modem_suite():
             symbols = encode_frame(payload)
             assert int(symbols.astype(np.int64).sum()) == 0
             w = transmit(symbols, 4, clean, seed=0)
-            out, stats = receive_decode(w, DecodeMode.DIRECT)
+            out, stats = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
             assert out == payload
             assert stats.ber is None
 
@@ -207,7 +208,7 @@ def test_criterion_7_modem_suite():
             corrupted[i] ^= 1
             w = transmit(_manchester(corrupted), 4, clean, seed=0)
             try:
-                out, _ = receive_decode(w, DecodeMode.DIRECT)
+                out, _ = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
             except (SyncError, IntegrityError):
                 continue
             assert out == payload

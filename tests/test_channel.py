@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
+from scipy import stats as sp_stats
 
 from wearauth import channel as channel_module
 from wearauth.channel import (
@@ -30,11 +31,19 @@ from wearauth.channel import (
     encode_frame,
     frame_data_bits,
     highpass_bias,
+    noisy_statistics,
     receive_decode,
+    statistic_noise,
     sweep_hum,
     transmit,
 )
-from wearauth.channel import _bit_statistics, _eye, _find_frame, _highpass_coefficients
+from wearauth.channel import (
+    _bit_statistics,
+    _covariance_root,
+    _eye,
+    _find_frame,
+    _highpass_coefficients,
+)
 
 from reference_channel import reference_highpass, reference_transmit
 
@@ -206,7 +215,7 @@ def _crc_bitwise(data: bytes) -> int:
 def _loopback(payload: bytes, bit_period: int = 8, channel: ChannelModel = CLEAN,
               seed: int = 0, mode: DecodeMode = DecodeMode.DIRECT):
     w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
-    return receive_decode(w, mode, reference_bits=frame_data_bits(payload))
+    return receive_decode(decode_bits(w, mode)[1], reference_bits=frame_data_bits(payload))
 
 
 class TestCrc:
@@ -518,7 +527,7 @@ class TestReceiveDecode:
         from wearauth.channel import _manchester
         w = transmit(_manchester(corrupted), 8, CLEAN, seed=0)
         with pytest.raises(IntegrityError):
-            receive_decode(w, DecodeMode.DIRECT)
+            receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
 
     def test_single_bit_flips_never_yield_wrong_payload(self):
         payload = bytes(range(64))
@@ -529,7 +538,7 @@ class TestReceiveDecode:
             corrupted[i] ^= 1
             w = transmit(_manchester(corrupted), 4, CLEAN, seed=0)
             try:
-                out, _ = receive_decode(w, DecodeMode.DIRECT)
+                out, _ = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
             except (SyncError, IntegrityError):
                 continue
             assert out == payload  # only preamble flips decode, and intact
@@ -605,7 +614,7 @@ class TestBitStatistics:
     def test_clean_frame_scaled_to_1e300_decodes_without_warning(self, mode):
         w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
         w.samples[:] *= 1e300
-        payload, stats = receive_decode(w, mode)
+        payload, stats = receive_decode(decode_bits(w, mode)[1])
         assert payload == b"hello"
         assert stats.eye_opening == pytest.approx(1.0)
 
@@ -618,8 +627,6 @@ class TestBitStatistics:
         w.samples[:] *= 1e308
         with pytest.raises(ValueError, match="overflow"):
             decode_bits(w, mode)
-        with pytest.raises(ValueError, match="overflow"):
-            receive_decode(w, mode)
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     def test_receive_decode_peak_memory_per_bit(self, mode):
@@ -633,7 +640,7 @@ class TestBitStatistics:
         n_bits = w.samples.size // w.bit_period
         tracemalloc.start()
         try:
-            out, _ = receive_decode(w, mode)
+            out, _ = receive_decode(decode_bits(w, mode)[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -654,7 +661,7 @@ class TestReceiveDecodeFuzz:
     def test_only_documented_errors_and_valid_frames(self, w, mode):
         """A returned payload is the located frame's, and its CRC verifies."""
         try:
-            payload, stats = receive_decode(w, mode)
+            payload, stats = receive_decode(decode_bits(w, mode)[1])
         except (SyncError, IntegrityError, ValueError):
             return
         bits, _ = decode_bits(w, mode)
@@ -711,6 +718,158 @@ class TestFindFrame:
                 _find_frame(bits)
         else:
             assert _find_frame(bits) == expected
+
+
+# The benchmark's body link: a 40,047-byte capture at bit_period 8.
+BENCH_LINK = ChannelModel(attenuation=0.6, hum_amplitude=0.5, hum_frequency=60.0,
+                          noise_sigma=0.45, highpass_cutoff=1000.0)
+BENCH_PAYLOAD = bytes(range(256)) * 156 + bytes(111)
+
+
+def _clean_statistics(payload, channel, mode, bit_period=8):
+    """The noise-free pass whose statistics ``noisy_statistics`` adds noise to."""
+    w = transmit(encode_frame(payload), bit_period, replace(channel, noise_sigma=0.0), seed=0)
+    if channel.highpass_cutoff is not None:
+        w = highpass_bias(w, channel.highpass_cutoff)
+    return decode_bits(w, mode)[1]
+
+
+def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
+    """The same hop with the noise drawn per sample: transmit's noisy
+    waveform, high-passed, decoded in each mode."""
+    w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
+    if channel.highpass_cutoff is not None:
+        w = highpass_bias(w, channel.highpass_cutoff)
+    return [decode_bits(w, mode)[1] for mode in modes]
+
+
+def _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate):
+    """Covariance of the per-bit statistics of unit white sample noise, from
+    the linear map itself: each unit impulse through the one-shot high-pass
+    and the ``mean``-based statistics gives one column."""
+    size = n_bits * bit_period
+    columns = np.empty((n_bits, size))
+    for m in range(size):
+        w = Waveform(sample_rate, np.eye(1, size, m)[0], bit_period)
+        if cutoff is not None:
+            w = reference_highpass(w, cutoff)
+        columns[:, m] = _reference_bit_statistics(w, mode)
+    return columns @ columns.T
+
+
+def _model_covariance(model, n_bits):
+    """Covariance of ``model.statistics``, from its columns: one unit normal at a time."""
+    order = model.root.shape[0]
+    columns = np.empty((n_bits, order * n_bits))
+    for col in range(order * n_bits):
+        columns[:, col] = model.statistics(np.eye(1, order * n_bits, col).reshape(order, n_bits))
+    return columns @ columns.T
+
+
+class TestStatisticNoise:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(mode=st.sampled_from(tuple(DecodeMode)), bit_period=st.sampled_from((4, 6, 8, 16)),
+           fraction=st.sampled_from((None, 1e-6, 0.5, 0.999)), n_bits=st.integers(1, 64))
+    def test_covariance_equals_explicit_linear_map(self, mode, bit_period, fraction, n_bits):
+        """No high-pass, a tiny cutoff, ~sample_rate/4 and near Nyquist.  The
+        oracle's butter coefficients differ from ours by a few ulp, which near
+        Nyquist (p = -0.997, an impulse response ~300 samples long) moves
+        the covariance by ~3e-13 of its largest entry."""
+        sample_rate = 1e6
+        cutoff = None if fraction is None else fraction * sample_rate / 2
+        model = statistic_noise(bit_period, mode, cutoff, sample_rate)
+        assert model.root.shape == ((1, 1) if cutoff is None else (2, 2))
+        expected = _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate)
+        got = _model_covariance(model, n_bits)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("uu,ud,dd", [
+        (4.0, 2.0, 1.0),                 # d = u / 2: rank 1
+        (1.0, 0.1, 0.01 - 1e-17),        # rank 1, the last pivot rounding below zero
+        (0.0, 0.0, 3.0),                 # u identically zero
+        (0.0, 0.0, 0.0),
+    ])
+    def test_rank_deficient_covariance_gets_a_root(self, uu, ud, dd):
+        root = _covariance_root(uu, ud, dd)
+        assert np.all(np.isfinite(root)) and root[0, 1] == 0.0
+        np.testing.assert_allclose(root @ root.T, [[uu, ud], [ud, dd]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    @pytest.mark.parametrize("cutoff", [None, 1000.0, 400_000.0])
+    def test_state_scan_equals_bit_by_bit_recurrence(self, mode, cutoff):
+        """Over several scan steps, against the recurrence run one bit at a time."""
+        model = statistic_noise(8, mode, cutoff)
+        n_bits = 3 * TRANSMIT_CHUNK + 5
+        normals = np.random.default_rng(11).standard_normal((model.root.shape[0], n_bits))
+        got = model.statistics(normals.copy())
+        expected = np.empty(n_bits)
+        state = 0.0
+        for k, z in enumerate(normals.T.tolist()):
+            u = model.root[0, 0] * z[0]
+            expected[k] = model.gain * state + u
+            if len(z) == 2:
+                state = model.carry * state + model.root[1, 0] * z[0] + model.root[1, 1] * z[1]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    @pytest.mark.parametrize("channel", [CLEAN, replace(BENCH_LINK, noise_sigma=0.0),
+                                         ChannelModel(attenuation=0.0, hum_amplitude=0.5)])
+    def test_noiseless_channel_equals_sample_path_and_draws_nothing(self, mode, channel):
+        """``clean + noise`` at sigma 0 is the sample path's statistics,
+        bit for bit; a negative seed would make ``default_rng`` raise, so no
+        generator is made."""
+        clean = _clean_statistics(bytes(range(64)), channel, mode)
+        stats = noisy_statistics(clean, 8, channel, mode, seed=-1)
+        assert stats is clean
+        (expected,) = _sample_level_statistics(bytes(range(64)), channel, [mode], seed=0)
+        assert np.array_equal(stats, expected)
+
+    def test_bit_errors_agree_with_sample_path(self):
+        """Eight 40 KB frames per side (2.56 M bits) on the benchmark's link at
+        sigma 0.8 and 1.0, in both modes.  The error counts x and y of the
+        two sides must satisfy |x - y| <= 4 * sqrt(2 n q (1 - q)), q = (x + y) / 2n:
+        the two-sample binomial interval at z = 4 (two-sided alpha 6e-5).
+        The hum makes a bit's error probability vary along the frame, which
+        only narrows the spread of a count, so the interval is conservative."""
+        modes = tuple(DecodeMode)
+        frames = 8
+        for sigma in (0.8, 1.0):
+            channel = replace(BENCH_LINK, noise_sigma=sigma)
+            reference = frame_data_bits(BENCH_PAYLOAD)
+            n = frames * reference.size
+            sample_errors = dict.fromkeys(modes, 0)
+            stat_errors = dict.fromkeys(modes, 0)
+            for frame in range(frames):
+                for mode, stats in zip(modes, _sample_level_statistics(
+                        BENCH_PAYLOAD, channel, modes, seed=(1, frame))):
+                    sample_errors[mode] += int(np.count_nonzero((stats > 0) != reference))
+            for mode in modes:
+                clean = _clean_statistics(BENCH_PAYLOAD, channel, mode)
+                for frame in range(frames):
+                    stats = noisy_statistics(clean, 8, channel, mode, seed=(2, frame))
+                    stat_errors[mode] += int(np.count_nonzero((stats > 0) != reference))
+            for mode in modes:
+                x, y = stat_errors[mode], sample_errors[mode]
+                q = (x + y) / (2 * n)
+                assert y > 0, (sigma, mode)
+                assert abs(x - y) <= 4.0 * math.sqrt(2 * n * q * (1 - q)), (sigma, mode, x, y)
+
+    def test_eye_openings_agree_with_sample_path(self):
+        """200 seeds of a 40 KB frame on the benchmark's link (sigma 0.45) per
+        side, in both modes: a two-sample Kolmogorov-Smirnov test at
+        alpha = 1e-3 must not tell the eye openings apart."""
+        modes = tuple(DecodeMode)
+        seeds = 200
+        sample_eyes = {mode: [] for mode in modes}
+        for seed in range(seeds):
+            for mode, stats in zip(modes, _sample_level_statistics(
+                    BENCH_PAYLOAD, BENCH_LINK, modes, seed=(3, seed))):
+                sample_eyes[mode].append(_eye(stats))
+        for mode in modes:
+            clean = _clean_statistics(BENCH_PAYLOAD, BENCH_LINK, mode)
+            stat_eyes = [_eye(noisy_statistics(clean, 8, BENCH_LINK, mode, seed=(4, seed)))
+                         for seed in range(seeds)]
+            assert sp_stats.ks_2samp(stat_eyes, sample_eyes[mode]).pvalue > 1e-3, mode
 
 
 class TestEyeOpening:
