@@ -7,10 +7,10 @@ The channel applies attenuation, mains hum and Gaussian noise; the receiver
 decides each bit either from the two half-bit midpoint samples or from the
 integrate-and-dump sums over each half bit.  The channel is linear in its
 noise, so :func:`noisy_statistics` can also draw a hop's noise straight into
-the per-bit statistics of its noise-free pass, exact in distribution; the
-simulator does, and :func:`sweep_hum` stays sample-level.  The conventional
-on-body radio is modelled as an error-free byte pipe (its cost lives in the
-energy model).
+the per-bit statistics of its noise-free pass, one normal a bit and exact in
+distribution; the simulator does, and :func:`sweep_hum` stays sample-level.
+The conventional on-body radio is modelled as an error-free byte pipe (its
+cost lives in the energy model).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import binascii
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ __all__ = [
     "encode_frame",
     "transmit",
     "highpass_bias",
-    "decode_bits",
+    "bit_statistics",
     "StatisticNoise",
     "statistic_noise",
     "noisy_statistics",
@@ -360,8 +360,9 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     return w
 
 
-def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
-    """Per-bit decision statistic: first half minus second half of each bit.
+def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
+    """The receiver's per-bit decision statistics: first half minus second
+    half of each bit, so a bit decides 1 where its statistic is positive.
 
     Works on a ``(n_bits, bit_period)`` view of the samples.  Integrate-and-dump
     sums each half bit left to right, in blocks of about ``TRANSMIT_CHUNK``
@@ -408,19 +409,10 @@ def _bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     return stat
 
 
-def decode_bits(w: Waveform, mode: DecodeMode) -> tuple[np.ndarray, np.ndarray]:
-    """Hard bit decisions and the underlying per-bit statistics.
-
-    Raises :class:`ValueError` when a statistic is not finite.
-    """
-    stats = _bit_statistics(w, mode)
-    return (stats > 0).astype(np.uint8), stats
-
-
 def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[float, int, int], ...]:
     """The receiver of ``mode`` as boxes ``(weight, lo, hi)``: a bit's
     statistic is the sum over the boxes of ``weight * sum(y[lo:hi])``, ``y``
-    the bit's ``bit_period`` samples (what :func:`_bit_statistics` computes,
+    the bit's ``bit_period`` samples (what :func:`bit_statistics` computes,
     up to rounding)."""
     half = bit_period // 2
     if mode == DecodeMode.DIRECT:
@@ -431,61 +423,158 @@ def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[float, int
     raise ValueError(f"unknown decode mode {mode!r}")
 
 
+# Bits after which the innovations factor is constant: the first k at which
+# P_k lies within 2**-53 (relative) of its limit.
+_SETTLED = 2.0 ** -53
+
+
 @dataclass(frozen=True)
 class StatisticNoise:
     """The per-bit decision statistics ``S`` of unit white noise through the
-    high-pass and the receiver, as a recurrence over bits.
+    high-pass and the receiver, as a scalar Gaussian state-space process, and
+    its innovations factor, which draws ``S`` from one normal per bit.
 
     The channel is linear in its noise, so a hop's statistics are those of
     its noise-free pass plus ``attenuation * noise_sigma * S``.  In
     transposed form the high-pass is ``y = b0*x + s``, then
     ``s <- p*y - b0*x``: its state ``s`` is one number.  Over bit ``k``,
-    which starts in state ``s_k``,
-    ``S_k = gain * s_k + u_k`` and ``s_(k+1) = carry * s_k + d_k``, from
-    ``s_0 = 0`` (the filter starts at rest), where ``carry = p**bit_period``
-    and ``(u_k, d_k) = root @ z_k`` for two standard normals ``z_k``, fresh
-    for every bit.  Without a high-pass ``root`` is 1x1 and ``S_k = root *
-    z_k``: one normal per bit and no state.
+    which starts in state ``s_k``, ``S_k = g * s_k + u_k`` and
+    ``s_(k+1) = c * s_k + d_k``, from ``s_0 = 0`` (the filter starts at
+    rest), with ``g = gain``, ``c = carry = p**bit_period`` and ``(u_k,
+    d_k)`` Gaussian with covariance ``Q = [[uu, ud], [ud, dd]]``
+    (``covariance = (uu, ud, dd)``), fresh for every bit.  Without a
+    high-pass ``g = 0`` and ``S_k = u_k``.
+
+    The innovations form (Kailath, IEEE TAC 1968) predicts ``s_k`` from
+    ``S_0 .. S_(k-1)`` as ``m_k``, with error variance ``P_k``:
+    ``S_k = g * m_k + e_k`` and ``m_(k+1) = c * m_k + K_k * e_k`` from
+    ``m_0 = P_0 = 0``, where the innovations ``e_k`` are independent with
+    variance ``F_k = g**2 * P_k + uu`` and ``K_k = (c*g*P_k + ud) / F_k``
+    (0 where ``F_k`` is 0, a rank-deficient ``Q``).  So ``e_k = sqrt(F_k)
+    * z_k`` for standard normals ``z_k`` draws the joint law of ``S``: it
+    is the sequential Cholesky factor of ``S``'s covariance.  ``P`` follows
+    the linear-fractional map ``P_(k+1) = (alpha*P_k + beta) / (g**2*P_k +
+    uu)``, ``alpha = Var(c*u - g*d)``, ``beta = det Q``; its transient has
+    the closed form of :meth:`state_variances` and ends, to float64, at bit
+    ``settled``, from which ``F`` and ``K`` are constant.
     """
 
     gain: float
     carry: float
-    root: np.ndarray      # lower triangular, 1x1 or 2x2
+    covariance: tuple[float, float, float]      # Var u, Cov(u, d), Var d
+    settled: int = field(init=False)
+    # P_k = beta * (1 - kappa**k) / (low + kappa**k * high) for 0 < k < settled,
+    # limit from settled on; beta, low, high, log(kappa) and the limit.
+    _transient: tuple[float, float, float, float, float] = field(init=False, repr=False)
 
-    def statistics(self, normals: np.ndarray) -> np.ndarray:
-        """``S`` for standard normals of shape ``(len(root), n_bits)``, in
-        place: the result is a view of ``normals``, which it overwrites.
+    def __post_init__(self) -> None:
+        g, c = self.gain, self.carry
+        uu, ud, dd = self.covariance
+        beta = uu * dd - ud * ud
+        if uu <= 0.0:
+            # u is 0 (so is ud): S_0 = 0, and from then on S_k = g * s_k reads
+            # the state exactly, so P_k = Var(d) = dd for k >= 1.
+            settled, transient = 1, (0.0, 1.0, 0.0, 0.0, dd)
+        elif beta <= 0.0 or g == 0.0:
+            # d is a multiple of u (rank 1: P stays 0), or S never sees s.
+            settled, transient = 1, (0.0, 1.0, 0.0, 0.0, 0.0)
+        else:
+            # The map is M = [[alpha, beta], [g**2, uu]] on (P, 1); its
+            # eigenvalues l1 >= l2 >= 0 give low = uu - l2 and high = l1 - uu,
+            # both >= 0 with low * high = g**2 * beta, and kappa = l2 / l1.
+            # h = alpha - uu takes (c - 1) * (c + 1), exact near c = 1.
+            h = (c - 1.0) * (c + 1.0) * uu + g * (g * dd - 2.0 * c * ud)
+            root = math.hypot(h, 2.0 * abs(g) * math.sqrt(beta))      # l1 - l2
+            if h >= 0.0:
+                high = (h + root) / 2.0
+                low = g * (g * beta / high)
+            else:
+                low = (root - h) / 2.0
+                high = g * (g * beta / low)
+            l1 = uu + high
+            if root < 0.5 * l1:
+                log_kappa = math.log1p(-root / l1)
+            else:           # kappa = det M / l1**2, det M = (c*uu - g*ud)**2
+                shrink = abs(c * uu - g * ud) / l1
+                log_kappa = 2.0 * math.log(shrink) if shrink > 0.0 else -math.inf
+            # |P_k / limit - 1| <= kappa**k * root / low: settled where that
+            # reaches 2**-53.
+            target = math.log(_SETTLED) + math.log(low) - math.log(root)
+            settled = 1 if log_kappa == -math.inf else max(
+                1, math.ceil(min(target / log_kappa, 2.0 ** 62)))
+            transient = (beta, low, high, log_kappa, beta / low)
+        object.__setattr__(self, "settled", settled)
+        object.__setattr__(self, "_transient", transient)
 
-        The state recurrence runs as one :class:`_FirstOrderScan` over the
-        bits, a few multiply-adds per bit.
+    def state_variances(self, begin: int, end: int) -> np.ndarray:
+        """``P_k`` for the bits ``begin <= k < end``, in closed form: a few
+        array passes, however long the transient."""
+        beta, low, high, log_kappa, limit = self._transient
+        variance = np.full(max(end - begin, 0), limit)
+        first, stop = max(begin, 1), min(end, self.settled)
+        if first < stop:
+            x = np.arange(first, stop, dtype=np.float64)
+            x *= log_kappa                                   # log(kappa**k)
+            head = variance[first - begin:stop - begin]
+            np.exp(x, out=head)
+            head *= high
+            head += low
+            np.expm1(x, out=x)
+            x *= -beta
+            np.divide(x, head, out=head)
+        if begin == 0 and variance.size:
+            variance[0] = 0.0
+        return variance
+
+    def innovations(self, begin: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(F_k, K_k)`` for the bits ``begin <= k < end``."""
+        g, c = self.gain, self.carry
+        uu, ud, _ = self.covariance
+        k = self.state_variances(begin, end)
+        f = k * (g * g)
+        f += uu
+        k *= c * g
+        k += ud
+        return f, np.divide(k, f, out=np.zeros_like(k), where=f > 0.0)
+
+    def statistics(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """``scale * S`` for one standard normal a bit, in place: the result
+        is ``normals`` itself, overwritten.
+
+        Bit ``k``'s normal becomes its innovation ``e_k = scale * sqrt(F_k)
+        * z_k``; the prediction ``g * m_k`` runs as one :class:`_FirstOrderScan`
+        at pole ``carry`` and input gain ``gain`` over ``K_k * e_k``, a
+        scan step at a time, and is added in.  Past ``settled`` the factor
+        is two constants; without a gain there is no scan.
         """
-        out = normals[0]
-        if self.root.shape[0] == 1:
-            out *= self.root[0, 0]
-            return out
-        (l11, _), (l21, l22) = self.root
-        state = normals[1]
-        state *= l22
-        state += l21 * out                                        # d_k
-        scan = _FirstOrderScan(self.carry)
-        y_prev = 0.0
-        for begin in range(0, state.size, scan.step):             # state[k] = s_(k+1)
-            part = state[begin:begin + scan.step]
-            scan.buffer[:part.size] = part
-            scan.scan(part, y_prev)
-            y_prev = float(part[-1])
-        state *= self.gain
-        out *= l11                                                # u_k
-        out[1:] += state[:-1]
-        return out
-
-
-def _covariance_root(uu: float, ud: float, dd: float) -> np.ndarray:
-    """Lower-triangular ``L`` with ``L @ L.T = [[uu, ud], [ud, dd]]``, also
-    where that matrix is singular (a zero or rounded-away pivot)."""
-    l11 = math.sqrt(uu)
-    l21 = ud / l11 if l11 > 0.0 else 0.0
-    return np.array([[l11, 0.0], [l21, math.sqrt(max(dd - l21 * l21, 0.0))]])
+        n = normals.size
+        f, k = self.innovations(self.settled, self.settled + 1)      # the constants
+        deviation = scale * math.sqrt(f[0])
+        kick = deviation * k[0]
+        scan = _FirstOrderScan(self.carry, self.gain) if self.gain else None
+        step = scan.step if scan else TRANSMIT_CHUNK
+        y_prev = 0.0                                         # g * m_k at a step's start
+        for begin in range(0, n, step):
+            part = normals[begin:begin + step]
+            head = min(part.size, max(self.settled - begin, 0))
+            if head:
+                f_head, k_head = self.innovations(begin, begin + head)
+                np.sqrt(f_head, out=f_head)
+                f_head *= scale
+                part[:head] *= f_head                        # e_k
+            if scan is None:
+                part[head:] *= deviation
+                continue
+            v = scan.buffer[:part.size]
+            if head:
+                np.multiply(part[:head], k_head, out=v[:head])
+            np.multiply(part[head:], kick, out=v[head:])     # K * e past settled
+            part[head:] *= deviation
+            scan.scan(v, y_prev)                             # v[i] = g * m_(begin+i+1)
+            part[0] += y_prev
+            part[1:] += v[:-1]
+            y_prev = float(v[-1])
+        return normals
 
 
 def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | None = None,
@@ -500,14 +589,16 @@ def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | 
     ``e_i = b0 * (p - 1) * p**(bit_period-1-i)``.  Over a box of ``w`` the
     sum in ``c_i`` is geometric and ``(p - 1)`` cancels its denominator, so
     ``c`` takes powers of ``p`` alone.  The covariance of ``(u, d)`` is that
-    of ``(c, e)``.  Raises :class:`ValueError` when the settings fail
-    :func:`check_modem` or ``mode`` is unknown.
+    of ``(c, e)``; without a high-pass ``u`` weighs by ``w`` and there is no
+    state.  The innovations factor follows from these in
+    :class:`StatisticNoise`.  Raises :class:`ValueError` when the settings
+    fail :func:`check_modem` or ``mode`` is unknown.
     """
     check_modem(bit_period, sample_rate, highpass_cutoff)
     boxes = _decode_weights(bit_period, mode)
     if highpass_cutoff is None:
         variance = sum(weight * weight * (hi - lo) for weight, lo, hi in boxes)
-        return StatisticNoise(gain=0.0, carry=0.0, root=np.array([[math.sqrt(variance)]]))
+        return StatisticNoise(gain=0.0, carry=0.0, covariance=(variance, 0.0, 0.0))
     b0, p = _highpass_coefficients(highpass_cutoff, sample_rate)
     i = np.arange(bit_period)
     w = np.zeros(bit_period)
@@ -521,31 +612,30 @@ def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | 
     c *= b0
     e = b0 * (p - 1.0) * np.power(p, bit_period - 1 - i)
     return StatisticNoise(gain=float(np.dot(w, np.power(p, i))), carry=p ** bit_period,
-                          root=_covariance_root(float(c @ c), float(c @ e), float(e @ e)))
+                          covariance=(float(c @ c), float(c @ e), float(e @ e)))
 
 
-def noisy_statistics(clean: np.ndarray, bit_period: int, channel: ChannelModel,
-                     mode: DecodeMode, seed, sample_rate: float = 1_000_000.0) -> np.ndarray:
+def noisy_statistics(clean: np.ndarray, noise: StatisticNoise, channel: ChannelModel,
+                     seed) -> np.ndarray:
     """Per-bit statistics of a noisy hop, with the noise drawn per bit.
 
     ``clean`` holds the statistics of the hop's noise-free pass:
     :func:`transmit` with ``noise_sigma`` 0, :func:`highpass_bias` at
-    ``channel.highpass_cutoff`` where it is set, and :func:`decode_bits` in
-    ``mode``.  Returns ``clean + attenuation * noise_sigma * S``, with ``S``
-    of :func:`statistic_noise` drawn from ``default_rng(seed)``: the
-    distribution of decoding :func:`transmit`'s noisy waveform, from two
-    normals a bit (one without a high-pass) where that waveform draws
-    ``bit_period``.  It is exact in distribution, not in samples.  A channel
+    ``channel.highpass_cutoff`` where it is set, and :func:`bit_statistics`;
+    ``noise`` is :func:`statistic_noise` of the same receiver.  Returns
+    ``clean + attenuation * noise_sigma * S``, ``S`` drawn through the
+    innovations factor from ``clean.size`` standard normals of
+    ``default_rng(seed)``, one a bit, into one buffer: the distribution of
+    decoding :func:`transmit`'s noisy waveform, which draws ``bit_period``
+    normals a bit.  It is exact in distribution, not in samples.  A channel
     without noise draws nothing and returns ``clean`` itself.
     """
     if not channel.noise_sigma:
         return clean
-    model = statistic_noise(bit_period, mode, channel.highpass_cutoff, sample_rate)
-    normals = np.random.default_rng(seed).standard_normal((model.root.shape[0], clean.size))
-    noise = model.statistics(normals)
-    noise *= channel.attenuation * channel.noise_sigma
-    noise += clean
-    return noise
+    normals = np.random.default_rng(seed).standard_normal(clean.size)
+    stats = noise.statistics(normals, channel.attenuation * channel.noise_sigma)
+    stats += clean
+    return stats
 
 
 def _eye(stats: np.ndarray) -> float:
@@ -600,7 +690,7 @@ def receive_decode(stats: np.ndarray,
     """Decide per-bit statistics, hunt for the sync word and verify the checksum.
 
     ``stats`` are a receiver's per-bit decision statistics: those of
-    :func:`decode_bits` on a waveform, or of :func:`noisy_statistics`; a bit
+    :func:`bit_statistics` on a waveform, or of :func:`noisy_statistics`; a bit
     is 1 where its statistic is positive.  Raises :class:`SyncError` when no
     complete frame is present and :class:`IntegrityError` (payload withheld)
     when the CRC fails.
@@ -646,11 +736,11 @@ def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel
         if cm.highpass_cutoff is not None:
             w = highpass_bias(w, cm.highpass_cutoff)
         for mode in modes:
-            bits, stats = decode_bits(w, mode)
+            stats = bit_statistics(w, mode)
             records.append({
                 "hum_amplitude": hum,
                 "mode": mode,
-                "ber": ber(reference, bits),
+                "ber": ber(reference, stats > 0),
                 "eye_opening": _eye(stats),
             })
     return records

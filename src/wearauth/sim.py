@@ -18,8 +18,10 @@ The body channel draws its link noise at the statistic level.  The channel is
 linear in its noise, so a run makes one noise-free pass over its payload's
 frame (``transmit`` with ``noise_sigma`` 0, ``highpass_bias``, the receiver's
 per-bit statistics), and each frame attempt adds per-bit noise drawn from its
-exact distribution (:func:`~wearauth.channel.noisy_statistics`, two normals a
-bit, seeded by seed, request and attempt) before ``receive_decode``.  Link
+exact distribution (:func:`~wearauth.channel.noisy_statistics` through the
+innovations factor of the run's one :func:`~wearauth.channel.statistic_noise`
+model: one normal a bit, seeded by seed, request and attempt) before
+``receive_decode``.  Link
 statistics are exact in distribution, not sample for sample the ones
 ``transmit``'s own noise would give; ``channel-sweep`` stays sample-level.
 
@@ -46,12 +48,13 @@ from .channel import (
     DecodeMode,
     IntegrityError,
     SyncError,
+    bit_statistics,
     check_modem,
-    decode_bits,
     encode_frame,
     highpass_bias,
     noisy_statistics,
     receive_decode,
+    statistic_noise,
     transmit,
 )
 from .design_space import PowerSource, SystemConfig, TeLocation, derive_activities, sensor_budget
@@ -89,10 +92,10 @@ _HOP_WBAN, _HOP_LORA = 0, 1
 # Requests one run may drive; a ``max_requests: null`` run stops here too.  A
 # dead body link on a coin cell would otherwise run ~7 M channel_error requests.
 # The bound keeps a run's memory finite, not its time: when noise fails every
-# frame (hub TE over HBC on a coin cell at noise_sigma 0.8, say) all 65,536
-# requests draw two frames' noise and decode them, ~1.7 ms a request at 96x72
-# and ~11 ms at 278x144 on a 2-core x86 host (~2 min and ~12 min in all).  An
-# explicit max_requests bounds the time.
+# frame (hub TE over HBC on a coin cell at attenuation 0.6 and noise_sigma 0.8,
+# say) all 65,536 requests draw two frames' noise and decode them, ~2.3 ms a
+# request at 96x72 and ~13 ms at 278x144 on a shared 2-core x86 host (~2.5 min
+# and ~15 min in all).  An explicit max_requests bounds the time.
 MAX_REQUESTS = 1 << 16
 
 
@@ -354,6 +357,9 @@ class _Runner:
         self.ledgers = [self.sensor, self.hub, self.cloud]
         self.request_idx = 0
         self._clean: tuple[bytes, np.ndarray, np.ndarray] | None = None
+        # The body link's noise model: one per run, whatever the attempts.
+        self._noise = statistic_noise(cfg.bit_period, cfg.decode_mode,
+                                      cfg.channel.highpass_cutoff, cfg.sample_rate)
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -401,16 +407,15 @@ class _Runner:
             if cfg.channel.highpass_cutoff is not None:
                 w = highpass_bias(w, cfg.channel.highpass_cutoff)
             reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
-            self._clean = payload, decode_bits(w, cfg.decode_mode)[1], reference
+            self._clean = payload, bit_statistics(w, cfg.decode_mode), reference
         return self._clean[1], self._clean[2]
 
     def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
         clean, reference = self._clean_link(payload)
         cfg = self.cfg
-        stats = noisy_statistics(clean, cfg.bit_period, cfg.channel, cfg.decode_mode,
-                                 seed=(cfg.seed, self.request_idx, attempt),
-                                 sample_rate=cfg.sample_rate)
+        stats = noisy_statistics(clean, self._noise, cfg.channel,
+                                 seed=(cfg.seed, self.request_idx, attempt))
         decoded, rx = receive_decode(stats, reference_bits=reference)
         return decoded, rx.eye_opening, rx.ber if rx.ber is not None else 0.0
 

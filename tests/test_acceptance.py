@@ -16,7 +16,7 @@ from wearauth.channel import (
     DecodeMode,
     IntegrityError,
     SyncError,
-    decode_bits,
+    bit_statistics,
     encode_frame,
     frame_data_bits,
     receive_decode,
@@ -196,7 +196,7 @@ def test_criterion_7_modem_suite():
             symbols = encode_frame(payload)
             assert int(symbols.astype(np.int64).sum()) == 0
             w = transmit(symbols, 4, clean, seed=0)
-            out, stats = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
+            out, stats = receive_decode(bit_statistics(w, DecodeMode.DIRECT))
             assert out == payload
             assert stats.ber is None
 
@@ -208,7 +208,7 @@ def test_criterion_7_modem_suite():
             corrupted[i] ^= 1
             w = transmit(_manchester(corrupted), 4, clean, seed=0)
             try:
-                out, _ = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
+                out, _ = receive_decode(bit_statistics(w, DecodeMode.DIRECT))
             except (SyncError, IntegrityError):
                 continue
             assert out == payload

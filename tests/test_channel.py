@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +23,13 @@ from wearauth.channel import (
     DecodeMode,
     FramingError,
     IntegrityError,
+    StatisticNoise,
     SyncError,
     Waveform,
     ber,
+    bit_statistics,
     check_modem,
     crc16_ccitt,
-    decode_bits,
     encode_frame,
     frame_data_bits,
     highpass_bias,
@@ -38,8 +40,6 @@ from wearauth.channel import (
     transmit,
 )
 from wearauth.channel import (
-    _bit_statistics,
-    _covariance_root,
     _eye,
     _find_frame,
     _highpass_coefficients,
@@ -93,7 +93,7 @@ def _assert_equals_reference(w, symbols, bit_period, channel, seed, sample_rate)
 
 
 def _reference_bit_statistics(w, mode):
-    """Half-bit means through ``ndarray.mean``, kept as the oracle for ``_bit_statistics``."""
+    """Half-bit means through ``ndarray.mean``, kept as the oracle for ``bit_statistics``."""
     bp = w.bit_period
     half = bp // 2
     n_bits = w.samples.size // bp
@@ -215,7 +215,7 @@ def _crc_bitwise(data: bytes) -> int:
 def _loopback(payload: bytes, bit_period: int = 8, channel: ChannelModel = CLEAN,
               seed: int = 0, mode: DecodeMode = DecodeMode.DIRECT):
     w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
-    return receive_decode(decode_bits(w, mode)[1], reference_bits=frame_data_bits(payload))
+    return receive_decode(bit_statistics(w, mode), reference_bits=frame_data_bits(payload))
 
 
 class TestCrc:
@@ -527,7 +527,7 @@ class TestReceiveDecode:
         from wearauth.channel import _manchester
         w = transmit(_manchester(corrupted), 8, CLEAN, seed=0)
         with pytest.raises(IntegrityError):
-            receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
+            receive_decode(bit_statistics(w, DecodeMode.DIRECT))
 
     def test_single_bit_flips_never_yield_wrong_payload(self):
         payload = bytes(range(64))
@@ -538,7 +538,7 @@ class TestReceiveDecode:
             corrupted[i] ^= 1
             w = transmit(_manchester(corrupted), 4, CLEAN, seed=0)
             try:
-                out, _ = receive_decode(decode_bits(w, DecodeMode.DIRECT)[1])
+                out, _ = receive_decode(bit_statistics(w, DecodeMode.DIRECT))
             except (SyncError, IntegrityError):
                 continue
             assert out == payload  # only preamble flips decode, and intact
@@ -602,7 +602,7 @@ class TestBitStatistics:
         """Below 8 samples per half bit numpy's ``mean`` also adds left to right;
         from 8 on it sums pairwise, so only the rounding may differ."""
         w = Waveform(1e6, samples, 2 * half)
-        stats, expected = _bit_statistics(w, mode), _reference_bit_statistics(w, mode)
+        stats, expected = bit_statistics(w, mode), _reference_bit_statistics(w, mode)
         if half < 8 or mode == DecodeMode.DIRECT:
             assert np.array_equal(stats, expected)
         else:
@@ -614,7 +614,7 @@ class TestBitStatistics:
     def test_clean_frame_scaled_to_1e300_decodes_without_warning(self, mode):
         w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
         w.samples[:] *= 1e300
-        payload, stats = receive_decode(decode_bits(w, mode)[1])
+        payload, stats = receive_decode(bit_statistics(w, mode))
         assert payload == b"hello"
         assert stats.eye_opening == pytest.approx(1.0)
 
@@ -626,7 +626,7 @@ class TestBitStatistics:
         w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
         w.samples[:] *= 1e308
         with pytest.raises(ValueError, match="overflow"):
-            decode_bits(w, mode)
+            bit_statistics(w, mode)
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     def test_receive_decode_peak_memory_per_bit(self, mode):
@@ -640,7 +640,7 @@ class TestBitStatistics:
         n_bits = w.samples.size // w.bit_period
         tracemalloc.start()
         try:
-            out, _ = receive_decode(decode_bits(w, mode)[1])
+            out, _ = receive_decode(bit_statistics(w, mode))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -652,7 +652,7 @@ class TestBitStatistics:
         w = highpass_bias(transmit(encode_frame(bytes(range(256))), 8, cm, seed=(3, 0, 0)),
                           1000.0)
         mode = DecodeMode.INTEGRATE_AND_DUMP
-        assert np.array_equal(_bit_statistics(w, mode), _reference_bit_statistics(w, mode))
+        assert np.array_equal(bit_statistics(w, mode), _reference_bit_statistics(w, mode))
 
 
 class TestReceiveDecodeFuzz:
@@ -661,10 +661,10 @@ class TestReceiveDecodeFuzz:
     def test_only_documented_errors_and_valid_frames(self, w, mode):
         """A returned payload is the located frame's, and its CRC verifies."""
         try:
-            payload, stats = receive_decode(decode_bits(w, mode)[1])
+            payload, stats = receive_decode(bit_statistics(w, mode))
         except (SyncError, IntegrityError, ValueError):
             return
-        bits, _ = decode_bits(w, mode)
+        bits = (bit_statistics(w, mode) > 0).astype(np.uint8)
         assert len(payload) <= MAX_PAYLOAD
         assert stats.n_bits == bits.size
         pos, length = _find_frame(bits)
@@ -731,7 +731,7 @@ def _clean_statistics(payload, channel, mode, bit_period=8):
     w = transmit(encode_frame(payload), bit_period, replace(channel, noise_sigma=0.0), seed=0)
     if channel.highpass_cutoff is not None:
         w = highpass_bias(w, channel.highpass_cutoff)
-    return decode_bits(w, mode)[1]
+    return bit_statistics(w, mode)
 
 
 def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
@@ -740,7 +740,7 @@ def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
     w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
     if channel.highpass_cutoff is not None:
         w = highpass_bias(w, channel.highpass_cutoff)
-    return [decode_bits(w, mode)[1] for mode in modes]
+    return [bit_statistics(w, mode) for mode in modes]
 
 
 def _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate):
@@ -757,13 +757,48 @@ def _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate):
     return columns @ columns.T
 
 
-def _model_covariance(model, n_bits):
-    """Covariance of ``model.statistics``, from its columns: one unit normal at a time."""
-    order = model.root.shape[0]
-    columns = np.empty((n_bits, order * n_bits))
-    for col in range(order * n_bits):
-        columns[:, col] = model.statistics(np.eye(1, order * n_bits, col).reshape(order, n_bits))
-    return columns @ columns.T
+def _model_factor(model, n_bits):
+    """The lower-triangular factor ``L`` of ``model.statistics``: column ``j``
+    is what the generator makes of the ``j``-th unit vector of normals."""
+    columns = np.empty((n_bits, n_bits))
+    for col in range(n_bits):
+        columns[:, col] = model.statistics(np.eye(1, n_bits, col)[0])
+    return columns
+
+
+def _state_space_covariance(model, n_bits):
+    """Covariance of ``S`` from the state-space model itself: ``S_k = g s_k +
+    u_k``, ``s_(k+1) = c s_k + d_k`` from ``s_0 = 0``, with ``(u_k, d_k)``
+    independent over bits with covariance ``[[uu, ud], [ud, dd]]``."""
+    g, c = model.gain, model.carry
+    uu, ud, dd = model.covariance
+    # reach[k, i]: the weight of d_i in s_k, c**(k-1-i) for i < k.
+    lag = np.arange(n_bits)[:, None] - 1 - np.arange(n_bits)[None, :]
+    reach = np.where(lag >= 0, np.power(c, np.maximum(lag, 0)), 0.0)
+    cov = g * g * dd * (reach @ reach.T)
+    cov += g * ud * (reach + reach.T)              # Cov(s_k, u_j) for j < k, both ways
+    cov += uu * np.eye(n_bits)
+    return cov
+
+
+def _decimal_riccati(model, n_bits):
+    """``(P_k, F_k, K_k)`` by the scalar recursion ``P_(k+1) = c**2 P_k + dd -
+    (c g P_k + ud)**2 / F_k``, in 40-digit decimal arithmetic from the model's
+    float64 parameters, so the oracle's own rounding does not build up over
+    a long transient (in float64 it drifts by ~eps / (1 - c**2), ~8e-13 at a
+    1 Hz cutoff)."""
+    g, c = Decimal(model.gain), Decimal(model.carry)
+    uu, ud, dd = (Decimal(v) for v in model.covariance)
+    p = Decimal(0)
+    out = np.empty((3, n_bits))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k in range(n_bits):
+            f = g * g * p + uu
+            gain = (c * g * p + ud) / f
+            out[:, k] = float(p), float(f), float(gain)
+            p = c * c * p + dd - gain * (c * g * p + ud)
+    return out
 
 
 class TestStatisticNoise:
@@ -771,45 +806,91 @@ class TestStatisticNoise:
     @given(mode=st.sampled_from(tuple(DecodeMode)), bit_period=st.sampled_from((4, 6, 8, 16)),
            fraction=st.sampled_from((None, 1e-6, 0.5, 0.999)), n_bits=st.integers(1, 64))
     def test_covariance_equals_explicit_linear_map(self, mode, bit_period, fraction, n_bits):
-        """No high-pass, a tiny cutoff, ~sample_rate/4 and near Nyquist.  The
-        oracle's butter coefficients differ from ours by a few ulp, which near
-        Nyquist (p = -0.997, an impulse response ~300 samples long) moves
-        the covariance by ~3e-13 of its largest entry."""
+        """No high-pass, a tiny cutoff, ~sample_rate/4 and near Nyquist: the
+        generator's factor ``L`` is lower triangular and ``L @ L.T`` is the
+        covariance of the linear map.  The oracle's butter coefficients
+        differ from ours by a few ulp, which near Nyquist (p = -0.997, an
+        impulse response ~300 samples long) moves the covariance by ~3e-13
+        of its largest entry."""
         sample_rate = 1e6
         cutoff = None if fraction is None else fraction * sample_rate / 2
         model = statistic_noise(bit_period, mode, cutoff, sample_rate)
-        assert model.root.shape == ((1, 1) if cutoff is None else (2, 2))
+        assert (model.gain == 0.0) == (cutoff is None)
         expected = _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate)
-        got = _model_covariance(model, n_bits)
+        factor = _model_factor(model, n_bits)
+        assert np.array_equal(np.triu(factor, 1), np.zeros((n_bits, n_bits)))
+        got = factor @ factor.T
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("gain,carry", [(1.0, 0.5), (0.3, 0.9), (0.0, 0.7), (2.0, 0.0)])
     @pytest.mark.parametrize("uu,ud,dd", [
         (4.0, 2.0, 1.0),                 # d = u / 2: rank 1
-        (1.0, 0.1, 0.01 - 1e-17),        # rank 1, the last pivot rounding below zero
-        (0.0, 0.0, 3.0),                 # u identically zero
+        (1.0, 0.1, 0.01 - 1e-17),        # rank 1, det Q rounding below zero
+        (0.0, 0.0, 3.0),                 # u identically zero: F_0 = 0
         (0.0, 0.0, 0.0),
     ])
-    def test_rank_deficient_covariance_gets_a_root(self, uu, ud, dd):
-        root = _covariance_root(uu, ud, dd)
-        assert np.all(np.isfinite(root)) and root[0, 1] == 0.0
-        np.testing.assert_allclose(root @ root.T, [[uu, ud], [ud, dd]], rtol=0, atol=1e-15)
+    def test_rank_deficient_covariance_gets_a_factor(self, gain, carry, uu, ud, dd):
+        """Where ``F_k`` is 0 the gain ``K_k`` is 0, and the factor is still
+        finite and exact."""
+        model = StatisticNoise(gain, carry, (uu, ud, dd))
+        f, k = model.innovations(0, 40)
+        assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(np.isfinite(k))
+        assert np.all(k[f == 0.0] == 0.0)
+        factor = _model_factor(model, 20)
+        expected = _state_space_covariance(model, 20)
+        np.testing.assert_allclose(factor @ factor.T, expected, rtol=0,
+                                   atol=1e-15 * max(np.abs(expected).max(), 1.0))
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
-    @pytest.mark.parametrize("cutoff", [None, 1000.0, 400_000.0])
-    def test_state_scan_equals_bit_by_bit_recurrence(self, mode, cutoff):
-        """Over several scan steps, against the recurrence run one bit at a time."""
+    @pytest.mark.parametrize("cutoff", [1.0, 1000.0, 490_000.0])
+    def test_closed_form_transient_equals_scalar_recursion(self, mode, cutoff):
+        """``P_k``, ``F_k`` and ``K_k`` within 1e-12 (relative) of the
+        recursion, through the transient and past ``settled``.  At 1 Hz
+        ``carry`` is 1 - 5e-5 and the transient runs for ~365,000 bits."""
+        model = statistic_noise(8, mode, cutoff)
+        n_bits = model.settled + 100
+        variance, f, k = _decimal_riccati(model, n_bits)
+        got_f, got_k = model.innovations(0, n_bits)
+        got_p = model.state_variances(0, n_bits)
+        assert got_p[0] == 0.0
+        assert np.all(np.abs(got_p[1:] - variance[1:]) <= 1e-12 * variance[1:])
+        assert np.all(np.abs(got_f - f) <= 1e-12 * f)
+        assert np.all(np.abs(got_k - k) <= 1e-12 * np.abs(k))
+        assert np.all(got_p[model.settled:] == got_p[-1])
+
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    @pytest.mark.parametrize("cutoff", [None, 1.0, 1000.0, 400_000.0])
+    def test_scan_equals_bit_by_bit_innovations(self, mode, cutoff):
+        """Over several scan steps (at 1 Hz the transient spans them all),
+        against ``e_k = scale sqrt(F_k) z_k``, ``S_k = g m_k + e_k`` and
+        ``m_(k+1) = c m_k + K_k e_k`` run one bit at a time."""
         model = statistic_noise(8, mode, cutoff)
         n_bits = 3 * TRANSMIT_CHUNK + 5
-        normals = np.random.default_rng(11).standard_normal((model.root.shape[0], n_bits))
-        got = model.statistics(normals.copy())
+        scale = 0.27
+        normals = np.random.default_rng(11).standard_normal(n_bits)
+        got = model.statistics(normals.copy(), scale)
+        f, k = model.innovations(0, n_bits)
         expected = np.empty(n_bits)
         state = 0.0
-        for k, z in enumerate(normals.T.tolist()):
-            u = model.root[0, 0] * z[0]
-            expected[k] = model.gain * state + u
-            if len(z) == 2:
-                state = model.carry * state + model.root[1, 0] * z[0] + model.root[1, 1] * z[1]
+        for bit, (z, f_k, k_k) in enumerate(zip(normals.tolist(), f.tolist(), k.tolist())):
+            e = scale * math.sqrt(f_k) * z
+            expected[bit] = model.gain * state + e
+            state = model.carry * state + k_k * e
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("mode", tuple(DecodeMode))
+    @pytest.mark.parametrize("cutoff", [None, 1000.0])
+    def test_one_attempt_consumes_one_normal_a_bit(self, mode, cutoff):
+        """``noisy_statistics`` is ``clean`` plus the generator applied to the
+        first ``n`` normals of ``default_rng(seed)``, bit for bit."""
+        channel = replace(BENCH_LINK, highpass_cutoff=cutoff)
+        clean = _clean_statistics(bytes(range(64)), channel, mode)
+        model = statistic_noise(8, mode, cutoff)
+        stats = noisy_statistics(clean, model, channel, seed=(5, 1))
+        normals = np.random.default_rng((5, 1)).standard_normal(clean.size)
+        expected = model.statistics(normals, channel.attenuation * channel.noise_sigma)
+        expected += clean
+        assert np.array_equal(stats, expected)
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     @pytest.mark.parametrize("channel", [CLEAN, replace(BENCH_LINK, noise_sigma=0.0),
@@ -819,7 +900,8 @@ class TestStatisticNoise:
         bit for bit; a negative seed would make ``default_rng`` raise, so no
         generator is made."""
         clean = _clean_statistics(bytes(range(64)), channel, mode)
-        stats = noisy_statistics(clean, 8, channel, mode, seed=-1)
+        model = statistic_noise(8, mode, channel.highpass_cutoff)
+        stats = noisy_statistics(clean, model, channel, seed=-1)
         assert stats is clean
         (expected,) = _sample_level_statistics(bytes(range(64)), channel, [mode], seed=0)
         assert np.array_equal(stats, expected)
@@ -845,8 +927,9 @@ class TestStatisticNoise:
                     sample_errors[mode] += int(np.count_nonzero((stats > 0) != reference))
             for mode in modes:
                 clean = _clean_statistics(BENCH_PAYLOAD, channel, mode)
+                model = statistic_noise(8, mode, channel.highpass_cutoff)
                 for frame in range(frames):
-                    stats = noisy_statistics(clean, 8, channel, mode, seed=(2, frame))
+                    stats = noisy_statistics(clean, model, channel, seed=(2, frame))
                     stat_errors[mode] += int(np.count_nonzero((stats > 0) != reference))
             for mode in modes:
                 x, y = stat_errors[mode], sample_errors[mode]
@@ -867,7 +950,8 @@ class TestStatisticNoise:
                 sample_eyes[mode].append(_eye(stats))
         for mode in modes:
             clean = _clean_statistics(BENCH_PAYLOAD, BENCH_LINK, mode)
-            stat_eyes = [_eye(noisy_statistics(clean, 8, BENCH_LINK, mode, seed=(4, seed)))
+            model = statistic_noise(8, mode, BENCH_LINK.highpass_cutoff)
+            stat_eyes = [_eye(noisy_statistics(clean, model, BENCH_LINK, seed=(4, seed)))
                          for seed in range(seeds)]
             assert sp_stats.ks_2samp(stat_eyes, sample_eyes[mode]).pvalue > 1e-3, mode
 
@@ -875,12 +959,12 @@ class TestStatisticNoise:
 class TestEyeOpening:
     def test_clean_waveform_is_fully_open(self):
         w = transmit(encode_frame(b"\xaa\x55"), 8, CLEAN, seed=0)
-        assert _eye(decode_bits(w, DecodeMode.DIRECT)[1]) == pytest.approx(1.0)
-        assert _eye(decode_bits(w, DecodeMode.INTEGRATE_AND_DUMP)[1]) == pytest.approx(1.0)
+        assert _eye(bit_statistics(w, DecodeMode.DIRECT)) == pytest.approx(1.0)
+        assert _eye(bit_statistics(w, DecodeMode.INTEGRATE_AND_DUMP)) == pytest.approx(1.0)
 
     def test_dead_waveform_is_closed(self):
         w = Waveform(1e6, np.zeros(80), 8)
-        assert _eye(decode_bits(w, DecodeMode.DIRECT)[1]) == 0.0
+        assert _eye(bit_statistics(w, DecodeMode.DIRECT)) == 0.0
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(length=st.one_of(st.sampled_from((0, 1, TRANSMIT_CHUNK, TRANSMIT_CHUNK + 1,
@@ -905,8 +989,8 @@ class TestEyeOpening:
     def test_integrator_opens_noisy_eye(self):
         cm = ChannelModel(attenuation=0.5, noise_sigma=0.8)
         w = transmit(encode_frame(bytes(64)), 32, cm, seed=5)
-        direct = _eye(decode_bits(w, DecodeMode.DIRECT)[1])
-        integ = _eye(decode_bits(w, DecodeMode.INTEGRATE_AND_DUMP)[1])
+        direct = _eye(bit_statistics(w, DecodeMode.DIRECT))
+        integ = _eye(bit_statistics(w, DecodeMode.INTEGRATE_AND_DUMP))
         assert integ > direct
 
 

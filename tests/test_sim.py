@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from wearauth import codec, present, sim
-from wearauth.channel import decode_bits, encode_frame, highpass_bias, receive_decode, transmit
+from wearauth.channel import bit_statistics, encode_frame, highpass_bias, receive_decode, transmit
 from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
@@ -328,7 +328,7 @@ def _sample_level_hop(runner, payload: bytes, attempt: int) -> tuple[bytes, floa
                  seed=(cfg.seed, runner.request_idx, attempt), sample_rate=cfg.sample_rate)
     if cfg.channel.highpass_cutoff is not None:
         w = highpass_bias(w, cfg.channel.highpass_cutoff)
-    decoded, rx = receive_decode(decode_bits(w, cfg.decode_mode)[1],
+    decoded, rx = receive_decode(bit_statistics(w, cfg.decode_mode),
                                  reference_bits=symbols[0::2] > 0)
     return decoded, rx.eye_opening, rx.ber
 
@@ -444,6 +444,26 @@ class TestAccounting:
         assert report.requests_completed == 0
         assert report.refusal is None
         assert set(report.decisions) == {"channel_error"}
+
+    def test_failing_link_builds_one_noise_model_and_one_clean_pass(self, scenario_workspace,
+                                                                     monkeypatch):
+        """Every frame fails at sigma 0.8: 5 requests make 10 attempts, which
+        share the run's one noise model and one noise-free pass."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("statistic_noise", "transmit", "noisy_statistics"):
+            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+        report = run(scenario_workspace, system={"sensor_power": "coin_cell"},
+                     channel={"attenuation": 0.6, "noise_sigma": 0.8}, max_requests=5)
+        assert report.decisions == ["channel_error"] * 5
+        assert report.retransmissions == 10
+        assert calls == {"statistic_noise": 1, "transmit": 1, "noisy_statistics": 10}
 
     def test_unbounded_run_is_verified_against_the_cap(self, scenario_workspace):
         params = EnergyParams(budget_coin_cell=1e9, budget_hub_total=1e12)
