@@ -4,11 +4,12 @@ The body-coupled link carries Manchester-coded frames (the body passes only
 AC, so the line code must be DC-balanced): an alternating preamble, a sync
 word, a 16-bit byte length, the payload and a CRC-16/CCITT, all MSB-first.
 The channel applies attenuation, mains hum and Gaussian noise; the receiver
-decides each bit either from the two half-bit midpoint samples or from the
-integrate-and-dump sums over each half bit.  The channel is linear in its
-noise, so :func:`noisy_statistics` can also draw a hop's noise straight into
-the per-bit statistics of its noise-free pass, one normal a bit and exact in
-distribution; the simulator does, and :func:`sweep_hum` stays sample-level.
+decides each bit from the two half-bit midpoint samples or from the
+integrate-and-dump half-bit means.  :func:`transmit` builds the noise-free
+waveform; the channel is linear in its noise, so :func:`noisy_statistics`
+draws it straight into that pass's per-bit statistics, one normal a bit and
+exact in distribution (the simulator and :func:`sweep_hum` both do).  The
+per-sample noise path is the tests' oracle (``tests/reference_channel.py``).
 The conventional on-body radio is modelled as an error-free byte pipe (its
 cost lives in the energy model).
 """
@@ -50,15 +51,16 @@ __all__ = [
 SYNC_WORD = 0xF3A5
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
-# Ceiling on one waveform: 2**23 float64 samples, 64 MiB.  transmit() peaks at
-# 8 bytes per sample plus one TRANSMIT_CHUNK scratch buffer (256 KiB), and
-# with hum one more chunk for the half-chunk cos/sin tables of its phasor.  It
-# admits a 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
+# Ceiling on one noise-free waveform (noise enters only in noisy_statistics):
+# 2**23 float64 samples, 64 MiB.  transmit() peaks at 8 bytes per sample plus,
+# with hum, one TRANSMIT_CHUNK scratch buffer (256 KiB) and one more chunk for
+# the half-chunk cos/sin tables of its phasor.  It admits a 40,047-byte frame
+# up to bit_period 26 and a 65,535-byte one up to 14.
 MAX_SAMPLES = 1 << 23
-# Samples of transmit()'s scratch, in whose two halves it builds hum and noise
-# half a chunk at a time, small enough to stay in cache across a block's
-# passes; highpass_bias() filters, the integrate-and-dump receiver sums and
-# the eye opening scans the statistics in chunks of this size.
+# Samples of transmit()'s scratch, in whose two halves it builds the hum half
+# a chunk at a time, small enough to stay in cache across a block's passes;
+# highpass_bias() filters, the receiver sums and the eye opening scans the
+# statistics in chunks of this size.
 TRANSMIT_CHUNK = 1 << 15
 
 
@@ -126,8 +128,9 @@ class ChannelModel:
 
     @property
     def deterministic(self) -> bool:
-        """True when the waveform does not depend on the noise generator."""
-        return self.noise_sigma == 0.0
+        """True when the statistics do not depend on the noise generator:
+        no noise, or a dead link that scales it to nothing."""
+        return self.noise_sigma == 0.0 or self.attenuation == 0.0
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,13 @@ def encode_frame(payload: bytes) -> np.ndarray:
 
 
 def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
-             seed, sample_rate: float = 1_000_000.0) -> Waveform:
-    """Expand symbols to samples and apply the channel impairments.
+             sample_rate: float = 1_000_000.0) -> Waveform:
+    """The noise-free received waveform ``attenuation * clean + hum`` of the
+    symbols; noise enters only through :func:`noisy_statistics`.
 
-    The clean symbols are written straight into the output, and hum and noise
-    are added to it in blocks of half a ``TRANSMIT_CHUNK`` through one
-    chunk-sized scratch buffer, in the order ``a * clean + hum + noise``.  The
-    noise blocks continue one ``standard_normal`` stream, so the noise does
-    not depend on the block size.
+    The clean symbols are written straight into the output, and the hum is
+    added to it in blocks of half a ``TRANSMIT_CHUNK`` through one
+    chunk-sized scratch buffer.
 
     The hum is rotated, not evaluated per sample.  At sample ``s + k`` of a
     block starting at ``s`` it is
@@ -203,34 +205,27 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
     n = symbols.size * half
     if n > MAX_SAMPLES:
         raise ValueError(f"waveform of {n} samples exceeds {MAX_SAMPLES}")
-    rng = np.random.default_rng(seed)
     a = channel.attenuation
     received = np.empty(n)
     np.multiply(symbols.reshape(-1, 1), a, out=received.reshape(-1, half))
-    if channel.hum_amplitude or channel.noise_sigma:
+    if channel.hum_amplitude:
         block = min(n, TRANSMIT_CHUNK // 2)
         scratch = np.empty(2 * block)
-        if channel.hum_amplitude:
-            amp = a * channel.hum_amplitude
-            omega = 2.0 * np.pi * channel.hum_frequency
-            phase = np.arange(block, dtype=np.float64)
-            phase /= sample_rate
-            phase *= omega
-            cos_k = np.cos(phase)
-            sin_k = np.sin(phase, out=phase)
+        amp = a * channel.hum_amplitude
+        omega = 2.0 * np.pi * channel.hum_frequency
+        phase = np.arange(block, dtype=np.float64)
+        phase /= sample_rate
+        phase *= omega
+        cos_k = np.cos(phase)
+        sin_k = np.sin(phase, out=phase)
         for start in range(0, n, TRANSMIT_CHUNK // 2):
             out = received[start:start + block]
             buf, spare = scratch[:out.size], scratch[block:block + out.size]
-            if channel.hum_amplitude:
-                theta = start / sample_rate * omega
-                np.multiply(cos_k[:out.size], amp * math.sin(theta), out=buf)
-                np.multiply(sin_k[:out.size], amp * math.cos(theta), out=spare)
-                buf += spare
-                out += buf
-            if channel.noise_sigma:
-                rng.standard_normal(out=buf)
-                buf *= a * channel.noise_sigma
-                out += buf
+            theta = start / sample_rate * omega
+            np.multiply(cos_k[:out.size], amp * math.sin(theta), out=buf)
+            np.multiply(sin_k[:out.size], amp * math.cos(theta), out=spare)
+            buf += spare
+            out += buf
     return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)
 
 
@@ -360,67 +355,60 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     return w
 
 
-def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
-    """The receiver's per-bit decision statistics: first half minus second
-    half of each bit, so a bit decides 1 where its statistic is positive.
+def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The receiver of ``mode`` as two boxes ``(lo, hi)`` of a bit's samples:
+    its statistic is the mean over the first minus the mean over the second
+    (each half bit's midpoint for direct sampling, each whole half bit for
+    integrate-and-dump).  Raises :class:`ValueError` on an unknown mode."""
+    half = bit_period // 2
+    if mode == DecodeMode.DIRECT:
+        tap = half // 2
+        return (tap, tap + 1), (half + tap, half + tap + 1)
+    if mode == DecodeMode.INTEGRATE_AND_DUMP:
+        return (0, half), (half, bit_period)
+    raise ValueError(f"unknown decode mode {mode!r}")
 
-    Works on a ``(n_bits, bit_period)`` view of the samples.  Integrate-and-dump
-    sums each half bit left to right, in blocks of about ``TRANSMIT_CHUNK``
-    samples so that a block's columns stay in cache, then divides both sums
-    by the half-bit length and subtracts: 16 bytes per bit at the peak, with
-    no half-bit array.
-    Below 8 samples per half bit that is numpy's own order, so each mean
-    equals ``mean`` bit for bit; from 8 on numpy sums pairwise and the two
+
+def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
+    """The receiver's per-bit decision statistics: the mean over the first box
+    of :func:`_decode_weights` minus that over the second, so a bit decides 1
+    where its statistic is positive.
+
+    Each box is summed left to right over a ``(n_bits, bit_period)`` view,
+    in blocks of about ``TRANSMIT_CHUNK`` samples so that a block's columns
+    stay in cache, and divided by its length; the second box's means take
+    one block of scratch, so the peak is the 8-byte statistic of each bit.
+    A one-sample box divides by 1, so direct sampling is ``y[tap] -
+    y[half + tap]`` exactly.  Integrate-and-dump equals ``mean`` bit for bit
+    below 8 samples per half bit; from 8 on numpy sums pairwise, and the two
     differ only in rounding.
 
-    Raises :class:`ValueError` when a statistic is not finite (half-bit sums
-    of samples near the float64 limit overflow).
+    Raises :class:`ValueError` when ``mode`` is unknown or a statistic is not
+    finite (box sums of samples near the float64 limit overflow).
     """
+    boxes = _decode_weights(w.bit_period, mode)
     bp = w.bit_period
-    half = bp // 2
     n_bits = w.samples.size // bp
     if n_bits == 0:
         return np.zeros(0)
     bits = w.samples[:n_bits * bp].reshape(n_bits, bp)
+    rows = max(1, TRANSMIT_CHUNK // bp)
+    stat = np.empty(n_bits)
+    second = np.empty(min(rows, n_bits))
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode == DecodeMode.DIRECT:
-            stat = bits[:, half // 2] - bits[:, half + half // 2]
-        elif mode == DecodeMode.INTEGRATE_AND_DUMP:
-            stat = np.empty(n_bits)
-            second = np.empty(n_bits)
-            rows = max(1, TRANSMIT_CHUNK // bp)
-            for start in range(0, n_bits, rows):
-                block = bits[start:start + rows]
-                first_sum = stat[start:start + rows]
-                second_sum = second[start:start + rows]
-                first_sum[...] = block[:, 0]
-                second_sum[...] = block[:, half]
-                for k in range(1, half):
-                    first_sum += block[:, k]
-                    second_sum += block[:, half + k]
-            stat /= half
-            second /= half
-            stat -= second
-        else:
-            raise ValueError(f"unknown decode mode {mode!r}")
+        for start in range(0, n_bits, rows):
+            block = bits[start:start + rows]
+            first, other = stat[start:start + rows], second[:len(block)]
+            for out, (lo, hi) in zip((first, other), boxes):
+                out[...] = block[:, lo]
+                for k in range(lo + 1, hi):
+                    out += block[:, k]
+                out /= hi - lo
+            first -= other
         finite = np.isfinite(stat.min()) and np.isfinite(stat.max())
     if not finite:
         raise ValueError("bit statistics overflow float64; the waveform is out of range")
     return stat
-
-
-def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[float, int, int], ...]:
-    """The receiver of ``mode`` as boxes ``(weight, lo, hi)``: a bit's
-    statistic is the sum over the boxes of ``weight * sum(y[lo:hi])``, ``y``
-    the bit's ``bit_period`` samples (what :func:`bit_statistics` computes,
-    up to rounding)."""
-    half = bit_period // 2
-    if mode == DecodeMode.DIRECT:
-        tap = half // 2
-        return (1.0, tap, tap + 1), (-1.0, half + tap, half + tap + 1)
-    if mode == DecodeMode.INTEGRATE_AND_DUMP:
-        return (1.0 / half, 0, half), (-1.0 / half, half, bit_period)
-    raise ValueError(f"unknown decode mode {mode!r}")
 
 
 # Bits after which the innovations factor is constant: the first k at which
@@ -582,7 +570,8 @@ def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | 
     """The :class:`StatisticNoise` of a receiver, in closed form.
 
     With the coefficients ``b0, p`` of :func:`_highpass_coefficients` and the
-    receiver's weights ``w`` (:func:`_decode_weights`), sample ``j`` of a bit
+    receiver's weights ``w`` (``+-1/len`` over the two boxes of
+    :func:`_decode_weights`), sample ``j`` of a bit
     holds ``y_j = b0*x_j + p**j * s + b0*(p - 1) * sum_(i<j) p**(j-1-i) x_i``.
     So ``gain = sum_j w_j p**j``, and ``u`` and ``d`` weigh the bit's noise
     samples by ``c_i = b0 * (w_i + (p - 1) * sum_(j>i) w_j p**(j-1-i))`` and
@@ -595,7 +584,8 @@ def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | 
     fail :func:`check_modem` or ``mode`` is unknown.
     """
     check_modem(bit_period, sample_rate, highpass_cutoff)
-    boxes = _decode_weights(bit_period, mode)
+    boxes = [(sign / (hi - lo), lo, hi)
+             for sign, (lo, hi) in zip((1.0, -1.0), _decode_weights(bit_period, mode))]
     if highpass_cutoff is None:
         variance = sum(weight * weight * (hi - lo) for weight, lo, hi in boxes)
         return StatisticNoise(gain=0.0, carry=0.0, covariance=(variance, 0.0, 0.0))
@@ -620,17 +610,18 @@ def noisy_statistics(clean: np.ndarray, noise: StatisticNoise, channel: ChannelM
     """Per-bit statistics of a noisy hop, with the noise drawn per bit.
 
     ``clean`` holds the statistics of the hop's noise-free pass:
-    :func:`transmit` with ``noise_sigma`` 0, :func:`highpass_bias` at
-    ``channel.highpass_cutoff`` where it is set, and :func:`bit_statistics`;
-    ``noise`` is :func:`statistic_noise` of the same receiver.  Returns
+    :func:`transmit`, :func:`highpass_bias` at ``channel.highpass_cutoff``
+    where it is set, and :func:`bit_statistics`; ``noise`` is
+    :func:`statistic_noise` of the same receiver.  Returns
     ``clean + attenuation * noise_sigma * S``, ``S`` drawn through the
     innovations factor from ``clean.size`` standard normals of
     ``default_rng(seed)``, one a bit, into one buffer: the distribution of
-    decoding :func:`transmit`'s noisy waveform, which draws ``bit_period``
-    normals a bit.  It is exact in distribution, not in samples.  A channel
-    without noise draws nothing and returns ``clean`` itself.
+    decoding the waveform with white noise of ``attenuation * noise_sigma``
+    added to every sample, which draws ``bit_period`` normals a bit.  It is
+    exact in distribution, not in samples.  A ``deterministic`` channel (no
+    noise, or a dead link) draws nothing and returns ``clean`` itself.
     """
-    if not channel.noise_sigma:
+    if channel.deterministic:
         return clean
     normals = np.random.default_rng(seed).standard_normal(clean.size)
     stats = noise.statistics(normals, channel.attenuation * channel.noise_sigma)
@@ -725,18 +716,27 @@ def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel
               sample_rate: float = 1_000_000.0) -> list[dict]:
     """BER and eye opening per decode mode over a hum-amplitude sweep.
 
-    Both modes score the same seeded waveform at each sweep point.
+    Each point makes one noise-free pass and draws each mode's noise with
+    :func:`noisy_statistics`, through a :func:`statistic_noise` model built
+    once per sweep, from ``seed=(seed, idx)`` at point ``idx`` for both
+    modes.  These common random numbers keep the mode comparison paired:
+    each mode's statistics are exact in distribution, but their joint law
+    across modes is not the physical one (both decoding one noisy waveform).
     """
     reference = frame_data_bits(payload)
     symbols = _manchester(reference)
+    noises = {mode: statistic_noise(bit_period, mode, channel.highpass_cutoff, sample_rate)
+              for mode in modes}
     records = []
     for idx, hum in enumerate(hum_amplitudes):
         cm = replace(channel, hum_amplitude=hum)
-        w = transmit(symbols, bit_period, cm, seed=seed + idx, sample_rate=sample_rate)
+        w = transmit(symbols, bit_period, cm, sample_rate=sample_rate)
         if cm.highpass_cutoff is not None:
             w = highpass_bias(w, cm.highpass_cutoff)
+        clean = {mode: bit_statistics(w, mode) for mode in modes}
+        del w           # the next point's waveform is not built beside this one
         for mode in modes:
-            stats = bit_statistics(w, mode)
+            stats = noisy_statistics(clean[mode], noises[mode], cm, seed=(seed, idx))
             records.append({
                 "hum_amplitude": hum,
                 "mode": mode,
@@ -744,4 +744,3 @@ def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel
                 "eye_opening": _eye(stats),
             })
     return records
-

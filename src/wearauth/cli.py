@@ -114,6 +114,8 @@ def _cmd_channel_sweep(args) -> int:
     # Checked before the payload is built, so a huge count allocates nothing.
     if not 0 <= args.payload_bytes <= MAX_PAYLOAD:
         raise ValueError(f"--payload-bytes must lie in [0, {MAX_PAYLOAD}]")
+    if args.seed < 0:       # refused whether or not the channel draws noise
+        raise ValueError("--seed must be non-negative")
     channel = ChannelModel(attenuation=args.attenuation, noise_sigma=args.noise,
                            hum_frequency=args.hum_frequency,
                            highpass_cutoff=args.highpass)

@@ -54,9 +54,6 @@ class GrayImage:
         px = np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
         return cls(px)
 
-    def to_raw(self) -> bytes:
-        return self.pixels.tobytes()
-
     def to_pgm_bytes(self) -> bytes:
         header = f"P5\n{self.width} {self.height}\n255\n".encode("ascii")
         return header + self.pixels.tobytes()

@@ -16,14 +16,14 @@ see :meth:`_Runner._counter_base`.
 
 The body channel draws its link noise at the statistic level.  The channel is
 linear in its noise, so a run makes one noise-free pass over its payload's
-frame (``transmit`` with ``noise_sigma`` 0, ``highpass_bias``, the receiver's
-per-bit statistics), and each frame attempt adds per-bit noise drawn from its
-exact distribution (:func:`~wearauth.channel.noisy_statistics` through the
-innovations factor of the run's one :func:`~wearauth.channel.statistic_noise`
-model: one normal a bit, seeded by seed, request and attempt) before
-``receive_decode``.  Link
-statistics are exact in distribution, not sample for sample the ones
-``transmit``'s own noise would give; ``channel-sweep`` stays sample-level.
+frame (``transmit``, ``highpass_bias``, the receiver's per-bit statistics),
+and each frame attempt adds per-bit noise drawn from its exact distribution
+(:func:`~wearauth.channel.noisy_statistics` through the innovations factor of
+the run's one :func:`~wearauth.channel.statistic_noise` model: one normal a
+bit, seeded by seed, request and attempt) before ``receive_decode``.  Link
+statistics are exact in distribution, not sample for sample the ones of
+per-sample noise; that sample-level path is the tests' oracle
+(``tests/reference_channel.py``).
 
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request is charged whole or
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -321,9 +321,6 @@ class SimReport:
             "refusal": self.refusal,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
 
 def trace_csv(report: SimReport) -> str:
     lines = ["seq,request,node,event,joules"]
@@ -402,8 +399,7 @@ class _Runner:
         if self._clean is None or self._clean[0] != payload:
             cfg = self.cfg
             symbols = encode_frame(payload)
-            w = transmit(symbols, cfg.bit_period, replace(cfg.channel, noise_sigma=0.0),
-                         seed=cfg.seed, sample_rate=cfg.sample_rate)
+            w = transmit(symbols, cfg.bit_period, cfg.channel, sample_rate=cfg.sample_rate)
             if cfg.channel.highpass_cutoff is not None:
                 w = highpass_bias(w, cfg.channel.highpass_cutoff)
             reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)

@@ -2,9 +2,12 @@
 
 ``reference_transmit`` is the allocating transmit that preceded the chunked
 one: one float64 array per term, and the hum as ``np.sin`` of every sample's
-own phase ``2*pi*f * (i / sample_rate)``.  The clean symbols and the noise
-equal ``transmit``'s bit for bit; the hum, which ``transmit`` builds by
-phasor rotation, differs by rounding only (see ``tests/test_channel.py``).
+own phase ``2*pi*f * (i / sample_rate)``.  Its clean symbols equal
+``transmit``'s bit for bit; the hum, which ``transmit`` builds by phasor
+rotation, differs by rounding only (see ``tests/test_channel.py``).  It is
+the only place that draws link noise per sample, one standard normal of
+``default_rng(seed)`` a sample: the physical path that ``noisy_statistics``
+(one normal a bit, on ``transmit``'s noise-free waveform) is checked against.
 
 ``reference_highpass`` is one ``scipy.signal.lfilter`` over the whole
 waveform into a new array, the high-pass before the blocked in-place scan;

@@ -68,21 +68,29 @@ EPS = np.finfo(np.float64).eps
 #    most pi (< 5 EPS), sin (4 EPS) and the product by amp (EPS / 2), 9.5 in
 #    all; the per-sample one costs sin and the product, 4.5.
 # 15 + 9.5 < 25.
+#  - Subnormals.  Below the normal range rounding is absolute, at most half
+#    of TINY, the smallest subnormal, per operation, where u of the value
+#    underflows to 0.  The two sides, with the sum of a * clean and the hum,
+#    make fewer than 16 operations between them: 8 * TINY on top.
 HUM_ULPS = 25
+TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _hum_allowance(channel: ChannelModel, sample_rate: float, indices: np.ndarray) -> np.ndarray:
     """Largest |transmit's hum - a reference hum| that rounding allows."""
     amp = channel.attenuation * channel.hum_amplitude
     phase = 2.0 * np.pi * channel.hum_frequency * indices / sample_rate
-    return EPS * amp * (HUM_ULPS + 2.0 * phase)
+    return EPS * amp * (HUM_ULPS + 2.0 * phase) + 8.0 * TINY
 
 
-def _assert_equals_reference(w, symbols, bit_period, channel, seed, sample_rate):
-    """Bit for bit without hum.  With hum, ``a * clean + hum + noise`` is rounded
-    once per sum on each side: besides the hum allowance, each sum may round
-    by u of its value, which adds at most EPS * (a + amp + |sample|)."""
-    expected = reference_transmit(symbols, bit_period, channel, seed, sample_rate).samples
+def _assert_equals_reference(w, symbols, bit_period, channel, sample_rate):
+    """``transmit`` is the reference's noise-free waveform, whatever the
+    channel's ``noise_sigma``: bit for bit without hum.  With hum,
+    ``a * clean + hum`` is rounded once on each side: besides the hum
+    allowance, the sum may round by u of its value, which adds at most
+    EPS * (a + amp + |sample|)."""
+    expected = reference_transmit(symbols, bit_period, replace(channel, noise_sigma=0.0),
+                                  seed=0, sample_rate=sample_rate).samples
     if not channel.hum_amplitude:
         assert np.array_equal(w.samples, expected)
         return
@@ -213,8 +221,8 @@ def _crc_bitwise(data: bytes) -> int:
 
 
 def _loopback(payload: bytes, bit_period: int = 8, channel: ChannelModel = CLEAN,
-              seed: int = 0, mode: DecodeMode = DecodeMode.DIRECT):
-    w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
+              mode: DecodeMode = DecodeMode.DIRECT):
+    w = transmit(encode_frame(payload), bit_period, channel)
     return receive_decode(bit_statistics(w, mode), reference_bits=frame_data_bits(payload))
 
 
@@ -263,21 +271,12 @@ class TestFraming:
 class TestTransmit:
     def test_clean_channel_is_exact_rectangular(self):
         symbols = encode_frame(b"\x01\x02")
-        w = transmit(symbols, 8, CLEAN, seed=0)
+        w = transmit(symbols, 8, CLEAN)
         assert np.array_equal(w.samples, np.repeat(symbols.astype(float), 4))
-
-    def test_same_seed_same_waveform(self):
-        symbols = encode_frame(b"abc")
-        cm = ChannelModel(attenuation=0.7, hum_amplitude=1.0, noise_sigma=0.5)
-        w1 = transmit(symbols, 8, cm, seed=99)
-        w2 = transmit(symbols, 8, cm, seed=99)
-        assert np.array_equal(w1.samples, w2.samples)
-        w3 = transmit(symbols, 8, cm, seed=100)
-        assert not np.array_equal(w1.samples, w3.samples)
 
     def test_hum_dominates_spectrum(self):
         cm = ChannelModel(attenuation=0.1, hum_amplitude=5.0)
-        w = transmit(encode_frame(bytes(200)), 16, cm, seed=2, sample_rate=200_000.0)
+        w = transmit(encode_frame(bytes(200)), 16, cm, sample_rate=200_000.0)
         spectrum = np.abs(np.fft.rfft(w.samples))
         freqs = np.fft.rfftfreq(w.samples.size, 1.0 / w.sample_rate)
         peak = freqs[1:][np.argmax(spectrum[1:])]
@@ -285,7 +284,7 @@ class TestTransmit:
 
     def test_odd_bit_period_rejected(self):
         with pytest.raises(ValueError):
-            transmit(encode_frame(b""), 7, CLEAN, seed=0)
+            transmit(encode_frame(b""), 7, CLEAN)
         with pytest.raises(ValueError):
             Waveform(1e6, np.zeros(8), 2)
 
@@ -301,7 +300,7 @@ class TestTransmit:
             with pytest.raises(ValueError):
                 Waveform(sample_rate, np.zeros(16), bit_period)
             with pytest.raises(ValueError):
-                transmit(encode_frame(b""), bit_period, CLEAN, seed=0, sample_rate=sample_rate)
+                transmit(encode_frame(b""), bit_period, CLEAN, sample_rate=sample_rate)
         else:
             with pytest.raises(ValueError):
                 highpass_bias(Waveform(sample_rate, np.zeros(16), bit_period), cutoff)
@@ -309,31 +308,32 @@ class TestTransmit:
     @pytest.mark.parametrize("bit_period", [8.0, np.float64(8.0), True, "8", None])
     def test_bit_period_must_be_an_int(self, bit_period):
         with pytest.raises(ValueError, match="bit_period"):
-            transmit(encode_frame(b"hi"), bit_period, ChannelModel(), seed=0)
+            transmit(encode_frame(b"hi"), bit_period, ChannelModel())
         with pytest.raises(ValueError, match="bit_period"):
             Waveform(1e6, np.zeros(16), bit_period)
 
     def test_numpy_integer_bit_period_accepted(self):
         symbols = encode_frame(b"hi")
-        assert np.array_equal(transmit(symbols, np.int64(8), CLEAN, seed=0).samples,
-                              transmit(symbols, 8, CLEAN, seed=0).samples)
+        assert np.array_equal(transmit(symbols, np.int64(8), CLEAN).samples,
+                              transmit(symbols, 8, CLEAN).samples)
 
     @pytest.mark.parametrize("hum", [0.0, 0.4])
     @pytest.mark.parametrize("noise", [0.0, 0.6])
     def test_samples_equal_allocating_reference(self, hum, noise):
+        """Noise does not reach the samples: it enters at the statistics."""
         symbols = encode_frame(bytes(range(200)))
         cm = ChannelModel(attenuation=0.7, hum_amplitude=hum, noise_sigma=noise)
-        w = transmit(symbols, 8, cm, seed=(5, 1), sample_rate=250_000.0)
-        _assert_equals_reference(w, symbols, 8, cm, (5, 1), 250_000.0)
+        w = transmit(symbols, 8, cm, sample_rate=250_000.0)
+        _assert_equals_reference(w, symbols, 8, cm, 250_000.0)
 
     def test_peak_memory_per_sample(self):
         """The output, one chunk of scratch and the hum's two half-chunk cos/sin
-        tables: 8 B per sample with hum and noise."""
+        tables: 8 B per sample with hum."""
         symbols = encode_frame(bytes(4000))
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.3, noise_sigma=0.5)
         tracemalloc.start()
         try:
-            w = transmit(symbols, 8, cm, seed=0)
+            w = transmit(symbols, 8, cm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,10 +346,10 @@ class TestTransmit:
            extra=st.integers(0, 2 * TRANSMIT_CHUNK), symbol_seed=st.integers(0, 2**32 - 1),
            sample_rate=st.floats(1.0, 1e9), attenuation=st.floats(0.0, 1.0),
            hum=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), hum_frequency=st.floats(0.1, 1e5),
-           noise=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), seed=st.integers(0, 2**32 - 1))
+           noise=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
     def test_chunked_samples_equal_allocating_reference(self, half, length, extra, symbol_seed,
                                                         sample_rate, attenuation, hum,
-                                                        hum_frequency, noise, seed):
+                                                        hum_frequency, noise):
         """Frames shorter than a chunk, as long as one (exactly, where the half
         bit divides it), and several chunks long with a tail."""
         at = TRANSMIT_CHUNK // half
@@ -358,8 +358,8 @@ class TestTransmit:
         symbols = rng.choice(np.array([-1, 1], dtype=np.int8), n_symbols)
         cm = ChannelModel(attenuation=attenuation, hum_amplitude=hum,
                           hum_frequency=hum_frequency, noise_sigma=noise)
-        w = transmit(symbols, 2 * half, cm, seed=seed, sample_rate=sample_rate)
-        _assert_equals_reference(w, symbols, 2 * half, cm, seed, sample_rate)
+        w = transmit(symbols, 2 * half, cm, sample_rate=sample_rate)
+        _assert_equals_reference(w, symbols, 2 * half, cm, sample_rate)
 
     @pytest.mark.parametrize("sample_rate,frequency", [
         (1e6, 60.0), (250_000.0, 50.0), (44_100.0, 60.7), (1e3, 400.0)])
@@ -369,7 +369,7 @@ class TestTransmit:
         samples, either side of every block and chunk edge, and the last."""
         symbols = np.zeros(encode_frame(bytes(40047)).size, dtype=np.int8)
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, hum_frequency=frequency)
-        samples = transmit(symbols, 8, cm, seed=0, sample_rate=sample_rate).samples
+        samples = transmit(symbols, 8, cm, sample_rate=sample_rate).samples
         n = samples.size
         edges = np.arange(TRANSMIT_CHUNK // 2, n, TRANSMIT_CHUNK // 2)
         indices = np.unique(np.concatenate([
@@ -390,7 +390,7 @@ class TestTransmit:
         # ...and a waveform past the ceiling is refused before it is built.
         symbols = encode_frame(b"")
         with pytest.raises(ValueError, match="exceeds"):
-            transmit(symbols, 2 * (MAX_SAMPLES // symbols.size + 1), CLEAN, seed=0)
+            transmit(symbols, 2 * (MAX_SAMPLES // symbols.size + 1), CLEAN)
 
 
 class TestHighpass:
@@ -459,7 +459,7 @@ class TestHighpass:
 
     def test_filters_in_place_and_returns_the_input(self):
         w = transmit(encode_frame(bytes(range(64))), 8,
-                     ChannelModel(attenuation=0.6, hum_amplitude=0.5), seed=0)
+                     ChannelModel(attenuation=0.6, hum_amplitude=0.5))
         buffer = w.samples
         out = highpass_bias(w, 1000.0)
         assert out is w
@@ -476,7 +476,7 @@ class TestHighpass:
         """A 40 KB capture's hop (2.56 M samples) adds no second waveform, where
         one ``lfilter`` into a new array allocated ~20 MB."""
         w = transmit(encode_frame(bytes(40047)), 8,
-                     ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45), seed=0)
+                     ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45))
         highpass_bias(Waveform(1e6, np.zeros(16), 8), 1000.0)     # first-call set-up
         tracemalloc.start()
         try:
@@ -517,7 +517,7 @@ class TestReceiveDecode:
 
     def test_attenuation_zero_is_sync_error(self):
         with pytest.raises(SyncError):
-            _loopback(b"hi", channel=ChannelModel(attenuation=0.0), seed=1)
+            _loopback(b"hi", channel=ChannelModel(attenuation=0.0))
 
     def test_crc_corruption_is_integrity_error(self):
         payload = b"payload under test"
@@ -525,7 +525,7 @@ class TestReceiveDecode:
         corrupted = bits.copy()
         corrupted[8 + 16 + 16 + 3] ^= 1      # flip a payload bit
         from wearauth.channel import _manchester
-        w = transmit(_manchester(corrupted), 8, CLEAN, seed=0)
+        w = transmit(_manchester(corrupted), 8, CLEAN)
         with pytest.raises(IntegrityError):
             receive_decode(bit_statistics(w, DecodeMode.DIRECT))
 
@@ -536,7 +536,7 @@ class TestReceiveDecode:
         for i in range(bits.size):
             corrupted = bits.copy()
             corrupted[i] ^= 1
-            w = transmit(_manchester(corrupted), 4, CLEAN, seed=0)
+            w = transmit(_manchester(corrupted), 4, CLEAN)
             try:
                 out, _ = receive_decode(bit_statistics(w, DecodeMode.DIRECT))
             except (SyncError, IntegrityError):
@@ -576,7 +576,7 @@ def _waveforms(draw):
         samples = draw(hnp.arrays(np.float64, st.integers(0, 600), elements=_finite))
         return Waveform(draw(st.floats(1e-3, 1e9)), samples, bit_period)
     payload = draw(st.binary(max_size=24))
-    frame = transmit(encode_frame(payload), bit_period, CLEAN, seed=0).samples
+    frame = transmit(encode_frame(payload), bit_period, CLEAN).samples
     frame *= draw(st.sampled_from((1.0, -1.0, 1e-300, 1e300)))
     if shape == "cut":
         frame = frame[:draw(st.integers(0, frame.size - 1))]
@@ -612,7 +612,7 @@ class TestBitStatistics:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     def test_clean_frame_scaled_to_1e300_decodes_without_warning(self, mode):
-        w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
+        w = transmit(encode_frame(b"hello"), 8, CLEAN)
         w.samples[:] *= 1e300
         payload, stats = receive_decode(bit_statistics(w, mode))
         assert payload == b"hello"
@@ -623,20 +623,21 @@ class TestBitStatistics:
     def test_overflowing_statistics_raise_value_error(self, mode):
         """At 1e308 the half-bit sums (integrate-and-dump) and the half-bit
         difference (direct) overflow; the bits are refused, not decided as 0."""
-        w = transmit(encode_frame(b"hello"), 8, CLEAN, seed=0)
+        w = transmit(encode_frame(b"hello"), 8, CLEAN)
         w.samples[:] *= 1e308
         with pytest.raises(ValueError, match="overflow"):
             bit_statistics(w, mode)
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
     def test_receive_decode_peak_memory_per_bit(self, mode):
-        """One 40 KB capture's frame at ``bit_period`` 8: 16 B per bit at the
-        peak (integrate-and-dump's two per-bit sums), where a half-bit array and
-        its difference took 24, and a magnitude copy for the eye 17.3."""
+        """One 40 KB capture's frame at ``bit_period`` 8: 10 B per bit at the
+        peak (the statistics, and the decided bits as bool and as uint8), where
+        integrate-and-dump's two per-bit sums took 16, a half-bit array and its
+        difference 24, and a magnitude copy for the eye 17.3."""
         payload = bytes(range(256)) * 156 + bytes(111)
         w = highpass_bias(transmit(encode_frame(payload), 8,
-                                   ChannelModel(attenuation=0.6, hum_amplitude=0.5),
-                                   seed=0), 1000.0)
+                                   ChannelModel(attenuation=0.6, hum_amplitude=0.5)),
+                          1000.0)
         n_bits = w.samples.size // w.bit_period
         tracemalloc.start()
         try:
@@ -645,12 +646,48 @@ class TestBitStatistics:
         finally:
             tracemalloc.stop()
         assert out == payload
-        assert peak <= 16 * n_bits + 64 * 1024
+        assert peak <= 10 * n_bits + 64 * 1024
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(half=st.integers(2, 13), n_bits=st.one_of(st.integers(0, 300),
+                                                      st.integers(1000, 12_000)),
+           tail=st.integers(0, 3), cutoff=st.sampled_from((None, 1.0, 1000.0, 400_000.0)),
+           scale=st.sampled_from((1.0, 1e-300, 1e300)), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(tuple(DecodeMode)))
+    def test_equals_per_mode_formulas_bit_for_bit(self, half, n_bits, tail, cutoff, scale,
+                                                  seed, mode):
+        """The one box receiver against each mode's own formula: direct is
+        ``y[tap] - y[half + tap]``, integrate-and-dump ``sum / half - sum /
+        half`` with each half bit summed left to right.  ``bit_period`` 4 to
+        26, halves that are not powers of two among them, with and without a
+        high-pass, and frames that span several column blocks."""
+        bit_period = 2 * half
+        # A tail of up to three samples, less than any bit, that no bit reads.
+        samples = scale * np.random.default_rng(seed).standard_normal(n_bits * bit_period + tail)
+        w = Waveform(1e6, samples, bit_period)
+        if cutoff is not None:
+            w = highpass_bias(w, cutoff)
+        y = w.samples[:n_bits * bit_period].reshape(n_bits, bit_period)
+        if mode == DecodeMode.DIRECT:
+            expected = y[:, half // 2] - y[:, half + half // 2]
+        else:
+            first, second = y[:, 0].copy(), y[:, half].copy()
+            for k in range(1, half):
+                first += y[:, k]
+                second += y[:, half + k]
+            expected = first / half - second / half
+        assert np.array_equal(bit_statistics(w, mode), expected)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown decode mode"):
+            bit_statistics(Waveform(1e6, np.zeros(16), 8), "matched_filter")
+        with pytest.raises(ValueError, match="unknown decode mode"):
+            statistic_noise(8, "matched_filter")
 
     def test_benchmark_bit_period_bit_for_bit(self):
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45)
-        w = highpass_bias(transmit(encode_frame(bytes(range(256))), 8, cm, seed=(3, 0, 0)),
-                          1000.0)
+        w = highpass_bias(reference_transmit(encode_frame(bytes(range(256))), 8, cm,
+                                             seed=(3, 0, 0)), 1000.0)
         mode = DecodeMode.INTEGRATE_AND_DUMP
         assert np.array_equal(bit_statistics(w, mode), _reference_bit_statistics(w, mode))
 
@@ -728,16 +765,16 @@ BENCH_PAYLOAD = bytes(range(256)) * 156 + bytes(111)
 
 def _clean_statistics(payload, channel, mode, bit_period=8):
     """The noise-free pass whose statistics ``noisy_statistics`` adds noise to."""
-    w = transmit(encode_frame(payload), bit_period, replace(channel, noise_sigma=0.0), seed=0)
+    w = transmit(encode_frame(payload), bit_period, channel)
     if channel.highpass_cutoff is not None:
         w = highpass_bias(w, channel.highpass_cutoff)
     return bit_statistics(w, mode)
 
 
 def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
-    """The same hop with the noise drawn per sample: transmit's noisy
+    """The same hop with the noise drawn per sample: the reference's noisy
     waveform, high-passed, decoded in each mode."""
-    w = transmit(encode_frame(payload), bit_period, channel, seed=seed)
+    w = reference_transmit(encode_frame(payload), bit_period, channel, seed=seed)
     if channel.highpass_cutoff is not None:
         w = highpass_bias(w, channel.highpass_cutoff)
     return [bit_statistics(w, mode) for mode in modes]
@@ -893,18 +930,22 @@ class TestStatisticNoise:
         assert np.array_equal(stats, expected)
 
     @pytest.mark.parametrize("mode", tuple(DecodeMode))
-    @pytest.mark.parametrize("channel", [CLEAN, replace(BENCH_LINK, noise_sigma=0.0),
-                                         ChannelModel(attenuation=0.0, hum_amplitude=0.5)])
-    def test_noiseless_channel_equals_sample_path_and_draws_nothing(self, mode, channel):
-        """``clean + noise`` at sigma 0 is the sample path's statistics,
-        bit for bit; a negative seed would make ``default_rng`` raise, so no
-        generator is made."""
+    @pytest.mark.parametrize("channel", [
+        CLEAN, replace(BENCH_LINK, noise_sigma=0.0),
+        ChannelModel(attenuation=0.0, hum_amplitude=0.5),
+        ChannelModel(attenuation=0.0, hum_amplitude=0.5, noise_sigma=0.8)])    # dead link
+    def test_deterministic_channel_equals_sample_path_and_draws_nothing(self, mode, channel):
+        """``clean + noise`` at sigma 0, or on a dead link at any sigma, is the
+        sample path's statistics (within the rounding of the reference's
+        per-sample hum); a negative seed would make ``default_rng`` raise, so
+        no generator is made."""
+        assert channel.deterministic
         clean = _clean_statistics(bytes(range(64)), channel, mode)
         model = statistic_noise(8, mode, channel.highpass_cutoff)
         stats = noisy_statistics(clean, model, channel, seed=-1)
         assert stats is clean
         (expected,) = _sample_level_statistics(bytes(range(64)), channel, [mode], seed=0)
-        assert np.array_equal(stats, expected)
+        np.testing.assert_allclose(stats, expected, rtol=0, atol=1e-12)
 
     def test_bit_errors_agree_with_sample_path(self):
         """Eight 40 KB frames per side (2.56 M bits) on the benchmark's link at
@@ -956,9 +997,54 @@ class TestStatisticNoise:
             assert sp_stats.ks_2samp(stat_eyes, sample_eyes[mode]).pvalue > 1e-3, mode
 
 
+class TestSweepHum:
+    @pytest.mark.parametrize("cutoff", [None, 1000.0])
+    def test_both_modes_draw_from_the_point_seed(self, cutoff):
+        """At point ``idx`` each mode's record is its noise-free pass plus
+        ``noisy_statistics`` from ``seed=(seed, idx)``: common random numbers
+        across the modes."""
+        channel = replace(BENCH_LINK, highpass_cutoff=cutoff)
+        payload = bytes(range(64))
+        hums = [0.0, 0.5, 2.0]
+        records = sweep_hum(payload, hums, channel, bit_period=8, seed=4)
+        reference = frame_data_bits(payload)
+        expected = []
+        for idx, hum in enumerate(hums):
+            point = replace(channel, hum_amplitude=hum)
+            for mode in DecodeMode:
+                stats = noisy_statistics(_clean_statistics(payload, point, mode),
+                                         statistic_noise(8, mode, cutoff), point, seed=(4, idx))
+                expected.append({"hum_amplitude": hum, "mode": mode,
+                                 "ber": ber(reference, stats > 0), "eye_opening": _eye(stats)})
+        assert records == expected
+
+    @pytest.mark.parametrize("mode,sigma", [(DecodeMode.DIRECT, 0.45),
+                                            (DecodeMode.INTEGRATE_AND_DUMP, 1.0)])
+    def test_bit_errors_agree_with_sample_path(self, mode, sigma):
+        """Four 40 KB frames per side (1.28 M bits) on the benchmark's link,
+        at a sigma where each mode errs on ~0.1-0.25 % of bits: ``sweep_hum``
+        at four equal hum points against the reference's per-sample noise.
+        The counts must fall inside the two-sample binomial interval at
+        z = 4 of ``TestStatisticNoise.test_bit_errors_agree_with_sample_path``."""
+        channel = replace(BENCH_LINK, noise_sigma=sigma)
+        reference = frame_data_bits(BENCH_PAYLOAD)
+        frames = 4
+        n = frames * reference.size
+        records = sweep_hum(BENCH_PAYLOAD, [channel.hum_amplitude] * frames, channel,
+                            bit_period=8, seed=7, modes=(mode,))
+        x = sum(round(record["ber"] * reference.size) for record in records)
+        y = 0
+        for frame in range(frames):
+            (stats,) = _sample_level_statistics(BENCH_PAYLOAD, channel, [mode], seed=(8, frame))
+            y += int(np.count_nonzero((stats > 0) != reference))
+        q = (x + y) / (2 * n)
+        assert y > 0
+        assert abs(x - y) <= 4.0 * math.sqrt(2 * n * q * (1 - q)), (x, y)
+
+
 class TestEyeOpening:
     def test_clean_waveform_is_fully_open(self):
-        w = transmit(encode_frame(b"\xaa\x55"), 8, CLEAN, seed=0)
+        w = transmit(encode_frame(b"\xaa\x55"), 8, CLEAN)
         assert _eye(bit_statistics(w, DecodeMode.DIRECT)) == pytest.approx(1.0)
         assert _eye(bit_statistics(w, DecodeMode.INTEGRATE_AND_DUMP)) == pytest.approx(1.0)
 
@@ -988,7 +1074,7 @@ class TestEyeOpening:
 
     def test_integrator_opens_noisy_eye(self):
         cm = ChannelModel(attenuation=0.5, noise_sigma=0.8)
-        w = transmit(encode_frame(bytes(64)), 32, cm, seed=5)
+        w = reference_transmit(encode_frame(bytes(64)), 32, cm, seed=5)
         direct = _eye(bit_statistics(w, DecodeMode.DIRECT))
         integ = _eye(bit_statistics(w, DecodeMode.INTEGRATE_AND_DUMP))
         assert integ > direct

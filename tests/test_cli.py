@@ -124,7 +124,7 @@ class TestExtractAndMatch:
     def test_extract_raw_blob(self, capsys, tmp_path):
         img = stripe_image(64, 48)
         raw = tmp_path / "img.raw"
-        raw.write_bytes(img.to_raw())
+        raw.write_bytes(img.pixels.tobytes())
         out_path = tmp_path / "t.fpt"
         code, _, _ = run_cli(capsys, "extract", str(raw), "-o", str(out_path),
                              "--raw-width", "64", "--raw-height", "48", "--algo", "light")
@@ -405,7 +405,7 @@ class TestParserFuzz:
             except ValueError:
                 refused = True
             else:
-                assert img.to_raw() == data and (img.width, img.height) == (width, height)
+                assert img.pixels.tobytes() == data and (img.width, img.height) == (width, height)
         argv = ["extract", str(root / "hostile.raw"), "-o", str(root / "hostile.fpt"),
                 "--algo", algo]
         argv += [f"--raw-width={width}"] if width is not None else []
@@ -503,7 +503,9 @@ class TestChannelSweep:
         ("--payload-bytes", "-1"),
         ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
         ("--bit-period", "1048576"),       # a waveform past channel.MAX_SAMPLES
-    ], ids=["payload_too_long", "payload_negative", "payload_huge", "bit_period_huge"])
+        ("--seed", "-1", "--noise", "0"),  # no noise is drawn, but the seed is still refused
+    ], ids=["payload_too_long", "payload_negative", "payload_huge", "bit_period_huge",
+            "seed_negative"])
     def test_unframeable_sweep_is_domain_error(self, capsys, flags):
         code, out, err = run_cli(capsys, "channel-sweep", "--hum", "0", *flags)
         assert code == 1

@@ -1,11 +1,13 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wearauth import codec, present, sim
-from wearauth.channel import bit_statistics, encode_frame, highpass_bias, receive_decode, transmit
+from wearauth.channel import bit_statistics, encode_frame, highpass_bias, receive_decode
 from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
@@ -131,7 +133,7 @@ class TestRunScenario:
                 max_requests=10)
         b = run(scenario_workspace, channel={"noise_sigma": 0.8, "attenuation": 0.6},
                 max_requests=10)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
         assert trace_csv(a) == trace_csv(b)
 
     def test_zero_budget_sensor_refused_immediately(self, scenario_workspace):
@@ -202,7 +204,7 @@ class TestRunScenario:
 
     def test_report_json_schema(self, scenario_workspace):
         report = run(scenario_workspace, max_requests=1)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
         assert {l["role"] for l in doc["ledgers"]} == {"sensor", "hub", "cloud"}
         cloud = next(l for l in doc["ledgers"] if l["role"] == "cloud")
         assert cloud["initial_j"] is None  # unbounded
@@ -254,16 +256,18 @@ class TestRunScenario:
 
 def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, monkeypatch):
     """A noisy, high-passed HBC link with hum, run as is and with the per-sample
-    ``sin`` transmit: the hum differs by rounding only, so every decision,
-    score, retransmission, BER and ledger is equal, and the eye openings
-    (min/max of the bit statistics) agree to 1e-12 relative."""
+    ``sin`` transmit (noise-free, as the simulator's clean pass is): the hum
+    differs by rounding only, so every decision, score, retransmission, BER
+    and ledger is equal, and the eye openings (min/max of the bit
+    statistics) agree to 1e-12 relative."""
     channel = {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6,
                "highpass_cutoff": 1000.0}
     oracle_calls = []
 
-    def oracle_transmit(*args, **kwargs):
-        oracle_calls.append(args)
-        return reference_transmit(*args, **kwargs)
+    def oracle_transmit(symbols, bit_period, channel, sample_rate):
+        oracle_calls.append(symbols)
+        return reference_transmit(symbols, bit_period, replace(channel, noise_sigma=0.0),
+                                  seed=0, sample_rate=sample_rate)
 
     retransmissions = 0
     for seed in range(4):
@@ -320,12 +324,13 @@ def test_highpass_scan_leaves_decisions_and_ledgers_unchanged(scenario_workspace
 
 def _sample_level_hop(runner, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
     """The body-channel hop with the noise drawn per sample, as the simulator
-    ran it before drawing the statistics' noise: transmit's noisy waveform,
-    high-passed and decoded, seeded by (seed, request, attempt)."""
+    ran it before drawing the statistics' noise: the reference's noisy
+    waveform, high-passed and decoded, seeded by (seed, request, attempt)."""
     cfg = runner.cfg
     symbols = encode_frame(payload)
-    w = transmit(symbols, cfg.bit_period, cfg.channel,
-                 seed=(cfg.seed, runner.request_idx, attempt), sample_rate=cfg.sample_rate)
+    w = reference_transmit(symbols, cfg.bit_period, cfg.channel,
+                           seed=(cfg.seed, runner.request_idx, attempt),
+                           sample_rate=cfg.sample_rate)
     if cfg.channel.highpass_cutoff is not None:
         w = highpass_bias(w, cfg.channel.highpass_cutoff)
     decoded, rx = receive_decode(bit_statistics(w, cfg.decode_mode),
@@ -356,6 +361,14 @@ def test_statistic_level_noise_leaves_decisions_and_ledgers_unchanged(scenario_w
         assert [(led.role, led.charges) for led in ours.ledgers] == \
             [(led.role, led.charges) for led in oracle.ledgers]
         assert len(ours.eye_openings) == len(oracle.eye_openings)
+
+
+def _counted(calls: Counter, name: str, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _term(label: str) -> str:
@@ -445,20 +458,29 @@ class TestAccounting:
         assert report.refusal is None
         assert set(report.decisions) == {"channel_error"}
 
+    def test_dead_link_noise_is_replayed_and_never_drawn(self, scenario_workspace, monkeypatch):
+        """Attenuation 0 scales the noise to nothing: at sigma 0.8 the report
+        equals sigma 0's, the first request is replayed and no normal is
+        drawn."""
+        draws = Counter()
+        monkeypatch.setattr(np.random, "default_rng",
+                            _counted(draws, "default_rng", np.random.default_rng))
+        monkeypatch.setattr(sim, "receive_decode",
+                            _counted(draws, "receive_decode", sim.receive_decode))
+        reports = [run(scenario_workspace, system={"sensor_power": "coin_cell"},
+                       channel={"attenuation": 0.0, "noise_sigma": sigma}, max_requests=50)
+                   for sigma in (0.8, 0.0)]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert set(reports[0].decisions) == {"channel_error"}
+        assert draws == {"receive_decode": 4}     # two attempts of one request per run
+
     def test_failing_link_builds_one_noise_model_and_one_clean_pass(self, scenario_workspace,
                                                                      monkeypatch):
         """Every frame fails at sigma 0.8: 5 requests make 10 attempts, which
         share the run's one noise model and one noise-free pass."""
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in ("statistic_noise", "transmit", "noisy_statistics"):
-            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+            monkeypatch.setattr(sim, name, _counted(calls, name, getattr(sim, name)))
         report = run(scenario_workspace, system={"sensor_power": "coin_cell"},
                      channel={"attenuation": 0.6, "noise_sigma": 0.8}, max_requests=5)
         assert report.decisions == ["channel_error"] * 5
