@@ -119,6 +119,10 @@ class ChannelModel:
     highpass_cutoff: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("hum_amplitude", "hum_frequency", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.attenuation <= 1.0:
             raise ValueError("attenuation must lie in [0, 1]")
         if self.hum_amplitude < 0 or self.noise_sigma < 0:
@@ -378,10 +382,10 @@ def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     in blocks of about ``TRANSMIT_CHUNK`` samples so that a block's columns
     stay in cache, and divided by its length; the second box's means take
     one block of scratch, so the peak is the 8-byte statistic of each bit.
-    A one-sample box divides by 1, so direct sampling is ``y[tap] -
-    y[half + tap]`` exactly.  Integrate-and-dump equals ``mean`` bit for bit
-    below 8 samples per half bit; from 8 on numpy sums pairwise, and the two
-    differ only in rounding.
+    A one-sample box is read in place as its own mean, so direct sampling is
+    the one pass ``y[tap] - y[half + tap]``.  Integrate-and-dump equals
+    ``mean`` bit for bit below 8 samples per half bit; from 8 on numpy sums
+    pairwise, and the two differ only in rounding.
 
     Raises :class:`ValueError` when ``mode`` is unknown or a statistic is not
     finite (box sums of samples near the float64 limit overflow).
@@ -398,13 +402,18 @@ def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_bits, rows):
             block = bits[start:start + rows]
-            first, other = stat[start:start + rows], second[:len(block)]
-            for out, (lo, hi) in zip((first, other), boxes):
+            first = stat[start:start + rows]
+            means = []
+            for out, (lo, hi) in zip((first, second[:len(block)]), boxes):
+                if hi - lo == 1:        # the sample is its own mean: no copy, no /= 1
+                    means.append(block[:, lo])
+                    continue
                 out[...] = block[:, lo]
                 for k in range(lo + 1, hi):
                     out += block[:, k]
                 out /= hi - lo
-            first -= other
+                means.append(out)
+            np.subtract(*means, out=first)
         finite = np.isfinite(stat.min()) and np.isfinite(stat.max())
     if not finite:
         raise ValueError("bit statistics overflow float64; the waveform is out of range")

@@ -198,10 +198,20 @@ class EnergyBreakdown:
 
 
 def lora_energy_per_bit(distance: float, params: EnergyParams) -> float:
-    """Per-bit LoRa cost at ``distance`` meters; scales with the square of distance."""
+    """Per-bit LoRa cost at ``distance`` meters; scales with the square of distance.
+
+    Raises :class:`ValueError` when the cost is not a finite float64.
+    """
     if not distance > 0:
         raise ValueError(f"distance must be positive, got {distance!r}")
-    return params.e_bit_lora_ref * (distance / params.d_ref) ** 2
+    try:
+        energy = params.e_bit_lora_ref * (distance / params.d_ref) ** 2
+    except OverflowError:       # a float ** raises where * would give inf
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ValueError(f"LoRa energy per bit overflows float64 at distance {distance!r} m "
+                         f"with d_ref {params.d_ref!r} m")
+    return energy
 
 
 def per_bit_cost(channel: Channel, direction: str, distance: float | None,

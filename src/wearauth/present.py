@@ -1,11 +1,12 @@
 """PRESENT-80 block cipher (64-bit block, 80-bit key, 31 rounds) plus a
 counter mode for arbitrary-length payloads.
 
-The substitution and permutation layers are fused into per-nibble lookup
-tables so a round is 16 table reads; decryption undoes the permutation and
-substitution in two table passes.  Counter mode encrypts all of a payload's
-counter blocks at once as one ``uint64`` array, through the same fused layer
-widened to eight per-byte tables.
+The substitution and permutation layers are fused into eight byte-wide
+lookup tables, so a round is eight table reads; decryption undoes the
+permutation and then the substitution with two more sets of eight.  The block
+API reads the fused tables as Python ints; counter mode encrypts all of a
+payload's counter blocks at once as one ``uint64`` array through the same
+tables as ``_SP_BYTE_TABLE``.
 """
 
 from __future__ import annotations
@@ -36,36 +37,37 @@ _MASK64 = (1 << 64) - 1
 _MASK80 = (1 << 80) - 1
 
 
-def _build_tables() -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    sp, p_inv, s_inv = [], [], []
-    for pos in range(16):
-        sp_row, pinv_row, sinv_row = [], [], []
-        for val in range(16):
-            sboxed = _SBOX[val]
-            word = 0
-            for bit in range(4):
-                if sboxed >> bit & 1:
-                    word |= 1 << _PBOX[4 * pos + bit]
-            sp_row.append(word)
-            word = 0
-            for bit in range(4):
-                if val >> bit & 1:
-                    word |= 1 << _PBOX_INV[4 * pos + bit]
-            pinv_row.append(word)
-            sinv_row.append(_SBOX_INV[val] << (4 * pos))
-        sp.append(sp_row)
-        p_inv.append(pinv_row)
-        s_inv.append(sinv_row)
-    return sp, p_inv, s_inv
+def _perm_rows(pbox: tuple[int, ...]) -> list[list[int]]:
+    """Row j, entry b: byte b placed at bits 8j..8j+7, its bits moved by ``pbox``."""
+    rows = []
+    for j in range(8):
+        row = [0] * 256
+        for bit in range(8):
+            # Entries whose top set bit is ``bit`` extend the ones below it.
+            mask = 1 << pbox[8 * j + bit]
+            for b in range(1 << bit):
+                row[b | 1 << bit] = row[b] | mask
+        rows.append(row)
+    return rows
 
 
-_SP_TABLE, _PINV_TABLE, _SINV_TABLE = _build_tables()
+def _sbox_byte(sbox: tuple[int, ...]) -> list[int]:
+    return [sbox[b & 0xF] | sbox[b >> 4] << 4 for b in range(256)]
+
+
+# Eight byte-wide tables per layer; a layer is the OR of its rows' lookups,
+# because P moves bits independently and S acts on each nibble alone.
+_SP = [[row[s] for s in _sbox_byte(_SBOX)] for row in _perm_rows(_PBOX)]
+_PINV = _perm_rows(_PBOX_INV)
+_SINV = [[s << 8 * j for s in _sbox_byte(_SBOX_INV)] for j in range(8)]
 # Row j maps byte j of the state (bits 8j..8j+7) to its substituted, permuted bits.
-_SP_BYTE_TABLE = np.array(
-    [[_SP_TABLE[2 * j][b & 0xF] | _SP_TABLE[2 * j + 1][b >> 4] for b in range(256)]
-     for j in range(8)],
-    dtype="<u8",
-)
+_SP_BYTE_TABLE = np.array(_SP, dtype="<u8")
+
+
+def _layer(rows: list[list[int]], x: int) -> int:
+    return (rows[0][x & 0xFF] | rows[1][x >> 8 & 0xFF] | rows[2][x >> 16 & 0xFF]
+            | rows[3][x >> 24 & 0xFF] | rows[4][x >> 32 & 0xFF] | rows[5][x >> 40 & 0xFF]
+            | rows[6][x >> 48 & 0xFF] | rows[7][x >> 56])
 
 
 class Present80:
@@ -91,45 +93,17 @@ class Present80:
     def encrypt_block(self, block: int) -> int:
         if not 0 <= block <= _MASK64:
             raise ValueError("block must be a 64-bit integer")
-        state = block
-        rks = self._round_keys
-        sp = _SP_TABLE
-        for r in range(ROUNDS):
-            state ^= rks[r]
-            state = (sp[0][state & 0xF] | sp[1][state >> 4 & 0xF]
-                     | sp[2][state >> 8 & 0xF] | sp[3][state >> 12 & 0xF]
-                     | sp[4][state >> 16 & 0xF] | sp[5][state >> 20 & 0xF]
-                     | sp[6][state >> 24 & 0xF] | sp[7][state >> 28 & 0xF]
-                     | sp[8][state >> 32 & 0xF] | sp[9][state >> 36 & 0xF]
-                     | sp[10][state >> 40 & 0xF] | sp[11][state >> 44 & 0xF]
-                     | sp[12][state >> 48 & 0xF] | sp[13][state >> 52 & 0xF]
-                     | sp[14][state >> 56 & 0xF] | sp[15][state >> 60 & 0xF])
-        return state ^ rks[ROUNDS]
+        for rk in self._round_keys[:ROUNDS]:
+            block = _layer(_SP, block ^ rk)
+        return block ^ self._round_keys[ROUNDS]
 
     def decrypt_block(self, block: int) -> int:
         if not 0 <= block <= _MASK64:
             raise ValueError("block must be a 64-bit integer")
-        state = block ^ self._round_keys[ROUNDS]
-        pinv, sinv = _PINV_TABLE, _SINV_TABLE
-        for r in range(ROUNDS - 1, -1, -1):
-            state = (pinv[0][state & 0xF] | pinv[1][state >> 4 & 0xF]
-                     | pinv[2][state >> 8 & 0xF] | pinv[3][state >> 12 & 0xF]
-                     | pinv[4][state >> 16 & 0xF] | pinv[5][state >> 20 & 0xF]
-                     | pinv[6][state >> 24 & 0xF] | pinv[7][state >> 28 & 0xF]
-                     | pinv[8][state >> 32 & 0xF] | pinv[9][state >> 36 & 0xF]
-                     | pinv[10][state >> 40 & 0xF] | pinv[11][state >> 44 & 0xF]
-                     | pinv[12][state >> 48 & 0xF] | pinv[13][state >> 52 & 0xF]
-                     | pinv[14][state >> 56 & 0xF] | pinv[15][state >> 60 & 0xF])
-            state = (sinv[0][state & 0xF] | sinv[1][state >> 4 & 0xF]
-                     | sinv[2][state >> 8 & 0xF] | sinv[3][state >> 12 & 0xF]
-                     | sinv[4][state >> 16 & 0xF] | sinv[5][state >> 20 & 0xF]
-                     | sinv[6][state >> 24 & 0xF] | sinv[7][state >> 28 & 0xF]
-                     | sinv[8][state >> 32 & 0xF] | sinv[9][state >> 36 & 0xF]
-                     | sinv[10][state >> 40 & 0xF] | sinv[11][state >> 44 & 0xF]
-                     | sinv[12][state >> 48 & 0xF] | sinv[13][state >> 52 & 0xF]
-                     | sinv[14][state >> 56 & 0xF] | sinv[15][state >> 60 & 0xF])
-            state ^= self._round_keys[r]
-        return state
+        block ^= self._round_keys[ROUNDS]
+        for rk in reversed(self._round_keys[:ROUNDS]):
+            block = _layer(_SINV, _layer(_PINV, block)) ^ rk
+        return block
 
 
 def encrypt_block(plaintext: int, key: int) -> int:

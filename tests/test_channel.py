@@ -226,6 +226,20 @@ def _loopback(payload: bytes, bit_period: int = 8, channel: ChannelModel = CLEAN
     return receive_decode(bit_statistics(w, mode), reference_bits=frame_data_bits(payload))
 
 
+class TestChannelModel:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["hum_amplitude", "hum_frequency", "noise_sigma"])
+    def test_non_finite_field_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChannelModel(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.5])
+    def test_attenuation_outside_unit_interval_refused(self, value):
+        """The range check is what refuses a non-finite attenuation."""
+        with pytest.raises(ValueError, match="attenuation"):
+            ChannelModel(attenuation=value)
+
+
 class TestCrc:
     def test_table_matches_bitwise_oracle(self):
         corpus = [b"", b"\x00", b"123456789", bytes([0, 2, 0x41, 0x42]), bytes(range(256))]

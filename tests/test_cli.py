@@ -99,6 +99,12 @@ class TestFigure4AndExplore:
         assert doc["config"]["lora_distance_m"] == 2000.0
         assert doc["hub"]["retries_display"] == "4"
 
+    @pytest.mark.parametrize("distance", ["1e308", "inf"])
+    def test_explore_distance_past_float64_is_domain_error(self, capsys, distance):
+        code, out, err = run_cli(capsys, "explore", "--distance", distance)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "overflows" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explore", "--no-such-flag"])
@@ -447,6 +453,16 @@ class TestParserFuzz:
         _check_energy_output(command, code, out)
         assert (code, "inf" in out) == ((1, False) if command == ("explore",) else (0, True))
 
+    @pytest.mark.parametrize("command", _ENERGY_COMMANDS + (("figure4", "--json"),))
+    def test_lora_cost_past_float64(self, tmp_path, command):
+        """A reference distance near zero prices the LoRa hop past float64:
+        refused as a domain error, never a traceback."""
+        path = tmp_path / "near.cfg"
+        path.write_text("d_ref = 1e-300\n")
+        code, out, err = _main_status(*command, "--params", str(path))
+        _check_energy_output(command, code, out)
+        assert code == 1 and err.startswith("error:") and "overflows" in err
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(blob=_scenario_files())
     def test_scenario(self, scenario_workspace, blob):
@@ -504,8 +520,9 @@ class TestChannelSweep:
         ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
         ("--bit-period", "1048576"),       # a waveform past channel.MAX_SAMPLES
         ("--seed", "-1", "--noise", "0"),  # no noise is drawn, but the seed is still refused
+        ("--noise", "nan"), ("--noise", "inf"), ("--hum", "0,nan"), ("--hum-frequency", "inf"),
     ], ids=["payload_too_long", "payload_negative", "payload_huge", "bit_period_huge",
-            "seed_negative"])
+            "seed_negative", "noise_nan", "noise_inf", "hum_nan", "hum_frequency_inf"])
     def test_unframeable_sweep_is_domain_error(self, capsys, flags):
         code, out, err = run_cli(capsys, "channel-sweep", "--hum", "0", *flags)
         assert code == 1

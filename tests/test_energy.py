@@ -124,6 +124,16 @@ class TestLoraEnergyPerBit:
         with pytest.raises(ValueError):
             lora_energy_per_bit(d, P)
 
+    @pytest.mark.parametrize("d,params", [
+        (1e308, P),                                       # the float ** raises
+        (math.inf, P),
+        (1000.0, EnergyParams(d_ref=1e-300)),
+        (5e8, EnergyParams(e_bit_lora_ref=1e300)),        # finite square, infinite product
+    ], ids=["distance_huge", "distance_inf", "d_ref_tiny", "product_overflows"])
+    def test_overflow_is_value_error(self, d, params):
+        with pytest.raises(ValueError, match="overflows"):
+            lora_energy_per_bit(d, params)
+
     @given(st.floats(min_value=1.0, max_value=50_000.0))
     def test_doubling_distance_quadruples(self, d):
         assert lora_energy_per_bit(2 * d, P) == pytest.approx(
