@@ -17,13 +17,15 @@ cost lives in the energy model).
 from __future__ import annotations
 
 import binascii
-import enum
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .energy import DecodeMode
+
 __all__ = [
+    "SAMPLE_RATE",
     "SYNC_WORD",
     "PREAMBLE_BITS",
     "ChannelModel",
@@ -48,15 +50,20 @@ __all__ = [
     "sweep_hum",
 ]
 
+# The modem's one time base, samples per second.  Outputs depend on it only through
+# hum_frequency / SAMPLE_RATE and highpass_cutoff / SAMPLE_RATE.
+SAMPLE_RATE = 1_000_000.0
 SYNC_WORD = 0xF3A5
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
+EMPTY_FRAME_BITS = len(PREAMBLE_BITS) + 3 * 16  # preamble; 16-bit sync word, length, CRC
 # Ceiling on one noise-free waveform (noise enters only in noisy_statistics):
 # 2**23 float64 samples, 64 MiB.  transmit() peaks at 8 bytes per sample plus,
 # with hum, one TRANSMIT_CHUNK scratch buffer (256 KiB) and one more chunk for
 # the half-chunk cos/sin tables of its phasor.  It admits a 40,047-byte frame
 # up to bit_period 26 and a 65,535-byte one up to 14.
 MAX_SAMPLES = 1 << 23
+MAX_BIT_PERIOD = MAX_SAMPLES // EMPTY_FRAME_BITS    # 149,796: the longest bit any frame fits
 # Samples of transmit()'s scratch, in whose two halves it builds the hum half
 # a chunk at a time, small enough to stay in cache across a block's passes;
 # highpass_bias() filters, the receiver sums and the eye opening scans the
@@ -76,27 +83,23 @@ class IntegrityError(Exception):
     """Frame located but its checksum does not verify."""
 
 
-class DecodeMode(str, enum.Enum):
-    DIRECT = "direct_sample"
-    INTEGRATE_AND_DUMP = "integrate_and_dump"
-
-
-def check_modem(bit_period: int, sample_rate: float,
-                highpass_cutoff: float | None = None) -> None:
+def check_modem(bit_period: int, highpass_cutoff: float | None = None) -> None:
     """Refuse modem settings the body channel cannot run.
 
     ``bit_period`` must be an even ``int`` (not a ``bool``) of at least 4,
-    so that each Manchester half bit has a midpoint sample; ``sample_rate``
-    finite and positive; and a ``highpass_cutoff`` (``None``: no filter)
-    inside (0, ``sample_rate``/2).  Raises :class:`ValueError` otherwise.
+    so that each Manchester half bit has a midpoint sample, and at most
+    ``MAX_BIT_PERIOD``, past which no frame fits in ``MAX_SAMPLES``; a
+    ``highpass_cutoff`` (``None``: no filter) must lie inside (0,
+    ``SAMPLE_RATE``/2).  Raises :class:`ValueError` otherwise.
     """
     if (isinstance(bit_period, bool) or not isinstance(bit_period, (int, np.integer))
             or bit_period < 4 or bit_period % 2):
         raise ValueError("bit_period must be an even integer >= 4")
-    if not 0 < sample_rate < math.inf:
-        raise ValueError("sample_rate must be finite and positive")
-    if highpass_cutoff is not None and not 0 < highpass_cutoff < sample_rate / 2:
-        raise ValueError("highpass cutoff must lie in (0, sample_rate/2)")
+    if bit_period > MAX_BIT_PERIOD:
+        raise ValueError(f"bit_period {bit_period} exceeds {MAX_BIT_PERIOD}, "
+                         f"where an empty frame fills {MAX_SAMPLES} samples")
+    if highpass_cutoff is not None and not 0 < highpass_cutoff < SAMPLE_RATE / 2:
+        raise ValueError("highpass cutoff must lie in (0, SAMPLE_RATE/2)")
 
 
 def crc16_ccitt(data: bytes) -> int:
@@ -139,14 +142,13 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Sampled real-valued signal; ``bit_period`` is samples per data bit."""
+    """Real signal sampled at ``SAMPLE_RATE``; ``bit_period`` is samples per data bit."""
 
-    sample_rate: float
     samples: np.ndarray
     bit_period: int
 
     def __post_init__(self) -> None:
-        check_modem(self.bit_period, self.sample_rate)
+        check_modem(self.bit_period)
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
 
 
@@ -181,8 +183,7 @@ def encode_frame(payload: bytes) -> np.ndarray:
     return _manchester(frame_data_bits(payload))
 
 
-def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
-             sample_rate: float = 1_000_000.0) -> Waveform:
+def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel) -> Waveform:
     """The noise-free received waveform ``attenuation * clean + hum`` of the
     symbols; noise enters only through :func:`noisy_statistics`.
 
@@ -193,17 +194,17 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
     The hum is rotated, not evaluated per sample.  At sample ``s + k`` of a
     block starting at ``s`` it is
     ``amp*sin(theta) * cos(phi_k) + amp*cos(theta) * sin(phi_k)``, with
-    ``theta = s / sample_rate * omega`` computed afresh for each block (never
-    accumulated) and one cos/sin table of ``phi_k = k / sample_rate * omega``
+    ``theta = s / SAMPLE_RATE * omega`` computed afresh for each block (never
+    accumulated) and one cos/sin table of ``phi_k = k / SAMPLE_RATE * omega``
     per call: one ``sin`` and one ``cos`` per block instead of one ``sin``
-    per sample.  It differs from ``amp * sin(i / sample_rate * omega)`` by
+    per sample.  It differs from ``amp * sin(i / SAMPLE_RATE * omega)`` by
     rounding only, within a few ulp of ``amp`` times
-    ``1 + omega * i / sample_rate``, as that formula does from the exact hum.
+    ``1 + omega * i / SAMPLE_RATE``, as that formula does from the exact hum.
 
     Raises :class:`ValueError` when the modem settings fail
     :func:`check_modem` or the waveform would exceed ``MAX_SAMPLES``.
     """
-    check_modem(bit_period, sample_rate)
+    check_modem(bit_period)
     half = bit_period // 2
     symbols = np.asarray(symbols)
     n = symbols.size * half
@@ -218,32 +219,32 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
         amp = a * channel.hum_amplitude
         omega = 2.0 * np.pi * channel.hum_frequency
         phase = np.arange(block, dtype=np.float64)
-        phase /= sample_rate
+        phase /= SAMPLE_RATE
         phase *= omega
         cos_k = np.cos(phase)
         sin_k = np.sin(phase, out=phase)
         for start in range(0, n, TRANSMIT_CHUNK // 2):
             out = received[start:start + block]
             buf, spare = scratch[:out.size], scratch[block:block + out.size]
-            theta = start / sample_rate * omega
+            theta = start / SAMPLE_RATE * omega
             np.multiply(cos_k[:out.size], amp * math.sin(theta), out=buf)
             np.multiply(sin_k[:out.size], amp * math.cos(theta), out=spare)
             buf += spare
             out += buf
-    return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)
+    return Waveform(samples=received, bit_period=bit_period)
 
 
-def _highpass_coefficients(cutoff: float, sample_rate: float) -> tuple[float, float]:
+def _highpass_coefficients(cutoff: float) -> tuple[float, float]:
     """Gain ``b0`` and pole ``p`` of the first-order Butterworth high-pass.
 
     The bilinear transform of ``s / (s + wc)`` with the cutoff prewarped,
-    as ``scipy.signal.butter(1, cutoff, "highpass", fs=sample_rate)``
+    as ``scipy.signal.butter(1, cutoff, "highpass", fs=SAMPLE_RATE)``
     designs it: ``H(z) = b0 * (1 - 1/z) / (1 - p/z)`` with
-    ``t = tan(pi * cutoff / sample_rate)``, ``b0 = 1 / (1 + t)`` and
+    ``t = tan(pi * cutoff / SAMPLE_RATE)``, ``b0 = 1 / (1 + t)`` and
     ``p = (1 - t) / (1 + t)``.  ``p`` falls from 1 towards -1 as the cutoff
-    rises from 0 to ``sample_rate / 2``, and is ~0 at ``sample_rate / 4``.
+    rises from 0 to ``SAMPLE_RATE / 2``, and is ~0 at ``SAMPLE_RATE / 4``.
     """
-    t = math.tan(math.pi * cutoff / sample_rate)
+    t = math.tan(math.pi * cutoff / SAMPLE_RATE)
     return 1.0 / (1.0 + t), (1.0 - t) / (1.0 + t)
 
 
@@ -329,10 +330,10 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     Raises :class:`ValueError` when the cutoff fails :func:`check_modem` or
     the samples are read-only.
     """
-    check_modem(w.bit_period, w.sample_rate, cutoff)
+    check_modem(w.bit_period, cutoff)
     if not w.samples.flags.writeable:
         raise ValueError("highpass_bias filters in place; the samples are read-only")
-    b0, p = _highpass_coefficients(cutoff, w.sample_rate)
+    b0, p = _highpass_coefficients(cutoff)
     scan = _FirstOrderScan(p, b0)
     diff = scan.buffer
 
@@ -574,8 +575,8 @@ class StatisticNoise:
         return normals
 
 
-def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | None = None,
-                    sample_rate: float = 1_000_000.0) -> StatisticNoise:
+def statistic_noise(bit_period: int, mode: DecodeMode,
+                    highpass_cutoff: float | None = None) -> StatisticNoise:
     """The :class:`StatisticNoise` of a receiver, in closed form.
 
     With the coefficients ``b0, p`` of :func:`_highpass_coefficients` and the
@@ -592,13 +593,13 @@ def statistic_noise(bit_period: int, mode: DecodeMode, highpass_cutoff: float | 
     :class:`StatisticNoise`.  Raises :class:`ValueError` when the settings
     fail :func:`check_modem` or ``mode`` is unknown.
     """
-    check_modem(bit_period, sample_rate, highpass_cutoff)
+    check_modem(bit_period, highpass_cutoff)
     boxes = [(sign / (hi - lo), lo, hi)
              for sign, (lo, hi) in zip((1.0, -1.0), _decode_weights(bit_period, mode))]
     if highpass_cutoff is None:
         variance = sum(weight * weight * (hi - lo) for weight, lo, hi in boxes)
         return StatisticNoise(gain=0.0, carry=0.0, covariance=(variance, 0.0, 0.0))
-    b0, p = _highpass_coefficients(highpass_cutoff, sample_rate)
+    b0, p = _highpass_coefficients(highpass_cutoff)
     i = np.arange(bit_period)
     w = np.zeros(bit_period)
     c = np.zeros(bit_period)
@@ -720,9 +721,8 @@ def ber(tx: np.ndarray, rx: np.ndarray) -> float:
     return float(np.count_nonzero(tx != rx) / tx.size)
 
 
-def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel,
-              bit_period: int, seed: int, modes: tuple[DecodeMode, ...] = tuple(DecodeMode),
-              sample_rate: float = 1_000_000.0) -> list[dict]:
+def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel, bit_period: int,
+              seed: int, modes: tuple[DecodeMode, ...] = tuple(DecodeMode)) -> list[dict]:
     """BER and eye opening per decode mode over a hum-amplitude sweep.
 
     Each point makes one noise-free pass and draws each mode's noise with
@@ -734,12 +734,12 @@ def sweep_hum(payload: bytes, hum_amplitudes: list[float], channel: ChannelModel
     """
     reference = frame_data_bits(payload)
     symbols = _manchester(reference)
-    noises = {mode: statistic_noise(bit_period, mode, channel.highpass_cutoff, sample_rate)
+    noises = {mode: statistic_noise(bit_period, mode, channel.highpass_cutoff)
               for mode in modes}
     records = []
     for idx, hum in enumerate(hum_amplitudes):
         cm = replace(channel, hum_amplitude=hum)
-        w = transmit(symbols, bit_period, cm, sample_rate=sample_rate)
+        w = transmit(symbols, bit_period, cm)
         if cm.highpass_cutoff is not None:
             w = highpass_bias(w, cm.highpass_cutoff)
         clean = {mode: bit_statistics(w, mode) for mode in modes}

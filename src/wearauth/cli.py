@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Machine-readable output (CSV/JSON) goes to stdout or ``-o``; diagnostics go
-to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
+to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  Only the
+handlers of data-plane commands import the data plane (and so numpy).
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import codec, present, sim
-from .channel import MAX_PAYLOAD, ChannelModel, DecodeMode, FramingError, sweep_hum
 from .design_space import (
     PowerSource,
     SystemConfig,
@@ -23,10 +22,7 @@ from .design_space import (
     table2_csv,
     table2_json,
 )
-from .energy import Channel, ConfigError, EnergyParams, SensorType, TemplateAlgorithm
-from .fingerprint.image import GrayImage, read_pgm
-from .fingerprint.minutiae import extract_template
-from .matcher import MatchParams, match_gallery
+from .energy import Channel, ConfigError, DecodeMode, EnergyParams, SensorType, TemplateAlgorithm
 
 __all__ = ["main"]
 
@@ -44,15 +40,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_table2(args) -> int:
+def _cmd_export(args) -> int:
     params = _load_params(args.params)
-    _emit(table2_json(params) if args.json else table2_csv(params), args.output)
-    return 0
-
-
-def _cmd_figure4(args) -> int:
-    params = _load_params(args.params)
-    _emit(figure4_json(params) if args.json else figure4_csv(params), args.output)
+    as_json, as_csv = args.formats
+    _emit(as_json(params) if args.json else as_csv(params), args.output)
     return 0
 
 
@@ -72,16 +63,16 @@ def _cmd_explore(args) -> int:
     return 0
 
 
-def _read_image(args) -> GrayImage:
+def _cmd_extract(args) -> int:
+    from . import codec
+    from .fingerprint.image import GrayImage, read_pgm
+    from .fingerprint.minutiae import extract_template
     if args.raw_width is not None or args.raw_height is not None:
         if args.raw_width is None or args.raw_height is None:
             raise ValueError("raw input needs both --raw-width and --raw-height")
-        return GrayImage.from_raw(Path(args.image).read_bytes(), args.raw_width, args.raw_height)
-    return read_pgm(args.image)
-
-
-def _cmd_extract(args) -> int:
-    img = _read_image(args)
+        img = GrayImage.from_raw(Path(args.image).read_bytes(), args.raw_width, args.raw_height)
+    else:
+        img = read_pgm(args.image)
     template = extract_template(img, _ALGO_FLAGS[args.algo])
     blob = codec.encode(template)
     Path(args.output).write_bytes(blob)
@@ -90,16 +81,19 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from . import codec
+    from .matcher import MatchParams, match_gallery
     probe = codec.decode(Path(args.probe).read_bytes())
-    params = MatchParams(position_tolerance=args.position_tolerance,
-                         angle_tolerance=args.angle_tolerance,
-                         score_threshold=args.threshold)
+    given = {"position_tolerance": args.position_tolerance,
+             "angle_tolerance": args.angle_tolerance, "score_threshold": args.threshold}
+    params = MatchParams(**{name: value for name, value in given.items() if value is not None})
     results = match_gallery(probe, args.gallery, params)
     _emit(json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     return 0
 
 
 def _cmd_crypt(args) -> int:
+    from . import present
     key = int(args.key, 16)
     nonce = int(args.nonce, 16)
     data = Path(args.input).read_bytes()
@@ -108,6 +102,7 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_channel_sweep(args) -> int:
+    from .channel import MAX_PAYLOAD, ChannelModel, sweep_hum
     hums = [float(x) for x in args.hum.split(",") if x.strip() != ""]
     if not hums:
         raise ValueError("--hum needs at least one amplitude")
@@ -121,8 +116,7 @@ def _cmd_channel_sweep(args) -> int:
                            highpass_cutoff=args.highpass)
     modes = tuple(DecodeMode) if args.mode == "both" else (DecodeMode(args.mode),)
     payload = bytes(range(256)) * (args.payload_bytes // 256) + bytes(range(args.payload_bytes % 256))
-    records = sweep_hum(payload, hums, channel, args.bit_period, args.seed, modes,
-                        sample_rate=args.sample_rate)
+    records = sweep_hum(payload, hums, channel, args.bit_period, args.seed, modes)
     lines = ["hum_amplitude,mode,ber,eye_opening"]
     lines += [f"{r['hum_amplitude']:.6g},{r['mode'].value},{r['ber']:.9e},{r['eye_opening']:.9e}"
               for r in records]
@@ -131,6 +125,7 @@ def _cmd_channel_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
     params = _load_params(args.params)
     cfg = sim.ScenarioConfig.from_json(args.scenario)
     report = sim.run_scenario(cfg, params)
@@ -154,15 +149,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", help="energy parameter override file (key = value)")
         p.add_argument("-o", "--output", help="write machine output to a file instead of stdout")
 
-    p = sub.add_parser("table2", help="sensor lifetime summary grid (retries/hour, RF harvest)")
-    add_common(p)
-    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
-    p.set_defaults(func=_cmd_table2)
-
-    p = sub.add_parser("figure4", help="sensor energy breakdown and retries over the full grid")
-    add_common(p)
-    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
-    p.set_defaults(func=_cmd_figure4)
+    for name, help_text, formats in (
+            ("table2", "sensor lifetime summary grid (retries/hour, RF harvest)",
+             (table2_json, table2_csv)),
+            ("figure4", "sensor energy breakdown and retries over the full grid",
+             (figure4_json, figure4_csv))):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        p.add_argument("--json", action="store_true", help="JSON instead of CSV")
+        p.set_defaults(func=_cmd_export, formats=formats)
 
     p = sub.add_parser("explore", help="evaluate a single allocation point")
     add_common(p)
@@ -187,10 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("probe", help="probe .fpt file")
     p.add_argument("gallery", help="gallery directory containing index.json")
     p.add_argument("-o", "--output")
-    defaults = MatchParams()
-    p.add_argument("--position-tolerance", type=float, default=defaults.position_tolerance)
-    p.add_argument("--angle-tolerance", type=float, default=defaults.angle_tolerance)
-    p.add_argument("--threshold", type=float, default=defaults.score_threshold)
+    # Unset tolerances take MatchParams' defaults in _cmd_match.
+    p.add_argument("--position-tolerance", type=float)
+    p.add_argument("--angle-tolerance", type=float)
+    p.add_argument("--threshold", type=float)
     p.set_defaults(func=_cmd_match)
 
     for name in ("encrypt", "decrypt"):
@@ -210,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hum-frequency", type=float, default=60.0)
     p.add_argument("--highpass", type=float, default=None, help="high-pass cutoff, Hz")
     p.add_argument("--bit-period", type=int, default=16, help="samples per data bit")
-    p.add_argument("--sample-rate", type=float, default=1_000_000.0)
     p.add_argument("--payload-bytes", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_channel_sweep)
@@ -229,8 +223,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, codec.EncodeError, codec.DecodeError,
-            FramingError, sim.BudgetExceeded) as exc:
+    except Exception as exc:
+        if not isinstance(exc, (ConfigError, ValueError, OSError)):
+            from . import codec, sim        # the data plane's errors, once a command failed
+            from .channel import FramingError
+            if not isinstance(exc, (codec.EncodeError, codec.DecodeError, FramingError,
+                                    sim.BudgetExceeded)):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from pathlib import Path
 __all__ = [
     "Channel",
     "ConfigError",
+    "DecodeMode",
     "EnergyBreakdown",
     "EnergyParams",
     "NodeActivity",
@@ -34,6 +35,11 @@ class Channel(str, enum.Enum):
     WBAN = "wban"
     HBC = "hbc"
     LORA = "lora"
+
+
+class DecodeMode(str, enum.Enum):
+    DIRECT = "direct_sample"
+    INTEGRATE_AND_DUMP = "integrate_and_dump"
 
 
 class SensorType(str, enum.Enum):

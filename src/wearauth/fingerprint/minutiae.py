@@ -17,7 +17,7 @@ from ..energy import TemplateAlgorithm
 from .enhance import enhance
 from .image import MAX_PIXELS, MIN_PIPELINE_SIZE, BinaryImage, GrayImage
 from .segmentation import BinarizeMethod, binarize
-from .thinning import thin
+from .thinning import _RING, thin
 
 __all__ = [
     "MinutiaKind",
@@ -79,9 +79,6 @@ class Template:
 
     def __len__(self) -> int:
         return len(self.minutiae)
-
-
-_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
 def crossing_number(skeleton: BinaryImage, x: int, y: int) -> int:

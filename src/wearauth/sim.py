@@ -45,7 +45,6 @@ import numpy as np
 from . import codec, present
 from .channel import (
     ChannelModel,
-    DecodeMode,
     IntegrityError,
     SyncError,
     bit_statistics,
@@ -61,6 +60,7 @@ from .design_space import PowerSource, SystemConfig, TeLocation, derive_activiti
 from .energy import (
     Channel,
     ConfigError,
+    DecodeMode,
     EnergyParams,
     SensorType,
     TemplateAlgorithm,
@@ -138,7 +138,7 @@ _Event = tuple[EnergyLedger, str, float]   # (ledger, label, joules)
 
 
 _SCENARIO_KEYS = ("system", "probe_image", "gallery_dir", "channel", "seed", "match",
-                  "max_requests", "bit_period", "sample_rate", "decode_mode",
+                  "max_requests", "bit_period", "decode_mode",
                   "cipher_key", "cipher_nonce")
 _SYSTEM_KEYS = ("te_location", "on_body_channel", "sensor_type", "sensor_power",
                 "lora_distance", "te_variant")
@@ -196,7 +196,6 @@ class ScenarioConfig:
     match_params: MatchParams = field(default_factory=MatchParams)
     max_requests: int | None = None     # None: run until a ledger refuses, or MAX_REQUESTS
     bit_period: int = 8                 # samples per data bit on the body channel
-    sample_rate: float = 1_000_000.0
     decode_mode: DecodeMode = DecodeMode.INTEGRATE_AND_DUMP
     cipher_key: int = DEFAULT_CIPHER_KEY
     cipher_nonce: int = DEFAULT_CIPHER_NONCE
@@ -206,7 +205,7 @@ class ScenarioConfig:
             raise ConfigError(f"max_requests must lie in [0, {MAX_REQUESTS}]")
         # Checked on every on-body link, so a WBAN scenario cannot carry
         # settings an HBC one would refuse.
-        check_modem(self.bit_period, self.sample_rate, self.channel.highpass_cutoff)
+        check_modem(self.bit_period, self.channel.highpass_cutoff)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -248,7 +247,6 @@ class ScenarioConfig:
                                               [f.name for f in fields(MatchParams)])),
             max_requests=None if max_requests is None else _integer(max_requests, "max_requests"),
             bit_period=_integer(doc.get("bit_period", 8), "bit_period"),
-            sample_rate=_number(doc.get("sample_rate", 1_000_000.0), "sample_rate"),
             decode_mode=DecodeMode(doc.get("decode_mode", DecodeMode.INTEGRATE_AND_DUMP)),
             cipher_key=_parse_hex(doc.get("cipher_key", DEFAULT_CIPHER_KEY), 80, "cipher_key"),
             cipher_nonce=_parse_hex(doc.get("cipher_nonce", DEFAULT_CIPHER_NONCE), 64, "cipher_nonce"),
@@ -355,8 +353,7 @@ class _Runner:
         self.request_idx = 0
         self._clean: tuple[bytes, np.ndarray, np.ndarray] | None = None
         # The body link's noise model: one per run, whatever the attempts.
-        self._noise = statistic_noise(cfg.bit_period, cfg.decode_mode,
-                                      cfg.channel.highpass_cutoff, cfg.sample_rate)
+        self._noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -399,7 +396,7 @@ class _Runner:
         if self._clean is None or self._clean[0] != payload:
             cfg = self.cfg
             symbols = encode_frame(payload)
-            w = transmit(symbols, cfg.bit_period, cfg.channel, sample_rate=cfg.sample_rate)
+            w = transmit(symbols, cfg.bit_period, cfg.channel)
             if cfg.channel.highpass_cutoff is not None:
                 w = highpass_bias(w, cfg.channel.highpass_cutoff)
             reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
@@ -560,7 +557,6 @@ class _Runner:
             "gallery_dir": str(cfg.gallery_dir),
             "seed": cfg.seed,
             "bit_period": cfg.bit_period,
-            "sample_rate": cfg.sample_rate,
             "decode_mode": cfg.decode_mode.value,
             "max_requests": cfg.max_requests,
         }

@@ -2,7 +2,7 @@
 
 ``reference_transmit`` is the allocating transmit that preceded the chunked
 one: one float64 array per term, and the hum as ``np.sin`` of every sample's
-own phase ``2*pi*f * (i / sample_rate)``.  Its clean symbols equal
+own phase ``2*pi*f * (i / SAMPLE_RATE)``.  Its clean symbols equal
 ``transmit``'s bit for bit; the hum, which ``transmit`` builds by phasor
 rotation, differs by rounding only (see ``tests/test_channel.py``).  It is
 the only place that draws link noise per sample, one standard normal of
@@ -21,11 +21,10 @@ from dataclasses import replace
 import numpy as np
 from scipy import signal as sp_signal
 
-from wearauth.channel import ChannelModel, Waveform
+from wearauth.channel import SAMPLE_RATE, ChannelModel, Waveform
 
 
-def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed,
-                       sample_rate: float = 1_000_000.0) -> Waveform:
+def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed) -> Waveform:
     half = bit_period // 2
     symbols = np.asarray(symbols, dtype=np.float64)
     clean = np.repeat(symbols, half)
@@ -33,14 +32,14 @@ def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed,
     a = channel.attenuation
     received = a * clean
     if channel.hum_amplitude:
-        t = np.arange(clean.size) / sample_rate
+        t = np.arange(clean.size) / SAMPLE_RATE
         received = received + a * channel.hum_amplitude * np.sin(
             2.0 * np.pi * channel.hum_frequency * t)
     if channel.noise_sigma:
         received = received + a * channel.noise_sigma * rng.standard_normal(clean.size)
-    return Waveform(sample_rate=sample_rate, samples=received, bit_period=bit_period)
+    return Waveform(samples=received, bit_period=bit_period)
 
 
 def reference_highpass(w: Waveform, cutoff: float) -> Waveform:
-    b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=w.sample_rate)
+    b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=SAMPLE_RATE)
     return replace(w, samples=sp_signal.lfilter(b, a, w.samples))

@@ -14,9 +14,12 @@ from scipy import stats as sp_stats
 
 from wearauth import channel as channel_module
 from wearauth.channel import (
+    EMPTY_FRAME_BITS,
+    MAX_BIT_PERIOD,
     MAX_PAYLOAD,
     MAX_SAMPLES,
     PREAMBLE_BITS,
+    SAMPLE_RATE,
     SYNC_WORD,
     TRANSMIT_CHUNK,
     ChannelModel,
@@ -52,7 +55,7 @@ EPS = np.finfo(np.float64).eps
 
 # Rounding allowance of transmit's hum against a reference hum, in units of
 # EPS * amp (amp = attenuation * hum_amplitude): HUM_ULPS + 2 * x_i at sample
-# i, where x_i = omega * i / sample_rate is the unreduced phase.  u = EPS / 2
+# i, where x_i = omega * i / SAMPLE_RATE is the unreduced phase.  u = EPS / 2
 # is the unit roundoff, and every sin and cos is taken to be within 4 ulp
 # (<= 4 EPS on a value in [-1, 1]; glibc's are within 1).
 #  - Phase.  transmit's theta = s / fs * omega and phi_k = k / fs * omega
@@ -76,26 +79,27 @@ HUM_ULPS = 25
 TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _hum_allowance(channel: ChannelModel, sample_rate: float, indices: np.ndarray) -> np.ndarray:
+def _hum_allowance(channel: ChannelModel, indices: np.ndarray) -> np.ndarray:
     """Largest |transmit's hum - a reference hum| that rounding allows."""
     amp = channel.attenuation * channel.hum_amplitude
-    phase = 2.0 * np.pi * channel.hum_frequency * indices / sample_rate
-    return EPS * amp * (HUM_ULPS + 2.0 * phase) + 8.0 * TINY
+    phase = 2.0 * np.pi * channel.hum_frequency * indices / SAMPLE_RATE
+    # amp scales last: EPS * amp underflows to 0 for a subnormal amp.
+    return amp * (EPS * (HUM_ULPS + 2.0 * phase)) + 8.0 * TINY
 
 
-def _assert_equals_reference(w, symbols, bit_period, channel, sample_rate):
+def _assert_equals_reference(w, symbols, bit_period, channel):
     """``transmit`` is the reference's noise-free waveform, whatever the
     channel's ``noise_sigma``: bit for bit without hum.  With hum,
     ``a * clean + hum`` is rounded once on each side: besides the hum
     allowance, the sum may round by u of its value, which adds at most
     EPS * (a + amp + |sample|)."""
     expected = reference_transmit(symbols, bit_period, replace(channel, noise_sigma=0.0),
-                                  seed=0, sample_rate=sample_rate).samples
+                                  seed=0).samples
     if not channel.hum_amplitude:
         assert np.array_equal(w.samples, expected)
         return
     a = channel.attenuation
-    allowance = (_hum_allowance(channel, sample_rate, np.arange(expected.size))
+    allowance = (_hum_allowance(channel, np.arange(expected.size))
                  + EPS * (a + a * channel.hum_amplitude + np.abs(expected)))
     assert np.all(np.abs(w.samples - expected) <= allowance)
 
@@ -144,15 +148,15 @@ def _reference_bit_statistics(w, mode):
 HIGHPASS_ULPS = 40
 
 
-def _assert_highpass_equals_reference(samples, sample_rate, cutoff):
+def _assert_highpass_equals_reference(samples, cutoff):
     """``highpass_bias`` on a copy of ``samples`` against the one-shot
     ``lfilter``: finite at the same samples, and within the allowance."""
-    expected = reference_highpass(Waveform(sample_rate, samples.copy(), 8), cutoff).samples
-    out = highpass_bias(Waveform(sample_rate, samples.copy(), 8), cutoff).samples
+    expected = reference_highpass(Waveform(samples.copy(), 8), cutoff).samples
+    out = highpass_bias(Waveform(samples.copy(), 8), cutoff).samples
     finite = np.isfinite(expected)
     assert np.array_equal(np.isfinite(out), finite)
     if samples.size:
-        _, p = _highpass_coefficients(cutoff, sample_rate)
+        _, p = _highpass_coefficients(cutoff)
         allowance = HIGHPASS_ULPS * EPS * np.abs(samples).max() / (1.0 - abs(p))
         assert np.all(np.abs(out[finite] - expected[finite]) <= allowance)
 
@@ -289,42 +293,56 @@ class TestTransmit:
         assert np.array_equal(w.samples, np.repeat(symbols.astype(float), 4))
 
     def test_hum_dominates_spectrum(self):
-        cm = ChannelModel(attenuation=0.1, hum_amplitude=5.0)
-        w = transmit(encode_frame(bytes(200)), 16, cm, sample_rate=200_000.0)
+        """60 Hz hum sampled at 200 kHz: 300 Hz at the fixed 1 MHz."""
+        cm = ChannelModel(attenuation=0.1, hum_amplitude=5.0, hum_frequency=300.0)
+        w = transmit(encode_frame(bytes(200)), 16, cm)
         spectrum = np.abs(np.fft.rfft(w.samples))
-        freqs = np.fft.rfftfreq(w.samples.size, 1.0 / w.sample_rate)
+        freqs = np.fft.rfftfreq(w.samples.size, 1.0 / SAMPLE_RATE)
         peak = freqs[1:][np.argmax(spectrum[1:])]
-        assert peak == pytest.approx(60.0, abs=2.0)
+        assert peak == pytest.approx(300.0, abs=10.0)
 
     def test_odd_bit_period_rejected(self):
         with pytest.raises(ValueError):
             transmit(encode_frame(b""), 7, CLEAN)
         with pytest.raises(ValueError):
-            Waveform(1e6, np.zeros(8), 2)
+            Waveform(np.zeros(8), 2)
 
-    @pytest.mark.parametrize("bit_period,sample_rate,cutoff", [
-        (7, 1e6, None), (2, 1e6, None), (8, 0.0, None), (8, -1.0, None), (8, math.inf, None),
-        (8, math.nan, None), (8, 1e6, 0.0), (8, 1e6, -5.0), (8, 1e6, 5e5), (8, 1e6, math.nan)])
-    def test_modem_rules_hold_everywhere(self, bit_period, sample_rate, cutoff):
-        """``check_modem`` owns the rules that ``Waveform``, ``transmit`` and
-        ``highpass_bias`` (and the scenario parser) apply."""
+    @pytest.mark.parametrize("bit_period,cutoff", [
+        (7, None), (2, None), (MAX_BIT_PERIOD + 2, None), (2**30, None),
+        (8, 0.0), (8, -5.0), (8, 5e5), (8, math.nan)])
+    def test_modem_rules_hold_everywhere(self, bit_period, cutoff):
+        """``check_modem`` owns the rules that ``Waveform``, ``transmit``,
+        ``highpass_bias``, ``statistic_noise`` (and the scenario parser)
+        apply; a bit period past the frame ceiling is refused before any
+        array is sized by it."""
         with pytest.raises(ValueError):
-            check_modem(bit_period, sample_rate, cutoff)
+            check_modem(bit_period, cutoff)
+        with pytest.raises(ValueError):
+            statistic_noise(bit_period, DecodeMode.INTEGRATE_AND_DUMP, cutoff)
         if cutoff is None:
             with pytest.raises(ValueError):
-                Waveform(sample_rate, np.zeros(16), bit_period)
+                Waveform(np.zeros(16), bit_period)
             with pytest.raises(ValueError):
-                transmit(encode_frame(b""), bit_period, CLEAN, sample_rate=sample_rate)
+                transmit(encode_frame(b""), bit_period, CLEAN)
         else:
             with pytest.raises(ValueError):
-                highpass_bias(Waveform(sample_rate, np.zeros(16), bit_period), cutoff)
+                highpass_bias(Waveform(np.zeros(16), bit_period), cutoff)
+
+    def test_bit_period_ceiling_is_where_an_empty_frame_fills_the_samples(self):
+        assert EMPTY_FRAME_BITS == encode_frame(b"").size // 2 == 56
+        assert MAX_BIT_PERIOD % 2 == 0
+        assert MAX_BIT_PERIOD * EMPTY_FRAME_BITS <= MAX_SAMPLES
+        assert (MAX_BIT_PERIOD + 2) * EMPTY_FRAME_BITS > MAX_SAMPLES
+        check_modem(MAX_BIT_PERIOD, 1.0)
+        model = statistic_noise(MAX_BIT_PERIOD, DecodeMode.DIRECT, 1.0)
+        assert 0.0 < model.carry < 1.0
 
     @pytest.mark.parametrize("bit_period", [8.0, np.float64(8.0), True, "8", None])
     def test_bit_period_must_be_an_int(self, bit_period):
         with pytest.raises(ValueError, match="bit_period"):
             transmit(encode_frame(b"hi"), bit_period, ChannelModel())
         with pytest.raises(ValueError, match="bit_period"):
-            Waveform(1e6, np.zeros(16), bit_period)
+            Waveform(np.zeros(16), bit_period)
 
     def test_numpy_integer_bit_period_accepted(self):
         symbols = encode_frame(b"hi")
@@ -336,9 +354,10 @@ class TestTransmit:
     def test_samples_equal_allocating_reference(self, hum, noise):
         """Noise does not reach the samples: it enters at the statistics."""
         symbols = encode_frame(bytes(range(200)))
-        cm = ChannelModel(attenuation=0.7, hum_amplitude=hum, noise_sigma=noise)
-        w = transmit(symbols, 8, cm, sample_rate=250_000.0)
-        _assert_equals_reference(w, symbols, 8, cm, 250_000.0)
+        cm = ChannelModel(attenuation=0.7, hum_amplitude=hum, hum_frequency=240.0,
+                          noise_sigma=noise)
+        w = transmit(symbols, 8, cm)
+        _assert_equals_reference(w, symbols, 8, cm)
 
     def test_peak_memory_per_sample(self):
         """The output, one chunk of scratch and the hum's two half-chunk cos/sin
@@ -358,59 +377,65 @@ class TestTransmit:
     @given(half=st.one_of(st.sampled_from((2, 4, 8, 16)), st.integers(2, 40)),
            length=st.sampled_from(("below", "at", "across")),
            extra=st.integers(0, 2 * TRANSMIT_CHUNK), symbol_seed=st.integers(0, 2**32 - 1),
-           sample_rate=st.floats(1.0, 1e9), attenuation=st.floats(0.0, 1.0),
-           hum=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), hum_frequency=st.floats(0.1, 1e5),
+           attenuation=st.floats(0.0, 1.0), hum=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+           hum_frequency=st.floats(1e-4, 1e11),
            noise=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
     def test_chunked_samples_equal_allocating_reference(self, half, length, extra, symbol_seed,
-                                                        sample_rate, attenuation, hum,
-                                                        hum_frequency, noise):
+                                                        attenuation, hum, hum_frequency, noise):
         """Frames shorter than a chunk, as long as one (exactly, where the half
-        bit divides it), and several chunks long with a tail."""
+        bit divides it), and several chunks long with a tail.  The hum runs
+        from 1e-10 to 1e5 cycles a sample."""
         at = TRANSMIT_CHUNK // half
         n_symbols = {"below": extra % at, "at": at, "across": at + 1 + extra // half}[length]
         rng = np.random.default_rng(symbol_seed)
         symbols = rng.choice(np.array([-1, 1], dtype=np.int8), n_symbols)
         cm = ChannelModel(attenuation=attenuation, hum_amplitude=hum,
                           hum_frequency=hum_frequency, noise_sigma=noise)
-        w = transmit(symbols, 2 * half, cm, sample_rate=sample_rate)
-        _assert_equals_reference(w, symbols, 2 * half, cm, sample_rate)
+        w = transmit(symbols, 2 * half, cm)
+        _assert_equals_reference(w, symbols, 2 * half, cm)
 
-    @pytest.mark.parametrize("sample_rate,frequency", [
-        (1e6, 60.0), (250_000.0, 50.0), (44_100.0, 60.7), (1e3, 400.0)])
-    def test_hum_within_rounding_of_exact_phase(self, sample_rate, frequency):
+    @pytest.mark.parametrize("frequency", [
+        60.0, 200.0, 60.7 * 1e6 / 44_100.0, 400_000.0])
+    def test_hum_within_rounding_of_exact_phase(self, frequency):
         """Zero symbols leave the bare hum in the samples of a 40 KB capture's
         frame.  Against sin of the exactly reduced phase, at 4,000 random
-        samples, either side of every block and chunk edge, and the last."""
+        samples, either side of every block and chunk edge, and the last.
+        The frequencies are 60 Hz at 1 MHz, 50 Hz at 250 kHz, 60.7 Hz at
+        44.1 kHz and 400 Hz at 1 kHz, rescaled to the fixed time base."""
         symbols = np.zeros(encode_frame(bytes(40047)).size, dtype=np.int8)
         cm = ChannelModel(attenuation=0.6, hum_amplitude=0.5, hum_frequency=frequency)
-        samples = transmit(symbols, 8, cm, sample_rate=sample_rate).samples
+        samples = transmit(symbols, 8, cm).samples
         n = samples.size
         edges = np.arange(TRANSMIT_CHUNK // 2, n, TRANSMIT_CHUNK // 2)
         indices = np.unique(np.concatenate([
             np.random.default_rng(0).integers(0, n, 4000), edges - 1, edges, edges + 1,
             [0, n - 1]]))
         indices = indices[indices < n]
-        cycles = Fraction(frequency) / Fraction(sample_rate)
+        cycles = Fraction(frequency) / Fraction(SAMPLE_RATE)
         half = Fraction(1, 2)
         exact = np.array([
             0.6 * 0.5 * math.sin(2 * math.pi * float((i * cycles + half) % 1 - half))
             for i in indices.tolist()])
         error = np.abs(samples[indices] - exact)
-        assert np.all(error <= _hum_allowance(cm, sample_rate, indices))
+        assert np.all(error <= _hum_allowance(cm, indices))
 
     def test_sample_ceiling(self):
         # A capture-sized frame at the default bit period fits...
         assert encode_frame(bytes(40047)).size * 8 // 2 <= MAX_SAMPLES
-        # ...and a waveform past the ceiling is refused before it is built.
+        # ...and a waveform past the ceiling is refused before it is built:
+        # the capture's frame at bit period 28, and an empty frame at the
+        # first bit period past the ceiling that check_modem owns.
+        with pytest.raises(ValueError, match="waveform of .* exceeds"):
+            transmit(encode_frame(bytes(40047)), 28, CLEAN)
         symbols = encode_frame(b"")
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="bit_period .* exceeds"):
             transmit(symbols, 2 * (MAX_SAMPLES // symbols.size + 1), CLEAN)
 
 
 class TestHighpass:
     def test_60hz_attenuated_per_first_order_response(self):
-        t = np.arange(200_000) / 1e6
-        hum = Waveform(1e6, np.sin(2 * np.pi * 60.0 * t), 10)
+        t = np.arange(200_000) / SAMPLE_RATE
+        hum = Waveform(np.sin(2 * np.pi * 60.0 * t), 10)
         out = highpass_bias(replace(hum, samples=hum.samples.copy()), 10_000.0)
         ratio = np.sqrt((out.samples[1000:] ** 2).mean()) / np.sqrt((hum.samples[1000:] ** 2).mean())
         analytic = (60.0 / 10_000.0) / np.sqrt(1 + (60.0 / 10_000.0) ** 2)
@@ -418,14 +443,14 @@ class TestHighpass:
         assert ratio == pytest.approx(analytic, rel=0.2)
 
     def test_dc_decays_to_zero(self):
-        w = Waveform(1e6, np.ones(100_000), 10)
+        w = Waveform(np.ones(100_000), 10)
         out = highpass_bias(w, 10_000.0)
         assert abs(out.samples[-1]) < 1e-6
 
     def test_in_band_square_wave_passes(self):
         # 100 kbit/s square wave against a 10 kHz cutoff
         square = np.repeat(np.resize([1.0, -1.0], 2000), 10)
-        w = Waveform(1e6, square.copy(), 10)
+        w = Waveform(square.copy(), 10)
         out = highpass_bias(w, 10_000.0)
         corr = np.corrcoef(square, out.samples)[0, 1]
         assert corr >= 0.9
@@ -435,14 +460,14 @@ class TestHighpass:
                                              TRANSMIT_CHUNK + 1, 3 * TRANSMIT_CHUNK)),
                             st.integers(0, TRANSMIT_CHUNK - 1),
                             st.integers(TRANSMIT_CHUNK + 1, 3 * TRANSMIT_CHUNK)),
-           sample_rate=st.floats(1e-3, 1e9), fraction=st.floats(1e-6, 0.999),
+           fraction=st.floats(1e-6, 0.999),
            scale=st.one_of(st.sampled_from((1.0, 1e-300, 1e300)), st.floats(1e-12, 1e12)),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_one_shot_filter_within_rounding(self, length, sample_rate, fraction,
-                                                    scale, seed):
-        """Empty, shorter than a chunk, exactly one, and several with a tail."""
+    def test_equals_one_shot_filter_within_rounding(self, length, fraction, scale, seed):
+        """Empty, shorter than a chunk, exactly one, and several with a tail;
+        the cutoff fraction of Nyquist sets the pole over its whole range."""
         samples = scale * np.random.default_rng(seed).standard_normal(length)
-        _assert_highpass_equals_reference(samples, sample_rate, fraction * sample_rate / 2)
+        _assert_highpass_equals_reference(samples, fraction * SAMPLE_RATE / 2)
 
     @pytest.mark.parametrize("fraction", [
         0.5,            # cutoff fs/4: p = 5.6e-17, one block per sample
@@ -455,20 +480,20 @@ class TestHighpass:
         """At 1e307 the scan's sums overflow and the step is filtered again
         rescaled; the output stays finite wherever lfilter's does."""
         samples = scale * np.random.default_rng(7).standard_normal(3 * TRANSMIT_CHUNK + 5)
-        _assert_highpass_equals_reference(samples, 1e6, fraction * 1e6 / 2)
+        _assert_highpass_equals_reference(samples, fraction * SAMPLE_RATE / 2)
 
     def test_zero_pole_is_the_scaled_first_difference(self, monkeypatch):
         """p == 0 exactly (no cutoff reaches it: tan rounds pi/4 below 1)."""
-        monkeypatch.setattr(channel_module, "_highpass_coefficients", lambda c, fs: (0.5, 0.0))
+        monkeypatch.setattr(channel_module, "_highpass_coefficients", lambda c: (0.5, 0.0))
         samples = np.random.default_rng(3).standard_normal(2 * TRANSMIT_CHUNK + 3)
-        out = highpass_bias(Waveform(1e6, samples.copy(), 8), 250_000.0)
+        out = highpass_bias(Waveform(samples.copy(), 8), 250_000.0)
         assert np.array_equal(out.samples, 0.5 * np.diff(samples, prepend=0.0))
 
     def test_coefficients_equal_butter(self):
-        for fs, cutoff in ((1e6, 1000.0), (1e6, 1.0), (1e6, 250_000.0), (1e6, 499_000.0),
-                           (48_000.0, 60.0), (1e-3, 1e-4)):
-            b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=fs)
-            b0, p = _highpass_coefficients(cutoff, fs)
+        # 60 Hz at 48 kHz and 1e-4 Hz at 1e-3 Hz are 1250 Hz and 100 kHz here.
+        for cutoff in (1000.0, 1.0, 250_000.0, 499_000.0, 1250.0, 100_000.0):
+            b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=SAMPLE_RATE)
+            b0, p = _highpass_coefficients(cutoff)
             assert (b0, -b0, 1.0, -p) == pytest.approx((*b, *a), rel=4 * EPS, abs=4 * EPS)
 
     def test_filters_in_place_and_returns_the_input(self):
@@ -483,7 +508,7 @@ class TestHighpass:
         samples = np.ones(64)
         samples.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
-            highpass_bias(Waveform(1e6, samples, 8), 1000.0)
+            highpass_bias(Waveform(samples, 8), 1000.0)
         assert np.all(samples == 1.0)
 
     def test_peak_memory_is_two_chunks(self):
@@ -491,7 +516,7 @@ class TestHighpass:
         one ``lfilter`` into a new array allocated ~20 MB."""
         w = transmit(encode_frame(bytes(40047)), 8,
                      ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45))
-        highpass_bias(Waveform(1e6, np.zeros(16), 8), 1000.0)     # first-call set-up
+        highpass_bias(Waveform(np.zeros(16), 8), 1000.0)     # first-call set-up
         tracemalloc.start()
         try:
             highpass_bias(w, 1000.0)
@@ -503,7 +528,7 @@ class TestHighpass:
 
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
-            highpass_bias(Waveform(1e6, np.zeros(16), 8), 600_000.0)
+            highpass_bias(Waveform(np.zeros(16), 8), 600_000.0)
 
 
 class TestReceiveDecode:
@@ -588,7 +613,7 @@ def _waveforms(draw):
     shape = draw(st.sampled_from(("noise", "frame", "cut", "inverted", "spiked")))
     if shape == "noise":
         samples = draw(hnp.arrays(np.float64, st.integers(0, 600), elements=_finite))
-        return Waveform(draw(st.floats(1e-3, 1e9)), samples, bit_period)
+        return Waveform(samples, bit_period)
     payload = draw(st.binary(max_size=24))
     frame = transmit(encode_frame(payload), bit_period, CLEAN).samples
     frame *= draw(st.sampled_from((1.0, -1.0, 1e-300, 1e300)))
@@ -604,7 +629,7 @@ def _waveforms(draw):
     pad_size = (bit_period * draw(st.integers(0, 3))
                 + draw(st.sampled_from((0, 0, 1, bit_period // 2))))
     pad = draw(hnp.arrays(np.float64, pad_size, elements=_finite))
-    return Waveform(draw(st.floats(1e-3, 1e9)), np.concatenate([pad, frame]), bit_period)
+    return Waveform(np.concatenate([pad, frame]), bit_period)
 
 
 class TestBitStatistics:
@@ -615,7 +640,7 @@ class TestBitStatistics:
     def test_equal_half_bit_means_bit_for_bit(self, samples, half, mode):
         """Below 8 samples per half bit numpy's ``mean`` also adds left to right;
         from 8 on it sums pairwise, so only the rounding may differ."""
-        w = Waveform(1e6, samples, 2 * half)
+        w = Waveform(samples, 2 * half)
         stats, expected = bit_statistics(w, mode), _reference_bit_statistics(w, mode)
         if half < 8 or mode == DecodeMode.DIRECT:
             assert np.array_equal(stats, expected)
@@ -678,7 +703,7 @@ class TestBitStatistics:
         bit_period = 2 * half
         # A tail of up to three samples, less than any bit, that no bit reads.
         samples = scale * np.random.default_rng(seed).standard_normal(n_bits * bit_period + tail)
-        w = Waveform(1e6, samples, bit_period)
+        w = Waveform(samples, bit_period)
         if cutoff is not None:
             w = highpass_bias(w, cutoff)
         y = w.samples[:n_bits * bit_period].reshape(n_bits, bit_period)
@@ -694,7 +719,7 @@ class TestBitStatistics:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown decode mode"):
-            bit_statistics(Waveform(1e6, np.zeros(16), 8), "matched_filter")
+            bit_statistics(Waveform(np.zeros(16), 8), "matched_filter")
         with pytest.raises(ValueError, match="unknown decode mode"):
             statistic_noise(8, "matched_filter")
 
@@ -794,14 +819,14 @@ def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
     return [bit_statistics(w, mode) for mode in modes]
 
 
-def _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate):
+def _explicit_covariance(n_bits, bit_period, mode, cutoff):
     """Covariance of the per-bit statistics of unit white sample noise, from
     the linear map itself: each unit impulse through the one-shot high-pass
     and the ``mean``-based statistics gives one column."""
     size = n_bits * bit_period
     columns = np.empty((n_bits, size))
     for m in range(size):
-        w = Waveform(sample_rate, np.eye(1, size, m)[0], bit_period)
+        w = Waveform(np.eye(1, size, m)[0], bit_period)
         if cutoff is not None:
             w = reference_highpass(w, cutoff)
         columns[:, m] = _reference_bit_statistics(w, mode)
@@ -857,17 +882,16 @@ class TestStatisticNoise:
     @given(mode=st.sampled_from(tuple(DecodeMode)), bit_period=st.sampled_from((4, 6, 8, 16)),
            fraction=st.sampled_from((None, 1e-6, 0.5, 0.999)), n_bits=st.integers(1, 64))
     def test_covariance_equals_explicit_linear_map(self, mode, bit_period, fraction, n_bits):
-        """No high-pass, a tiny cutoff, ~sample_rate/4 and near Nyquist: the
+        """No high-pass, a tiny cutoff, ~SAMPLE_RATE/4 and near Nyquist: the
         generator's factor ``L`` is lower triangular and ``L @ L.T`` is the
         covariance of the linear map.  The oracle's butter coefficients
         differ from ours by a few ulp, which near Nyquist (p = -0.997, an
         impulse response ~300 samples long) moves the covariance by ~3e-13
         of its largest entry."""
-        sample_rate = 1e6
-        cutoff = None if fraction is None else fraction * sample_rate / 2
-        model = statistic_noise(bit_period, mode, cutoff, sample_rate)
+        cutoff = None if fraction is None else fraction * SAMPLE_RATE / 2
+        model = statistic_noise(bit_period, mode, cutoff)
         assert (model.gain == 0.0) == (cutoff is None)
-        expected = _explicit_covariance(n_bits, bit_period, mode, cutoff, sample_rate)
+        expected = _explicit_covariance(n_bits, bit_period, mode, cutoff)
         factor = _model_factor(model, n_bits)
         assert np.array_equal(np.triu(factor, 1), np.zeros((n_bits, n_bits)))
         got = factor @ factor.T
@@ -1063,7 +1087,7 @@ class TestEyeOpening:
         assert _eye(bit_statistics(w, DecodeMode.INTEGRATE_AND_DUMP)) == pytest.approx(1.0)
 
     def test_dead_waveform_is_closed(self):
-        w = Waveform(1e6, np.zeros(80), 8)
+        w = Waveform(np.zeros(80), 8)
         assert _eye(bit_statistics(w, DecodeMode.DIRECT)) == 0.0
 
     @settings(derandomize=True, deadline=None, max_examples=60)

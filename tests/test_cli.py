@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearauth import codec, sim
-from wearauth.channel import ChannelModel
+from wearauth.channel import MAX_BIT_PERIOD, ChannelModel
 from wearauth.cli import _build_parser, main
 from wearauth.energy import ConfigError, EnergyParams
 from wearauth.matcher import MatchParams
@@ -214,11 +214,27 @@ class TestExtractAndMatch:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
-    def test_match_defaults_are_match_params(self):
+    @pytest.mark.parametrize("flags,expected", [
+        ((), MatchParams()),
+        (("--threshold", "0.7"), MatchParams(score_threshold=0.7)),
+        (("--position-tolerance", "9", "--angle-tolerance", "0.2"),
+         MatchParams(position_tolerance=9.0, angle_tolerance=0.2)),
+    ])
+    def test_match_defaults_are_match_params(self, capsys, tmp_path, monkeypatch, flags,
+                                             expected):
+        """The parser holds no tolerance default: an unset flag takes
+        ``MatchParams``' own."""
+        from wearauth import matcher
+        from wearauth.fingerprint import Template
         args = _build_parser().parse_args(["match", "probe.fpt", "gallery"])
-        assert MatchParams(position_tolerance=args.position_tolerance,
-                           angle_tolerance=args.angle_tolerance,
-                           score_threshold=args.threshold) == MatchParams()
+        assert (args.position_tolerance, args.angle_tolerance, args.threshold) == (None,) * 3
+        seen = []
+        monkeypatch.setattr(matcher, "match_gallery",
+                            lambda probe, gallery, params: seen.append(params) or [])
+        probe = tmp_path / "probe.fpt"
+        probe.write_bytes(codec.encode(Template(10, 10, TemplateAlgorithm.HIGH_ACCURACY)))
+        code, out, _ = run_cli(capsys, "match", str(probe), str(tmp_path), *flags)
+        assert (code, json.loads(out), seen) == (0, [], [expected])
 
 
 def _quiet_main(*argv):
@@ -305,7 +321,7 @@ _JSON_VALUES = st.recursive(
 _NUMBERS = st.one_of(st.integers(-3, 12), st.floats(-2.0, 2e6), st.floats(),
                     st.integers(-2**80, 2**80))
 _DELETE = object()
-_NUMERIC_PATHS = ([("seed",), ("max_requests",), ("bit_period",), ("sample_rate",),
+_NUMERIC_PATHS = ([("seed",), ("max_requests",), ("bit_period",),
                    ("system", "lora_distance")]
                   + [("channel", f.name) for f in fields(ChannelModel)]
                   + [("match", f.name) for f in fields(MatchParams)])
@@ -518,16 +534,26 @@ class TestChannelSweep:
         ("--payload-bytes", "70000"),      # longer than the 16-bit length field
         ("--payload-bytes", "-1"),
         ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
-        ("--bit-period", "1048576"),       # a waveform past channel.MAX_SAMPLES
+        ("--bit-period", "1048576"),       # past channel.MAX_BIT_PERIOD
+        # refused before the noise model sizes its weights by the bit period
+        ("--highpass", "1000", "--bit-period", str(2**30)),
+        ("--bit-period", str(MAX_BIT_PERIOD + 2)),
         ("--seed", "-1", "--noise", "0"),  # no noise is drawn, but the seed is still refused
         ("--noise", "nan"), ("--noise", "inf"), ("--hum", "0,nan"), ("--hum-frequency", "inf"),
     ], ids=["payload_too_long", "payload_negative", "payload_huge", "bit_period_huge",
+            "bit_period_2_30", "bit_period_past_frame_ceiling",
             "seed_negative", "noise_nan", "noise_inf", "hum_nan", "hum_frequency_inf"])
     def test_unframeable_sweep_is_domain_error(self, capsys, flags):
         code, out, err = run_cli(capsys, "channel-sweep", "--hum", "0", *flags)
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    def test_sample_rate_flag_is_usage_error(self, capsys):
+        """The time base is fixed at ``channel.SAMPLE_RATE``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["channel-sweep", "--sample-rate", "1e6"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -579,7 +605,7 @@ class TestSimulate:
         lambda doc: doc["system"].update(lora_distance=None),
         lambda doc: doc.update(channel={"attenuation": "half"}),
         lambda doc: doc.update(cipher_key=1.5),
-        lambda doc: doc.update(bit_period=1048576),    # a waveform past channel.MAX_SAMPLES
+        lambda doc: doc.update(bit_period=1048576),    # past channel.MAX_BIT_PERIOD
         lambda doc: doc.update(max_requests=MAX_REQUESTS + 1),
     ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
             "top_level_list", "decode_mode", "system_key", "seed_bool", "bit_period_float",
@@ -599,9 +625,13 @@ class TestSimulate:
     @pytest.mark.parametrize("link", ["wban", "hbc"])
     @pytest.mark.parametrize("field,value,message", [
         ("bit_period", 3, "bit_period"),
-        ("sample_rate", -1.0, "sample_rate"),
+        ("bit_period", 2**30, "exceeds"),
+        ("bit_period", MAX_BIT_PERIOD + 2, "exceeds"),
+        # the time base is channel.SAMPLE_RATE, not a scenario setting
+        ("sample_rate", 1_000_000.0, "unknown key(s) in scenario: sample_rate"),
         ("channel", {"highpass_cutoff": -5.0}, "cutoff"),
-    ], ids=["odd_bit_period", "negative_sample_rate", "negative_cutoff"])
+    ], ids=["odd_bit_period", "bit_period_2_30", "bit_period_past_frame_ceiling",
+            "sample_rate_removed", "negative_cutoff"])
     def test_modem_fields_refused_before_inputs_load(self, capsys, scenario_workspace,
                                                      monkeypatch, link, field, value, message):
         """A WBAN run never reaches the modem and an HBC one only after loading

@@ -5,7 +5,9 @@ energy model and every scenario, the body channel's high-pass included, load
 no scipy module.  ``scipy.signal``, which the high-pass used to import, pulls
 in ~74 MB and ~1.3 s of imports with scipy's core, ``scipy.stats``,
 ``scipy.interpolate`` and ``scipy.spatial`` behind it.  The closed-form model
-(``energy`` and ``design_space``) loads neither numpy nor the data plane.
+(``energy`` and ``design_space``) loads neither numpy nor the data plane, nor
+do the ``wearauth`` commands built on it alone (``table2``, ``figure4``,
+``explore``).
 scipy stays in the tests as an oracle, and this pytest process has imported it
 and numpy already, so the checks run in fresh interpreters.
 """
@@ -18,7 +20,7 @@ import textwrap
 from pathlib import Path
 
 import wearauth
-from wearauth import energy, fingerprint
+from wearauth import channel, energy, fingerprint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -109,10 +111,10 @@ def test_channel_sweep_with_highpass_loads_no_scipy(tmp_path):
 
 def test_model_core_loads_no_data_plane(tmp_path):
     out = _run("""
-        import json, sys
+        import contextlib, io, json, sys
 
         import wearauth
-        from wearauth import design_space, energy
+        from wearauth import cli, design_space, energy
 
         rows = [design_space.evaluate(design_space.SystemConfig(te_location=loc,
                                                                 on_body_channel=ch),
@@ -125,13 +127,17 @@ def test_model_core_loads_no_data_plane(tmp_path):
             energy.EnergyParams(e_te_light=0.294))
         ran = [len(wearauth.table2()), len(wearauth.figure4_export()), len(rows),
                light.sensor_breakdown.te]
+        for argv in (["table2", "--json"], ["figure4"], ["explore"]):
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                ran.append(cli.main(argv))
+            ran.append(len(text.getvalue().splitlines()) > 1)
         data_plane = ("numpy", "wearauth.fingerprint", "wearauth.channel", "wearauth.sim",
                       "wearauth.matcher", "wearauth.codec", "wearauth.present")
         loaded = sorted(m for m in sys.modules
                         if any(m == p or m.startswith(p + ".") for p in data_plane))
         print(json.dumps({"ran": ran, "loaded": loaded}))
     """, tmp_path, prelude="")
-    assert out["ran"] == [2, 16, 6, 0.294]
+    assert out["ran"] == [2, 16, 6, 0.294] + [0, True] * 3
     assert out["loaded"] == []
 
 
@@ -139,3 +145,7 @@ def test_one_template_algorithm():
     assert wearauth.TemplateAlgorithm is energy.TemplateAlgorithm
     assert energy.TemplateAlgorithm is fingerprint.TemplateAlgorithm
     assert fingerprint.TemplateAlgorithm is fingerprint.minutiae.TemplateAlgorithm
+
+
+def test_one_decode_mode():
+    assert channel.DecodeMode is energy.DecodeMode

@@ -264,10 +264,10 @@ def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, m
                "highpass_cutoff": 1000.0}
     oracle_calls = []
 
-    def oracle_transmit(symbols, bit_period, channel, sample_rate):
+    def oracle_transmit(symbols, bit_period, channel):
         oracle_calls.append(symbols)
         return reference_transmit(symbols, bit_period, replace(channel, noise_sigma=0.0),
-                                  seed=0, sample_rate=sample_rate)
+                                  seed=0)
 
     retransmissions = 0
     for seed in range(4):
@@ -329,8 +329,7 @@ def _sample_level_hop(runner, payload: bytes, attempt: int) -> tuple[bytes, floa
     cfg = runner.cfg
     symbols = encode_frame(payload)
     w = reference_transmit(symbols, cfg.bit_period, cfg.channel,
-                           seed=(cfg.seed, runner.request_idx, attempt),
-                           sample_rate=cfg.sample_rate)
+                           seed=(cfg.seed, runner.request_idx, attempt))
     if cfg.channel.highpass_cutoff is not None:
         w = highpass_bias(w, cfg.channel.highpass_cutoff)
     decoded, rx = receive_decode(bit_statistics(w, cfg.decode_mode),
