@@ -71,7 +71,7 @@ MAX_BIT_PERIOD = MAX_SAMPLES // EMPTY_FRAME_BITS    # 149,796: the longest bit a
 TRANSMIT_CHUNK = 1 << 15
 
 
-class FramingError(Exception):
+class FramingError(ValueError):
     """Payload cannot be framed."""
 
 

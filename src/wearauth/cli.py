@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Machine-readable output (CSV/JSON) goes to stdout or ``-o``; diagnostics go
-to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  Only the
-handlers of data-plane commands import the data plane (and so numpy).
+to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  A domain
+error is a :class:`ValueError` (the package's own error types subclass it) or
+an :class:`OSError`; any other exception is a bug and stays a traceback.  Only
+the handlers of data-plane commands import the data plane (and so numpy).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .design_space import (
     table2_csv,
     table2_json,
 )
-from .energy import Channel, ConfigError, DecodeMode, EnergyParams, SensorType, TemplateAlgorithm
+from .energy import Channel, DecodeMode, EnergyParams, SensorType, TemplateAlgorithm
 
 __all__ = ["main"]
 
@@ -223,13 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
-        if not isinstance(exc, (ConfigError, ValueError, OSError)):
-            from . import codec, sim        # the data plane's errors, once a command failed
-            from .channel import FramingError
-            if not isinstance(exc, (codec.EncodeError, codec.DecodeError, FramingError,
-                                    sim.BudgetExceeded)):
-                raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

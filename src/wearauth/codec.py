@@ -46,11 +46,11 @@ _KIND_BYTE = {MinutiaKind.ENDING: 0, MinutiaKind.BIFURCATION: 1}
 _BYTE_KIND = {v: k for k, v in _KIND_BYTE.items()}
 
 
-class EncodeError(Exception):
+class EncodeError(ValueError):
     """Template cannot be represented in the wire format."""
 
 
-class DecodeError(Exception):
+class DecodeError(ValueError):
     """Byte stream is not a valid encoded template."""
 
 

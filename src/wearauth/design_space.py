@@ -11,6 +11,7 @@ import enum
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .energy import (
@@ -62,6 +63,10 @@ ALLOCATION_ROWS: dict[str, tuple[TeLocation, Channel]] = {
     "e": (TeLocation.CLOUD, Channel.WBAN),
     "f": (TeLocation.CLOUD, Channel.HBC),
 }
+_ROW_LETTER = {allocation: letter for letter, allocation in ALLOCATION_ROWS.items()}
+# Rows (a)-(d).  The sensor does the same work whether TE runs on the hub or
+# the cloud, so the sensor-side grids let the hub rows stand for (e) and (f).
+_SENSOR_ROWS = tuple(ALLOCATION_ROWS[letter] for letter in "abcd")
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,7 @@ class SystemConfig:
     @property
     def row(self) -> str:
         """Allocation row letter (a)-(f) for this TE placement and channel."""
-        for letter, (loc, ch) in ALLOCATION_ROWS.items():
-            if loc is self.te_location and ch is self.on_body_channel:
-                return letter
-        raise AssertionError("unreachable")
+        return _ROW_LETTER[self.te_location, self.on_body_channel]
 
     def to_dict(self) -> dict:
         return {
@@ -146,30 +148,28 @@ class LifetimeReport:
 
     def to_dict(self) -> dict:
         cfg = self.config
+        sensor_display = (display_count if cfg.sensor_power is PowerSource.COIN_CELL
+                          else display_rate)
         return {
             "config": {"row": cfg.row, **cfg.to_dict()},
-            "sensor": {
-                "capture_j": self.sensor_breakdown.capture,
-                "te_j": self.sensor_breakdown.te,
-                "comm_j": self.sensor_breakdown.comm,
-                "encrypt_j": self.sensor_breakdown.encrypt,
-                "total_j": self.sensor_breakdown.total,
-                "retries": self.sensor_retries,
-                "retries_display": display_count(self.sensor_retries)
-                if cfg.sensor_power is PowerSource.COIN_CELL
-                else display_rate(self.sensor_retries),
-            },
-            "hub": {
-                "capture_j": self.hub_breakdown.capture,
-                "te_j": self.hub_breakdown.te,
-                "comm_j": self.hub_breakdown.comm,
-                "encrypt_j": self.hub_breakdown.encrypt,
-                "total_j": self.hub_breakdown.total,
-                "retries": self.hub_retries,
-                "retries_display": display_count(self.hub_retries),
-            },
+            "sensor": _node_dict(self.sensor_breakdown, self.sensor_retries, sensor_display),
+            "hub": _node_dict(self.hub_breakdown, self.hub_retries, display_count),
             "feasible": self.feasible,
         }
+
+
+def _node_dict(breakdown: EnergyBreakdown, node_retries: float,
+               display: Callable[[float], str]) -> dict:
+    """One node's energy terms and retries; ``display`` renders the retries."""
+    return {
+        "capture_j": breakdown.capture,
+        "te_j": breakdown.te,
+        "comm_j": breakdown.comm,
+        "encrypt_j": breakdown.encrypt,
+        "total_j": breakdown.total,
+        "retries": node_retries,
+        "retries_display": display(node_retries),
+    }
 
 
 def sensor_budget(power: PowerSource, params: EnergyParams) -> float:
@@ -215,15 +215,6 @@ def display_count(value: float) -> str:
     return str(math.floor(value)) if math.isfinite(value) else f"{value}"
 
 
-_TABLE2_COLUMNS = (
-    (TeLocation.SENSOR, Channel.WBAN),
-    (TeLocation.SENSOR, Channel.HBC),
-    (TeLocation.HUB, Channel.WBAN),
-    (TeLocation.HUB, Channel.HBC),
-)
-_TABLE2_HEADER = ("sensor", "te_sensor_wban", "te_sensor_hbc", "te_hub_wban", "te_hub_hbc")
-
-
 def table2(params: EnergyParams | None = None) -> dict[str, list[float]]:
     """RF-harvested sensor lifetime (retries/hour) over the 2x4 summary grid.
 
@@ -234,7 +225,7 @@ def table2(params: EnergyParams | None = None) -> dict[str, list[float]]:
     grid: dict[str, list[float]] = {}
     for sensor_type in (SensorType.OPTICAL, SensorType.CAPACITIVE):
         row = []
-        for te_loc, channel in _TABLE2_COLUMNS:
+        for te_loc, channel in _SENSOR_ROWS:
             cfg = SystemConfig(te_location=te_loc, on_body_channel=channel,
                                sensor_type=sensor_type,
                                sensor_power=PowerSource.RF_HARVEST)
@@ -246,7 +237,8 @@ def table2(params: EnergyParams | None = None) -> dict[str, list[float]]:
 def table2_csv(params: EnergyParams | None = None) -> str:
     grid = table2(params)
     out = io.StringIO()
-    out.write(",".join(_TABLE2_HEADER) + "\n")
+    header = ["sensor"] + [f"te_{loc.value}_{ch.value}" for loc, ch in _SENSOR_ROWS]
+    out.write(",".join(header) + "\n")
     for sensor, row in grid.items():
         out.write(",".join([sensor] + [display_rate(v) for v in row]) + "\n")
     return out.getvalue()
@@ -257,54 +249,44 @@ def table2_json(params: EnergyParams | None = None) -> str:
     doc = {
         sensor: {
             f"{loc.value}_{ch.value}": display_rate(v)
-            for (loc, ch), v in zip(_TABLE2_COLUMNS, row)
+            for (loc, ch), v in zip(_SENSOR_ROWS, row)
         }
         for sensor, row in grid.items()
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-_FIGURE4_HEADER = (
-    "sensor", "te_location", "channel", "power",
-    "capture_j", "te_j", "comm_j", "encrypt_j", "total_j",
-    "retries", "retries_display",
-)
-
-
 def figure4_export(params: EnergyParams | None = None) -> list[dict]:
     """Sensor-node energy breakdown and retries over the 16-point grid.
 
-    One record per sensor type x TE placement (sensor/hub) x channel x power
-    source; the no-TE-at-sensor rows are identical whether TE later runs on
-    the hub or the cloud, so the hub placement stands for both.
+    One record per sensor type x allocation row (a)-(d) x power source; the
+    no-TE-at-sensor rows are identical whether TE later runs on the hub or
+    the cloud, so the hub placement stands for both.
     """
     params = params or EnergyParams()
     records = []
     for sensor_type in (SensorType.OPTICAL, SensorType.CAPACITIVE):
-        for te_loc in (TeLocation.SENSOR, TeLocation.HUB):
-            for channel in (Channel.WBAN, Channel.HBC):
-                for power in (PowerSource.COIN_CELL, PowerSource.RF_HARVEST):
-                    cfg = SystemConfig(te_location=te_loc, on_body_channel=channel,
-                                       sensor_type=sensor_type, sensor_power=power)
-                    records.append({
-                        "sensor": sensor_type.value,
-                        "te_location": te_loc.value,
-                        "channel": channel.value,
-                        "power": power.value,
-                        **evaluate(cfg, params).to_dict()["sensor"],
-                    })
+        for te_loc, channel in _SENSOR_ROWS:
+            for power in (PowerSource.COIN_CELL, PowerSource.RF_HARVEST):
+                cfg = SystemConfig(te_location=te_loc, on_body_channel=channel,
+                                   sensor_type=sensor_type, sensor_power=power)
+                records.append({
+                    "sensor": sensor_type.value,
+                    "te_location": te_loc.value,
+                    "channel": channel.value,
+                    "power": power.value,
+                    **evaluate(cfg, params).to_dict()["sensor"],
+                })
     return records
 
 
 def figure4_csv(params: EnergyParams | None = None) -> str:
+    records = figure4_export(params)
     out = io.StringIO()
-    out.write(",".join(_FIGURE4_HEADER) + "\n")
-    for rec in figure4_export(params):
-        cells = []
-        for key in _FIGURE4_HEADER:
-            v = rec[key]
-            cells.append(f"{v:.9e}" if isinstance(v, float) else str(v))
-        out.write(",".join(cells) + "\n")
+    out.write(",".join(records[0]) + "\n")
+    for rec in records:
+        out.write(",".join(f"{v:.9e}" if isinstance(v, float) else str(v)
+                           for v in rec.values()) + "\n")
     return out.getvalue()
 
 

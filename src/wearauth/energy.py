@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A required parameter is missing or malformed."""
 
 
@@ -85,16 +85,9 @@ class EnergyParams:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        positive = {
-            "e_bit_wban": self.e_bit_wban,
-            "e_bit_hbc": self.e_bit_hbc,
-            "e_bit_lora_ref": self.e_bit_lora_ref,
-            "e_bit_encrypt": self.e_bit_encrypt,
-            "e_capture_capacitive": self.e_capture_capacitive,
-            "e_capture_optical": self.e_capture_optical,
-            "e_te_high": self.e_te_high,
-        }
-        for name, value in positive.items():
+        for name in ("e_bit_wban", "e_bit_hbc", "e_bit_lora_ref", "e_bit_encrypt",
+                     "e_capture_capacitive", "e_capture_optical", "e_te_high"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if self.e_te_light is not None and not self.e_te_light > 0:

@@ -248,6 +248,8 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
     """Best alignment of two templates with its similarity score.
 
     Score is 2*pairs/(n_probe + n_gallery); both-empty scores 0 and rejects.
+    Templates of different extraction variants raise :class:`ValueError`:
+    their minutiae are not comparable.
 
     The bound pass measures ``CHUNK_ELEMENTS`` = 2**16 (candidate
     translation, compatible pair) elements at a time, or one translation's
@@ -262,6 +264,9 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
     kind-compatible pair past 2**15 (11.3 MiB measured at 256 x 256 one-kind
     minutiae, 22 MiB at 400 x 400).
     """
+    if probe.algorithm is not gallery.algorithm:
+        raise ValueError(f"a {probe.algorithm.value} probe cannot match a "
+                         f"{gallery.algorithm.value} gallery template")
     params = params or MatchParams()
     n_p, n_g = len(probe), len(gallery)
     if n_p == 0 or n_g == 0:
@@ -333,6 +338,8 @@ def load_gallery(directory: str | Path) -> dict[str, Template]:
         raise ValueError("gallery index must map labels to filenames")
     gallery = {}
     for label, filename in sorted(index.items()):
+        if not isinstance(filename, str):
+            raise ValueError(f"gallery index entry {label!r} must be a filename, got {filename!r}")
         gallery[label] = codec.decode((directory / filename).read_bytes())
     return gallery
 

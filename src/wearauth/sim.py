@@ -46,6 +46,7 @@ from . import codec, present
 from .channel import (
     ChannelModel,
     IntegrityError,
+    StatisticNoise,
     SyncError,
     bit_statistics,
     check_modem,
@@ -203,6 +204,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.max_requests is not None and not 0 <= self.max_requests <= MAX_REQUESTS:
             raise ConfigError(f"max_requests must lie in [0, {MAX_REQUESTS}]")
+        if self.seed < 0:       # refused whether or not the link draws noise
+            raise ConfigError("seed must be non-negative")
         # Checked on every on-body link, so a WBAN scenario cannot carry
         # settings an HBC one would refuse.
         check_modem(self.bit_period, self.channel.highpass_cutoff)
@@ -351,9 +354,7 @@ class _Runner:
         self.cloud = EnergyLedger("cloud", math.inf)
         self.ledgers = [self.sensor, self.hub, self.cloud]
         self.request_idx = 0
-        self._clean: tuple[bytes, np.ndarray, np.ndarray] | None = None
-        # The body link's noise model: one per run, whatever the attempts.
-        self._noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
+        self._link: tuple[bytes, np.ndarray, np.ndarray, StatisticNoise] | None = None
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -389,25 +390,27 @@ class _Runner:
         message = 2 * self.request_idx + hop
         return (self.cfg.cipher_nonce + message * COUNTER_BLOCKS_PER_MESSAGE) % (1 << 64)
 
-    def _clean_link(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """The run's noise-free body-channel pass: the per-bit statistics of
-        ``payload``'s frame without noise, and the frame bits.  A run sends
-        one payload, so this runs once; its waveform is freed on return."""
-        if self._clean is None or self._clean[0] != payload:
+    def _clean_link(self, payload: bytes) -> tuple[np.ndarray, np.ndarray, StatisticNoise]:
+        """The run's body link for ``payload``, built on its first HBC hop:
+        the per-bit statistics of the frame without noise, the frame bits and
+        the receiver's noise model.  A run sends one payload, so this builds
+        once, whatever the attempts; the waveform is freed on return."""
+        if self._link is None or self._link[0] != payload:
             cfg = self.cfg
+            noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
             symbols = encode_frame(payload)
             w = transmit(symbols, cfg.bit_period, cfg.channel)
             if cfg.channel.highpass_cutoff is not None:
                 w = highpass_bias(w, cfg.channel.highpass_cutoff)
             reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
-            self._clean = payload, bit_statistics(w, cfg.decode_mode), reference
-        return self._clean[1], self._clean[2]
+            self._link = payload, bit_statistics(w, cfg.decode_mode), reference, noise
+        return self._link[1:]
 
     def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
-        clean, reference = self._clean_link(payload)
+        clean, reference, noise = self._clean_link(payload)
         cfg = self.cfg
-        stats = noisy_statistics(clean, self._noise, cfg.channel,
+        stats = noisy_statistics(clean, noise, cfg.channel,
                                  seed=(cfg.seed, self.request_idx, attempt))
         decoded, rx = receive_decode(stats, reference_bits=reference)
         return decoded, rx.eye_opening, rx.ber if rx.ber is not None else 0.0

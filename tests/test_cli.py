@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wearauth import codec, sim
-from wearauth.channel import MAX_BIT_PERIOD, ChannelModel
+from wearauth import cli, codec, sim
+from wearauth.channel import MAX_BIT_PERIOD, ChannelModel, FramingError, IntegrityError, SyncError
 from wearauth.cli import _build_parser, main
 from wearauth.energy import ConfigError, EnergyParams
 from wearauth.matcher import MatchParams
@@ -75,6 +75,37 @@ def test_non_finite_params_are_domain_error(capsys, tmp_path, scenario_workspace
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigError("bad parameter"), 1),
+    (codec.DecodeError("bad template"), 1),
+    (ValueError("bad value"), 1),
+    (FileNotFoundError("no file"), 1),
+    (sim.BudgetExceeded("sensor", "capture"), None),
+    (KeyError("bug"), None),
+    (TypeError("bug"), None),
+])
+def test_exit_1_is_a_property_of_the_error_type(capsys, monkeypatch, error, code):
+    """``main`` turns a ``ValueError`` or ``OSError`` into exit 1 and lets
+    anything else out as a traceback: it is a bug."""
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_explore", fail)
+    if code is None:
+        with pytest.raises(type(error)):
+            main(["explore"])
+    else:
+        assert run_cli(capsys, "explore") == (code, "", f"error: {error}\n")
+
+
+def test_package_domain_errors_are_value_errors():
+    assert all(issubclass(error, ValueError) for error in (
+        ConfigError, codec.EncodeError, codec.DecodeError, FramingError))
+    # Kept out of exit 1: no command lets these escape.
+    assert not any(issubclass(error, (ValueError, OSError)) for error in (
+        sim.BudgetExceeded, SyncError, IntegrityError))
 
 
 class TestFigure4AndExplore:
@@ -214,6 +245,27 @@ class TestExtractAndMatch:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("index,probe_algorithm,message", [
+        ({"alice": 5}, TemplateAlgorithm.HIGH_ACCURACY, "must be a filename, got 5"),
+        ({"alice": None}, TemplateAlgorithm.HIGH_ACCURACY, "must be a filename, got None"),
+        ({"alice": ["x"]}, TemplateAlgorithm.HIGH_ACCURACY, "must be a filename, got ['x']"),
+        ({"alice": "alice.fpt"}, TemplateAlgorithm.LIGHTWEIGHT,
+         "a lightweight probe cannot match a high_accuracy gallery template"),
+    ], ids=["filename_int", "filename_null", "filename_list", "cross_variant"])
+    def test_match_refusal_is_domain_error(self, capsys, tmp_path, probe_image, index,
+                                           probe_algorithm, message):
+        gal = tmp_path / "gallery"
+        gal.mkdir()
+        template = extract_template(probe_image, TemplateAlgorithm.HIGH_ACCURACY)
+        (gal / "alice.fpt").write_bytes(codec.encode(template))
+        (gal / "index.json").write_text(json.dumps(index))
+        probe = tmp_path / "probe.fpt"
+        probe.write_bytes(codec.encode(extract_template(probe_image, probe_algorithm)))
+        code, out, err = run_cli(capsys, "match", str(probe), str(gal))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("flags,expected", [
         ((), MatchParams()),
         (("--threshold", "0.7"), MatchParams(score_threshold=0.7)),
@@ -295,12 +347,15 @@ class TestHostileFiles:
         (root / "hostile.fpt").write_bytes(blob)
         code, out, err = _quiet_main("match", str(root / "hostile.fpt"), str(gal))
         try:
-            codec.decode(blob)
+            probe = codec.decode(blob)
         except codec.DecodeError:
             assert code == 1 and out == "" and err.startswith("error:")
         else:
-            assert code == 0
-            assert json.loads(out)[0]["label"] == "bob"
+            if probe.algorithm is TemplateAlgorithm.LIGHTWEIGHT:
+                assert code == 0
+                assert json.loads(out)[0]["label"] == "bob"
+            else:   # the gallery is lightweight: a cross-variant match is refused
+                assert code == 1 and out == "" and err.startswith("error: a high_accuracy")
 
 
 # Values a hand-edited or damaged file may hold: numbers at and past the float
@@ -607,10 +662,12 @@ class TestSimulate:
         lambda doc: doc.update(cipher_key=1.5),
         lambda doc: doc.update(bit_period=1048576),    # past channel.MAX_BIT_PERIOD
         lambda doc: doc.update(max_requests=MAX_REQUESTS + 1),
+        lambda doc: doc.update(seed=-1),
     ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
             "top_level_list", "decode_mode", "system_key", "seed_bool", "bit_period_float",
             "max_requests_negative", "gallery_missing", "probe_int", "lora_distance_null",
-            "channel_str", "cipher_key_float", "bit_period_huge", "max_requests_huge"])
+            "channel_str", "cipher_key_float", "bit_period_huge", "max_requests_huge",
+            "seed_negative"])
     def test_malformed_scenario_is_domain_error(self, capsys, scenario_workspace, edit):
         doc = {"system": {"te_location": "hub", "on_body_channel": "hbc"},
                "probe_image": "probe.pgm", "gallery_dir": "gallery", "max_requests": 1}
@@ -659,6 +716,18 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "exceeds" in err
+
+    def test_gallery_index_without_filename_is_domain_error(self, capsys, scenario_workspace):
+        gallery = scenario_workspace / "gallery_int"
+        gallery.mkdir(exist_ok=True)
+        (gallery / "index.json").write_text(json.dumps({"alice": 5}))
+        path = write_scenario(scenario_workspace, name="gallery_int.json", system={
+            "te_location": "hub", "on_body_channel": "hbc"}, max_requests=1,
+            gallery_dir="gallery_int")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: gallery index entry 'alice' must be a filename, got 5\n"
 
     def test_deeply_nested_scenario_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -77,7 +77,7 @@ def test_data_plane_without_highpass_never_loads_signal_or_spatial(tmp_path):
     out = _run("""
         ran = [scenario(Channel.WBAN), scenario(Channel.HBC)]
         light = extract_template(img, TemplateAlgorithm.LIGHTWEIGHT)
-        ran += [len(light), match(template, light).score >= 0.0,
+        ran += [len(light), match(light, light).score >= 0.0,
                 len(present.ctr_crypt(codec.encode(template), 1, 2)), len(table2())]
         print(json.dumps({"ran": ran, "loaded": loaded()}))
     """, tmp_path)

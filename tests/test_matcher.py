@@ -84,6 +84,18 @@ class TestMatch:
             assert res.score == 0.0
             assert res.decision == "reject"
 
+    def test_variants_do_not_match(self):
+        """A template of one extraction variant is refused against the other's,
+        even an empty one, instead of scoring near zero."""
+        high = T([(100, 100, 0.0, E)])
+        for minutiae in (high.minutiae, ()):
+            light = Template(width=300, height=300, algorithm=TemplateAlgorithm.LIGHTWEIGHT,
+                             minutiae=minutiae)
+            for probe, gallery in ((light, high), (high, light)):
+                with pytest.raises(ValueError, match="cannot match"):
+                    match(probe, gallery)
+            assert match(light, light).score == (1.0 if minutiae else 0.0)
+
     def test_score_formula(self):
         # one pair out of 1 and 3 minutiae: 2*1/(1+3)
         probe = T([(100, 100, 0.0, E)])
@@ -415,4 +427,10 @@ class TestGallery:
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_gallery(tmp_path)
+
+    @pytest.mark.parametrize("filename", [5, None, ["x"], {"x": 1}, True])
+    def test_index_entry_must_be_a_filename(self, tmp_path, filename):
+        (tmp_path / "index.json").write_text(json.dumps({"a": filename}))
+        with pytest.raises(ValueError, match="'a' must be a filename"):
             load_gallery(tmp_path)

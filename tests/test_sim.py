@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from wearauth import codec, present, sim
-from wearauth.channel import bit_statistics, encode_frame, highpass_bias, receive_decode
+from wearauth.channel import (
+    MAX_BIT_PERIOD,
+    bit_statistics,
+    encode_frame,
+    highpass_bias,
+    receive_decode,
+)
 from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
@@ -15,7 +21,13 @@ from wearauth.design_space import (
     evaluate,
 )
 from wearauth.energy import ConfigError, EnergyParams, SensorType
-from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
+from wearauth.fingerprint.minutiae import (
+    Minutia,
+    MinutiaKind,
+    Template,
+    TemplateAlgorithm,
+    extract_template,
+)
 from wearauth.sim import (
     MAX_REQUESTS,
     BudgetExceeded,
@@ -212,13 +224,27 @@ class TestRunScenario:
         assert doc["channel"]["retransmissions"] == 0
         assert doc["analytic"]["supported_requests"] == 142
 
-    def test_lightweight_variant_requires_energy(self, scenario_workspace):
-        with pytest.raises(Exception):
-            run(scenario_workspace, system={"te_variant": "lightweight"})
+    def test_lightweight_variant_requires_energy(self, scenario_workspace, probe_image):
+        gallery = scenario_workspace / "gallery_light"
+        if not gallery.exists():
+            gallery.mkdir()
+            template = extract_template(probe_image, TemplateAlgorithm.LIGHTWEIGHT)
+            (gallery / "alice.fpt").write_bytes(codec.encode(template))
+            (gallery / "index.json").write_text(json.dumps({"alice": "alice.fpt"}))
+        light = {"te_variant": "lightweight"}
+        with pytest.raises(ConfigError, match="e_te_light"):
+            run(scenario_workspace, system=light, gallery_dir="gallery_light")
         params = EnergyParams(e_te_light=0.294)
-        report = run(scenario_workspace, system={"te_variant": "lightweight"},
+        report = run(scenario_workspace, system=light, gallery_dir="gallery_light",
                      params=params, max_requests=2)
         assert report.requests_completed == 2
+        assert report.decisions == ["accept"] * 2
+
+    def test_lightweight_probe_against_high_accuracy_gallery_is_refused(self,
+                                                                        scenario_workspace):
+        with pytest.raises(ValueError, match="lightweight probe cannot match"):
+            run(scenario_workspace, system={"te_variant": "lightweight"},
+                params=EnergyParams(e_te_light=0.294), max_requests=1)
 
     # The replay cache carries a WBAN run's later requests without ciphering,
     # so only the first request's two messages are encrypted there.
@@ -485,6 +511,20 @@ class TestAccounting:
         assert report.decisions == ["channel_error"] * 5
         assert report.retransmissions == 10
         assert calls == {"statistic_noise": 1, "transmit": 1, "noisy_statistics": 10}
+
+    def test_wban_run_builds_no_noise_model(self, scenario_workspace, monkeypatch):
+        """A WBAN run never reaches the body channel's modem, so it builds
+        neither the noise model nor the noise-free pass, even where the
+        model is largest (the longest bit and a 1 Hz cutoff)."""
+        calls = Counter()
+        for name in ("statistic_noise", "transmit"):
+            monkeypatch.setattr(sim, name, _counted(calls, name, getattr(sim, name)))
+        report = run(scenario_workspace,
+                     system={"on_body_channel": "wban", "sensor_power": "coin_cell"},
+                     channel={"attenuation": 0.6, "noise_sigma": 0.8, "highpass_cutoff": 1.0},
+                     bit_period=MAX_BIT_PERIOD, max_requests=3)
+        assert report.decisions == ["accept"] * 3
+        assert calls == {}
 
     def test_unbounded_run_is_verified_against_the_cap(self, scenario_workspace):
         params = EnergyParams(budget_coin_cell=1e9, budget_hub_total=1e12)
