@@ -136,7 +136,8 @@ def ctr_crypt(payload: bytes, key: int, nonce: int) -> bytes:
 
     Counter block i is (nonce + i) mod 2**64, encrypted under ``key``; its
     ciphertext is the keystream for payload bytes 8i..8i+7, most significant
-    byte first.  The output length always equals the input length.
+    byte first.  The output length always equals the input length, so
+    ``ctr_crypt(bytes(n), key, nonce)`` is the first n keystream bytes.
     """
     if not 0 <= nonce <= _MASK64:
         raise ValueError("nonce must be a 64-bit integer")

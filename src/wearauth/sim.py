@@ -10,9 +10,11 @@ per-request energy and retry count.  The payload actually carried through the
 data plane is the real encoded artifact (PGM capture or .fpt template), and
 authentication decisions come from the real matcher.
 
-Every ciphered message (the on-body radio hop and the LoRa uplink of each
-request) gets its own PRESENT-CTR counter range, so no keystream is reused;
-see :meth:`_Runner._counter_base`.
+Runs cipher with one fixed key and counter base.  Every ciphered message (the
+on-body radio hop and the LoRa uplink of each request) gets its own PRESENT-CTR
+counter range (:meth:`_Runner._counter_base`), so no keystream is reused within
+a run.  Its keystream is computed once; the sender XORs it in and the
+receiver XORs it out, so the payload passes through unchanged.
 
 The body channel draws its link noise at the statistic level.  The channel is
 linear in its noise, so a run makes one noise-free pass over its payload's
@@ -37,6 +39,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -85,8 +88,8 @@ __all__ = [
     "trace_csv",
 ]
 
-DEFAULT_CIPHER_KEY = 0x0123456789ABCDEF0123
-DEFAULT_CIPHER_NONCE = 0x0011223344556677
+CIPHER_KEY = 0x0123456789ABCDEF0123
+CIPHER_NONCE = 0x0011223344556677
 # Counter blocks reserved for each ciphered message: up to 32 GiB of payload.
 COUNTER_BLOCKS_PER_MESSAGE = 1 << 32
 _HOP_WBAN, _HOP_LORA = 0, 1
@@ -139,8 +142,7 @@ _Event = tuple[EnergyLedger, str, float]   # (ledger, label, joules)
 
 
 _SCENARIO_KEYS = ("system", "probe_image", "gallery_dir", "channel", "seed", "match",
-                  "max_requests", "bit_period", "decode_mode",
-                  "cipher_key", "cipher_nonce")
+                  "max_requests", "bit_period", "decode_mode")
 _SYSTEM_KEYS = ("te_location", "on_body_channel", "sensor_type", "sensor_power",
                 "lora_distance", "te_variant")
 
@@ -178,13 +180,6 @@ def _string(value: Any, name: str) -> str:
     return value
 
 
-def _parse_hex(value: str | int, bits: int, name: str) -> int:
-    v = int(value, 16) if isinstance(value, str) else _integer(value, name)
-    if not 0 <= v < (1 << bits):
-        raise ValueError(f"{name} must fit in {bits} bits")
-    return v
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run needs, loadable from JSON."""
@@ -198,8 +193,6 @@ class ScenarioConfig:
     max_requests: int | None = None     # None: run until a ledger refuses, or MAX_REQUESTS
     bit_period: int = 8                 # samples per data bit on the body channel
     decode_mode: DecodeMode = DecodeMode.INTEGRATE_AND_DUMP
-    cipher_key: int = DEFAULT_CIPHER_KEY
-    cipher_nonce: int = DEFAULT_CIPHER_NONCE
 
     def __post_init__(self) -> None:
         if self.max_requests is not None and not 0 <= self.max_requests <= MAX_REQUESTS:
@@ -251,8 +244,6 @@ class ScenarioConfig:
             max_requests=None if max_requests is None else _integer(max_requests, "max_requests"),
             bit_period=_integer(doc.get("bit_period", 8), "bit_period"),
             decode_mode=DecodeMode(doc.get("decode_mode", DecodeMode.INTEGRATE_AND_DUMP)),
-            cipher_key=_parse_hex(doc.get("cipher_key", DEFAULT_CIPHER_KEY), 80, "cipher_key"),
-            cipher_nonce=_parse_hex(doc.get("cipher_nonce", DEFAULT_CIPHER_NONCE), 64, "cipher_nonce"),
         )
 
 
@@ -354,7 +345,6 @@ class _Runner:
         self.cloud = EnergyLedger("cloud", math.inf)
         self.ledgers = [self.sensor, self.hub, self.cloud]
         self.request_idx = 0
-        self._link: tuple[bytes, np.ndarray, np.ndarray, StatisticNoise] | None = None
         # Every event is priced once, from the closed form's per-request work.
         self.activities = derive_activities(self.system, params)
         sensor_act, hub_act = self.activities
@@ -382,53 +372,62 @@ class _Runner:
         """First counter block of this request's message on ``hop``.
 
         Message m = 2 * request + hop starts at block
-        ``cipher_nonce + m * COUNTER_BLOCKS_PER_MESSAGE`` (mod 2**64).  Two
-        messages' ranges are disjoint while each payload is at most
-        ``8 * COUNTER_BLOCKS_PER_MESSAGE`` bytes (32 GiB) and a run has fewer
-        than 2**31 requests; the receiver decrypts from the same base.
+        ``CIPHER_NONCE + m * COUNTER_BLOCKS_PER_MESSAGE``.  Two messages'
+        ranges are disjoint while each payload is at most
+        ``8 * COUNTER_BLOCKS_PER_MESSAGE`` bytes (32 GiB).  A run has at most
+        :data:`MAX_REQUESTS` (2**16) requests, so m < 2**17 and every range
+        ends below ``CIPHER_NONCE + 2**49`` < 2**64: no counter wraps.
         """
-        message = 2 * self.request_idx + hop
-        return (self.cfg.cipher_nonce + message * COUNTER_BLOCKS_PER_MESSAGE) % (1 << 64)
+        return CIPHER_NONCE + (2 * self.request_idx + hop) * COUNTER_BLOCKS_PER_MESSAGE
 
-    def _clean_link(self, payload: bytes) -> tuple[np.ndarray, np.ndarray, StatisticNoise]:
-        """The run's body link for ``payload``, built on its first HBC hop:
-        the per-bit statistics of the frame without noise, the frame bits and
-        the receiver's noise model.  A run sends one payload, so this builds
-        once, whatever the attempts; the waveform is freed on return."""
-        if self._link is None or self._link[0] != payload:
-            cfg = self.cfg
-            noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
-            symbols = encode_frame(payload)
-            w = transmit(symbols, cfg.bit_period, cfg.channel)
-            if cfg.channel.highpass_cutoff is not None:
-                w = highpass_bias(w, cfg.channel.highpass_cutoff)
-            reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
-            self._link = payload, bit_statistics(w, cfg.decode_mode), reference, noise
-        return self._link[1:]
+    def _ciphered_hop(self, payload: bytes, hop: int) -> bytes:
+        """Carry ``payload`` as this request's message on ``hop``.  The message's
+        one keystream is computed; the pipe is error-free and the receiver XORs
+        out what the sender XORed in, so ``payload`` arrives unchanged."""
+        present.ctr_crypt(bytes(len(payload)), CIPHER_KEY, self._counter_base(hop))
+        return payload
 
-    def _body_channel_hop(self, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
+    @cached_property
+    def _payload(self) -> bytes:
+        """The run's on-body payload, built on its first request from its one
+        probe: the sensor's encoded template, or the PGM capture."""
+        if self.system.te_location is TeLocation.SENSOR:
+            return codec.encode(extract_template(self.probe, self.system.te_variant))
+        return self.probe.to_pgm_bytes()
+
+    @cached_property
+    def _clean_link(self) -> tuple[np.ndarray, np.ndarray, StatisticNoise]:
+        """The run's body link, built on its first HBC hop: the per-bit
+        statistics of the payload's frame without noise, the frame bits and
+        the receiver's noise model.  The waveform is freed on return."""
+        cfg = self.cfg
+        noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
+        symbols = encode_frame(self._payload)
+        w = transmit(symbols, cfg.bit_period, cfg.channel)
+        if cfg.channel.highpass_cutoff is not None:
+            w = highpass_bias(w, cfg.channel.highpass_cutoff)
+        reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
+        return bit_statistics(w, cfg.decode_mode), reference, noise
+
+    def _body_channel_hop(self, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""
-        clean, reference, noise = self._clean_link(payload)
+        clean, reference, noise = self._clean_link
         cfg = self.cfg
         stats = noisy_statistics(clean, noise, cfg.channel,
                                  seed=(cfg.seed, self.request_idx, attempt))
         decoded, rx = receive_decode(stats, reference_bits=reference)
         return decoded, rx.eye_opening, rx.ber if rx.ber is not None else 0.0
 
-    def _transfer_on_body(self, payload: bytes) -> tuple[bytes | None, int, list[float], list[float]]:
+    def _transfer_on_body(self) -> tuple[bytes | None, int, list[float], list[float]]:
         """Run the on-body hop; one retransmission on a bad frame."""
         eyes: list[float] = []
         bers: list[float] = []
         if self.system.on_body_channel is Channel.WBAN:
-            nonce = self._counter_base(_HOP_WBAN)
-            ct = present.ctr_crypt(payload, self.cfg.cipher_key, nonce)
-            # the radio is an error-free pipe; decryption at the hub is not a modelled cost
-            pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
-            return pt, 0, eyes, bers
+            return self._ciphered_hop(self._payload, _HOP_WBAN), 0, eyes, bers
         retransmissions = 0
         for attempt in range(2):
             try:
-                decoded, eye, frame_ber = self._body_channel_hop(payload, attempt)
+                decoded, eye, frame_ber = self._body_channel_hop(attempt)
             except (SyncError, IntegrityError):
                 retransmissions += 1
                 continue
@@ -439,14 +438,9 @@ class _Runner:
 
     def _run_request_data_plane(self) -> _RequestOutcome:
         system = self.system
-        if system.te_location is TeLocation.SENSOR:
-            template = extract_template(self.probe, system.te_variant)
-            payload = codec.encode(template)
-        else:
-            payload = self.probe.to_pgm_bytes()
-        on_body_len = len(payload)
+        on_body_len = len(self._payload)
 
-        received, retrans, eyes, bers = self._transfer_on_body(payload)
+        received, retrans, eyes, bers = self._transfer_on_body()
         if received is None:
             return _RequestOutcome(False, "channel_error", 0.0, retrans, eyes, bers,
                                    on_body_len, 0)
@@ -459,9 +453,7 @@ class _Runner:
             lora_payload = received
         lora_len = len(lora_payload)
 
-        nonce = self._counter_base(_HOP_LORA)
-        ct = present.ctr_crypt(lora_payload, self.cfg.cipher_key, nonce)
-        pt = present.ctr_crypt(ct, self.cfg.cipher_key, nonce)
+        pt = self._ciphered_hop(lora_payload, _HOP_LORA)
 
         if system.te_location is TeLocation.CLOUD:
             img = GrayImage.from_pgm_bytes(pt)

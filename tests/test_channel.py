@@ -48,7 +48,7 @@ from wearauth.channel import (
     _highpass_coefficients,
 )
 
-from reference_channel import reference_highpass, reference_transmit
+from reference_channel import reference_add_noise, reference_highpass, reference_transmit
 
 CLEAN = ChannelModel()
 EPS = np.finfo(np.float64).eps
@@ -810,10 +810,17 @@ def _clean_statistics(payload, channel, mode, bit_period=8):
     return bit_statistics(w, mode)
 
 
-def _sample_level_statistics(payload, channel, modes, seed, bit_period=8):
+def _quiet_waveform(payload, channel, bit_period=8):
+    """The reference's noise-free waveform of ``payload``'s frame on ``channel``."""
+    return reference_transmit(encode_frame(payload), bit_period,
+                              replace(channel, noise_sigma=0.0), seed=None)
+
+
+def _sample_level_statistics(quiet, channel, modes, seed):
     """The same hop with the noise drawn per sample: the reference's noisy
-    waveform, high-passed, decoded in each mode."""
-    w = reference_transmit(encode_frame(payload), bit_period, channel, seed=seed)
+    waveform (``quiet`` from :func:`_quiet_waveform` plus the noise of
+    ``seed``), high-passed, decoded in each mode."""
+    w = reference_add_noise(quiet, channel, seed)
     if channel.highpass_cutoff is not None:
         w = highpass_bias(w, channel.highpass_cutoff)
     return [bit_statistics(w, mode) for mode in modes]
@@ -982,7 +989,8 @@ class TestStatisticNoise:
         model = statistic_noise(8, mode, channel.highpass_cutoff)
         stats = noisy_statistics(clean, model, channel, seed=-1)
         assert stats is clean
-        (expected,) = _sample_level_statistics(bytes(range(64)), channel, [mode], seed=0)
+        (expected,) = _sample_level_statistics(_quiet_waveform(bytes(range(64)), channel),
+                                               channel, [mode], seed=0)
         np.testing.assert_allclose(stats, expected, rtol=0, atol=1e-12)
 
     def test_bit_errors_agree_with_sample_path(self):
@@ -1000,9 +1008,10 @@ class TestStatisticNoise:
             n = frames * reference.size
             sample_errors = dict.fromkeys(modes, 0)
             stat_errors = dict.fromkeys(modes, 0)
+            quiet = _quiet_waveform(BENCH_PAYLOAD, channel)
             for frame in range(frames):
                 for mode, stats in zip(modes, _sample_level_statistics(
-                        BENCH_PAYLOAD, channel, modes, seed=(1, frame))):
+                        quiet, channel, modes, seed=(1, frame))):
                     sample_errors[mode] += int(np.count_nonzero((stats > 0) != reference))
             for mode in modes:
                 clean = _clean_statistics(BENCH_PAYLOAD, channel, mode)
@@ -1023,9 +1032,10 @@ class TestStatisticNoise:
         modes = tuple(DecodeMode)
         seeds = 200
         sample_eyes = {mode: [] for mode in modes}
+        quiet = _quiet_waveform(BENCH_PAYLOAD, BENCH_LINK)
         for seed in range(seeds):
             for mode, stats in zip(modes, _sample_level_statistics(
-                    BENCH_PAYLOAD, BENCH_LINK, modes, seed=(3, seed))):
+                    quiet, BENCH_LINK, modes, seed=(3, seed))):
                 sample_eyes[mode].append(_eye(stats))
         for mode in modes:
             clean = _clean_statistics(BENCH_PAYLOAD, BENCH_LINK, mode)
@@ -1072,8 +1082,9 @@ class TestSweepHum:
                             bit_period=8, seed=7, modes=(mode,))
         x = sum(round(record["ber"] * reference.size) for record in records)
         y = 0
+        quiet = _quiet_waveform(BENCH_PAYLOAD, channel)
         for frame in range(frames):
-            (stats,) = _sample_level_statistics(BENCH_PAYLOAD, channel, [mode], seed=(8, frame))
+            (stats,) = _sample_level_statistics(quiet, channel, [mode], seed=(8, frame))
             y += int(np.count_nonzero((stats > 0) != reference))
         q = (x + y) / (2 * n)
         assert y > 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wearauth import codec, present, sim
+from wearauth import cli, codec, present, sim
 from wearauth.channel import (
     MAX_BIT_PERIOD,
     bit_statistics,
@@ -247,37 +247,67 @@ class TestRunScenario:
                 params=EnergyParams(e_te_light=0.294), max_requests=1)
 
     # The replay cache carries a WBAN run's later requests without ciphering,
-    # so only the first request's two messages are encrypted there.
-    @pytest.mark.parametrize("system,channel,extra,messages", [
+    # so only the first request's two messages are ciphered there.  Message m
+    # of a run is 2 * request + hop, with hop 0 the WBAN radio and 1 LoRa.
+    @pytest.mark.parametrize("system,channel,messages", [
         ({"te_location": "cloud", "on_body_channel": "wban", "sensor_power": "coin_cell"},
-         None, {"cipher_nonce": "FFFFFFFFFFFFFF00"}, 2),
-        ({}, {"attenuation": 0.8, "noise_sigma": 0.3}, {}, 3),
+         None, [0, 1]),
+        ({}, {"attenuation": 0.8, "noise_sigma": 0.3}, [1, 3, 5]),
     ], ids=["wban_cloud_te", "noisy_hbc"])
-    def test_every_message_has_its_own_counter_range(self, scenario_workspace, monkeypatch,
-                                                     system, channel, extra, messages):
+    def test_every_message_has_its_own_keystream(self, scenario_workspace, monkeypatch,
+                                                 system, channel, messages):
+        """Each ciphered message makes one ``ctr_crypt`` call, for its
+        keystream: zero bytes of the message's length from its own counter
+        base, under the run's fixed key.  The ranges are pairwise disjoint."""
         calls = []
         real = present.ctr_crypt
 
         def recording(payload, key, nonce):
-            out = real(payload, key, nonce)
-            calls.append((payload, nonce, out))
-            return out
+            calls.append((payload, key, nonce))
+            return real(payload, key, nonce)
 
         monkeypatch.setattr(present, "ctr_crypt", recording)
-        report = run(scenario_workspace, system=system, channel=channel, max_requests=3,
-                     **extra)
+        report = run(scenario_workspace, system=system, channel=channel, max_requests=3)
         assert report.requests_completed == 3
-        # Each message is encrypted by its sender, then decrypted from the same base.
-        assert len(calls) % 2 == 0
-        encryptions = calls[0::2]
-        for (_, nonce, ct), (received, rx_nonce, _) in zip(encryptions, calls[1::2]):
-            assert (received, rx_nonce) == (ct, nonce)
-        assert len(encryptions) == messages
+        lengths = (report.payload_bytes_on_body, report.payload_bytes_lora)
+        assert calls == [(bytes(lengths[m % 2]), sim.CIPHER_KEY,
+                          sim.CIPHER_NONCE + m * sim.COUNTER_BLOCKS_PER_MESSAGE)
+                         for m in messages]
         seen: set[int] = set()
-        for payload, nonce, _ in encryptions:
-            blocks = {(nonce + i) % 2**64 for i in range((len(payload) + 7) // 8)}
+        for payload, _, nonce in calls:
+            blocks = set(range(nonce, nonce + (len(payload) + 7) // 8))
             assert not blocks & seen
             seen |= blocks
+
+
+def test_payload_is_built_once_per_run(scenario_workspace, monkeypatch):
+    """A noisy sensor-TE HBC run extracts its probe on its first request only.
+    Its report and trace equal those of a run that rebuilds the payload on
+    every request."""
+    path = write_scenario(scenario_workspace, name="payload.json",
+                          system=dict(BASE_SYSTEM, te_location="sensor",
+                                      sensor_power="coin_cell"),
+                          channel={"attenuation": 0.6, "noise_sigma": 1.0}, max_requests=8)
+    cfg = ScenarioConfig.from_json(path)
+    calls: Counter = Counter()
+    monkeypatch.setattr(sim, "extract_template",
+                        _counted(calls, "extract_template", sim.extract_template))
+    once = run_scenario(cfg, P)
+    assert calls["extract_template"] == 1
+    data_plane = sim._Runner._run_request_data_plane
+
+    def rebuilding(runner):
+        for name in ("_payload", "_clean_link"):
+            runner.__dict__.pop(name, None)
+        return data_plane(runner)
+
+    monkeypatch.setattr(sim._Runner, "_run_request_data_plane", rebuilding)
+    every = run_scenario(cfg, P)
+    assert calls["extract_template"] == 1 + 8
+    assert once.requests_attempted == 8
+    assert 0 < once.requests_completed < 8 and once.retransmissions > 0
+    assert once.to_dict() == every.to_dict()
+    assert trace_csv(once) == trace_csv(every)
 
 
 def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, monkeypatch):
@@ -348,12 +378,12 @@ def test_highpass_scan_leaves_decisions_and_ledgers_unchanged(scenario_workspace
     assert oracle_calls and retransmissions > 0
 
 
-def _sample_level_hop(runner, payload: bytes, attempt: int) -> tuple[bytes, float, float]:
+def _sample_level_hop(runner, attempt: int) -> tuple[bytes, float, float]:
     """The body-channel hop with the noise drawn per sample, as the simulator
     ran it before drawing the statistics' noise: the reference's noisy
     waveform, high-passed and decoded, seeded by (seed, request, attempt)."""
     cfg = runner.cfg
-    symbols = encode_frame(payload)
+    symbols = encode_frame(runner._payload)
     w = reference_transmit(symbols, cfg.bit_period, cfg.channel,
                            seed=(cfg.seed, runner.request_idx, attempt))
     if cfg.channel.highpass_cutoff is not None:
@@ -547,23 +577,20 @@ class TestScenarioConfig:
         assert cfg.probe_image.is_file()
         assert cfg.gallery_dir.is_dir()
 
-    def test_hex_cipher_fields(self, scenario_workspace):
-        path = write_scenario(scenario_workspace, name="hex.json", system=dict(BASE_SYSTEM),
-                              cipher_key="0123456789abcdef0123", cipher_nonce="11",
-                              max_requests=1)
-        cfg = ScenarioConfig.from_json(path)
-        assert cfg.cipher_key == 0x0123456789ABCDEF0123
-        assert cfg.cipher_nonce == 0x11
-        assert run_scenario(cfg, P).requests_completed == 1
+    @pytest.mark.parametrize("key,value", [("cipher_key", "0123456789abcdef0123"),
+                                           ("cipher_nonce", "11")])
+    def test_cipher_settings_are_unknown_keys(self, capsys, scenario_workspace, key, value):
+        """Runs cipher with the model's fixed key and counter base."""
+        path = write_scenario(scenario_workspace, name="cipher.json", system=dict(BASE_SYSTEM),
+                              max_requests=1, **{key: value})
+        assert cli.main(["simulate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: unknown key(s) in scenario: {key}")
+        assert "Traceback" not in err
 
     def test_max_requests_bounded(self, scenario_workspace):
         path = write_scenario(scenario_workspace, name="huge.json", system=dict(BASE_SYSTEM),
                               max_requests=MAX_REQUESTS + 1)
         with pytest.raises(ConfigError, match="max_requests"):
-            ScenarioConfig.from_json(path)
-
-    def test_bad_key_rejected(self, scenario_workspace):
-        path = write_scenario(scenario_workspace, name="bad.json", system=dict(BASE_SYSTEM),
-                              cipher_key="1" * 25)
-        with pytest.raises(ValueError):
             ScenarioConfig.from_json(path)
