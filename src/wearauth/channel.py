@@ -8,8 +8,10 @@ decides each bit from the two half-bit midpoint samples or from the
 integrate-and-dump half-bit means.  :func:`transmit` builds the noise-free
 waveform; the channel is linear in its noise, so :func:`noisy_statistics`
 draws it straight into that pass's per-bit statistics, one normal a bit and
-exact in distribution (the simulator and :func:`sweep_hum` both do).  The
-per-sample noise path is the tests' oracle (``tests/reference_channel.py``).
+exact in distribution (the simulator and :func:`sweep_hum` both do), from
+the closed-form one-bit model of :mod:`wearauth.link`, which also owns the
+time base, the modem's rules, the high-pass design and the receiver's boxes.
+The per-sample noise path is the tests' oracle (``tests/reference_channel.py``).
 The conventional on-body radio is modelled as an error-free byte pipe (its
 cost lives in the energy model).
 """
@@ -23,6 +25,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import DecodeMode
+from .link import (
+    MAX_SAMPLES,
+    PREAMBLE_BITS,
+    SAMPLE_RATE,
+    _decode_weights,
+    _highpass_coefficients,
+    bit_model,
+    check_modem,
+)
 
 __all__ = [
     "SAMPLE_RATE",
@@ -50,20 +61,8 @@ __all__ = [
     "sweep_hum",
 ]
 
-# The modem's one time base, samples per second.  Outputs depend on it only through
-# hum_frequency / SAMPLE_RATE and highpass_cutoff / SAMPLE_RATE.
-SAMPLE_RATE = 1_000_000.0
 SYNC_WORD = 0xF3A5
-PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 MAX_PAYLOAD = 0xFFFF  # length field is 16 bits of bytes
-EMPTY_FRAME_BITS = len(PREAMBLE_BITS) + 3 * 16  # preamble; 16-bit sync word, length, CRC
-# Ceiling on one noise-free waveform (noise enters only in noisy_statistics):
-# 2**23 float64 samples, 64 MiB.  transmit() peaks at 8 bytes per sample plus,
-# with hum, one TRANSMIT_CHUNK scratch buffer (256 KiB) and one more chunk for
-# the half-chunk cos/sin tables of its phasor.  It admits a 40,047-byte frame
-# up to bit_period 26 and a 65,535-byte one up to 14.
-MAX_SAMPLES = 1 << 23
-MAX_BIT_PERIOD = MAX_SAMPLES // EMPTY_FRAME_BITS    # 149,796: the longest bit any frame fits
 # Samples of transmit()'s scratch, in whose two halves it builds the hum half
 # a chunk at a time, small enough to stay in cache across a block's passes;
 # highpass_bias() filters, the receiver sums and the eye opening scans the
@@ -81,25 +80,6 @@ class SyncError(Exception):
 
 class IntegrityError(Exception):
     """Frame located but its checksum does not verify."""
-
-
-def check_modem(bit_period: int, highpass_cutoff: float | None = None) -> None:
-    """Refuse modem settings the body channel cannot run.
-
-    ``bit_period`` must be an even ``int`` (not a ``bool``) of at least 4,
-    so that each Manchester half bit has a midpoint sample, and at most
-    ``MAX_BIT_PERIOD``, past which no frame fits in ``MAX_SAMPLES``; a
-    ``highpass_cutoff`` (``None``: no filter) must lie inside (0,
-    ``SAMPLE_RATE``/2).  Raises :class:`ValueError` otherwise.
-    """
-    if (isinstance(bit_period, bool) or not isinstance(bit_period, (int, np.integer))
-            or bit_period < 4 or bit_period % 2):
-        raise ValueError("bit_period must be an even integer >= 4")
-    if bit_period > MAX_BIT_PERIOD:
-        raise ValueError(f"bit_period {bit_period} exceeds {MAX_BIT_PERIOD}, "
-                         f"where an empty frame fills {MAX_SAMPLES} samples")
-    if highpass_cutoff is not None and not 0 < highpass_cutoff < SAMPLE_RATE / 2:
-        raise ValueError("highpass cutoff must lie in (0, SAMPLE_RATE/2)")
 
 
 def crc16_ccitt(data: bytes) -> int:
@@ -234,20 +214,6 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel) -> Wav
     return Waveform(samples=received, bit_period=bit_period)
 
 
-def _highpass_coefficients(cutoff: float) -> tuple[float, float]:
-    """Gain ``b0`` and pole ``p`` of the first-order Butterworth high-pass.
-
-    The bilinear transform of ``s / (s + wc)`` with the cutoff prewarped,
-    as ``scipy.signal.butter(1, cutoff, "highpass", fs=SAMPLE_RATE)``
-    designs it: ``H(z) = b0 * (1 - 1/z) / (1 - p/z)`` with
-    ``t = tan(pi * cutoff / SAMPLE_RATE)``, ``b0 = 1 / (1 + t)`` and
-    ``p = (1 - t) / (1 + t)``.  ``p`` falls from 1 towards -1 as the cutoff
-    rises from 0 to ``SAMPLE_RATE / 2``, and is ~0 at ``SAMPLE_RATE / 4``.
-    """
-    t = math.tan(math.pi * cutoff / SAMPLE_RATE)
-    return 1.0 / (1.0 + t), (1.0 - t) / (1.0 + t)
-
-
 # The blocked scan of _FirstOrderScan.  Within a block it scales the input by
 # p**-i, which grows to at most _SCAN_GAIN, so the partial sums stay within
 # 4 * _SCAN_GAIN of the largest sample; blocks hold at most _SCAN_BLOCK
@@ -360,20 +326,6 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
     return w
 
 
-def _decode_weights(bit_period: int, mode: DecodeMode) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The receiver of ``mode`` as two boxes ``(lo, hi)`` of a bit's samples:
-    its statistic is the mean over the first minus the mean over the second
-    (each half bit's midpoint for direct sampling, each whole half bit for
-    integrate-and-dump).  Raises :class:`ValueError` on an unknown mode."""
-    half = bit_period // 2
-    if mode == DecodeMode.DIRECT:
-        tap = half // 2
-        return (tap, tap + 1), (half + tap, half + tap + 1)
-    if mode == DecodeMode.INTEGRATE_AND_DUMP:
-        return (0, half), (half, bit_period)
-    raise ValueError(f"unknown decode mode {mode!r}")
-
-
 def bit_statistics(w: Waveform, mode: DecodeMode) -> np.ndarray:
     """The receiver's per-bit decision statistics: the mean over the first box
     of :func:`_decode_weights` minus that over the second, so a bit decides 1
@@ -440,8 +392,9 @@ class StatisticNoise:
     ``s_(k+1) = c * s_k + d_k``, from ``s_0 = 0`` (the filter starts at
     rest), with ``g = gain``, ``c = carry = p**bit_period`` and ``(u_k,
     d_k)`` Gaussian with covariance ``Q = [[uu, ud], [ud, dd]]``
-    (``covariance = (uu, ud, dd)``), fresh for every bit.  Without a
-    high-pass ``g = 0`` and ``S_k = u_k``.
+    (``covariance = (uu, ud, dd)``), fresh for every bit: the one-bit
+    model of :func:`~wearauth.link.bit_model`.  Without a high-pass the
+    filter is the identity, ``g = 0`` and ``S_k = u_k``.
 
     The innovations form (Kailath, IEEE TAC 1968) predicts ``s_k`` from
     ``S_0 .. S_(k-1)`` as ``m_k``, with error variance ``P_k``:
@@ -577,42 +530,12 @@ class StatisticNoise:
 
 def statistic_noise(bit_period: int, mode: DecodeMode,
                     highpass_cutoff: float | None = None) -> StatisticNoise:
-    """The :class:`StatisticNoise` of a receiver, in closed form.
-
-    With the coefficients ``b0, p`` of :func:`_highpass_coefficients` and the
-    receiver's weights ``w`` (``+-1/len`` over the two boxes of
-    :func:`_decode_weights`), sample ``j`` of a bit
-    holds ``y_j = b0*x_j + p**j * s + b0*(p - 1) * sum_(i<j) p**(j-1-i) x_i``.
-    So ``gain = sum_j w_j p**j``, and ``u`` and ``d`` weigh the bit's noise
-    samples by ``c_i = b0 * (w_i + (p - 1) * sum_(j>i) w_j p**(j-1-i))`` and
-    ``e_i = b0 * (p - 1) * p**(bit_period-1-i)``.  Over a box of ``w`` the
-    sum in ``c_i`` is geometric and ``(p - 1)`` cancels its denominator, so
-    ``c`` takes powers of ``p`` alone.  The covariance of ``(u, d)`` is that
-    of ``(c, e)``; without a high-pass ``u`` weighs by ``w`` and there is no
-    state.  The innovations factor follows from these in
-    :class:`StatisticNoise`.  Raises :class:`ValueError` when the settings
-    fail :func:`check_modem` or ``mode`` is unknown.
+    """The :class:`StatisticNoise` of a receiver, from the gain, carry and
+    covariance of :func:`~wearauth.link.bit_model`, in closed form: nothing
+    it holds is sized by ``bit_period``.  Raises :class:`ValueError` when the
+    settings fail :func:`check_modem` or ``mode`` is unknown.
     """
-    check_modem(bit_period, highpass_cutoff)
-    boxes = [(sign / (hi - lo), lo, hi)
-             for sign, (lo, hi) in zip((1.0, -1.0), _decode_weights(bit_period, mode))]
-    if highpass_cutoff is None:
-        variance = sum(weight * weight * (hi - lo) for weight, lo, hi in boxes)
-        return StatisticNoise(gain=0.0, carry=0.0, covariance=(variance, 0.0, 0.0))
-    b0, p = _highpass_coefficients(highpass_cutoff)
-    i = np.arange(bit_period)
-    w = np.zeros(bit_period)
-    c = np.zeros(bit_period)
-    for weight, lo, hi in boxes:
-        w[lo:hi] = weight
-        j = i[:hi - 1]           # the samples that a sample of the box follows
-        first = np.maximum(lo, j + 1)
-        c[:hi - 1] += weight * (np.power(p, hi - 1 - j) - np.power(p, first - 1 - j))
-    c += w
-    c *= b0
-    e = b0 * (p - 1.0) * np.power(p, bit_period - 1 - i)
-    return StatisticNoise(gain=float(np.dot(w, np.power(p, i))), carry=p ** bit_period,
-                          covariance=(float(c @ c), float(c @ e), float(e @ e)))
+    return StatisticNoise(*bit_model(bit_period, mode, highpass_cutoff))
 
 
 def noisy_statistics(clean: np.ndarray, noise: StatisticNoise, channel: ChannelModel,

@@ -31,7 +31,6 @@ __all__ = [
     "encode",
     "decode",
     "encoded_size",
-    "compression_ratio",
 ]
 
 MAGIC = b"FPT"
@@ -121,12 +120,3 @@ def decode(blob: bytes) -> Template:
                                 kind=_BYTE_KIND[kind_b]))
     return Template(width=width, height=height, algorithm=_BYTE_ALGO[algo_byte],
                     minutiae=tuple(minutiae))
-
-
-def compression_ratio(image_bytes: int, template_bytes: int) -> float:
-    """Raw capture size over encoded template size."""
-    if template_bytes <= 0:
-        raise ValueError("template_bytes must be positive")
-    if image_bytes < 0:
-        raise ValueError("image_bytes must be non-negative")
-    return image_bytes / template_bytes

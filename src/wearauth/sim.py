@@ -30,7 +30,10 @@ per-sample noise; that sample-level path is the tests' oracle
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request is charged whole or
 not at all: its first event that would overdraw a ledger is the refusal, which
-ends the run.  A run drives at most :data:`MAX_REQUESTS` requests.
+ends the run.  Every request's events start with capture, sensor TE where the
+sensor runs it, and the on-body hop's first attempt, so a refusal among those
+is found before the request's data plane runs.  A run drives at most
+:data:`MAX_REQUESTS` requests.
 """
 
 from __future__ import annotations
@@ -468,9 +471,13 @@ class _Runner:
         return _RequestOutcome(True, decision, best_score, retrans, eyes, bers,
                                on_body_len, lora_len)
 
-    def _events(self, outcome: _RequestOutcome) -> list[_Event]:
-        """The request's ledger events, in the order its data plane incurs
-        them; HBC pays a tx/rx pair for every frame attempt."""
+    def _events(self, attempts: int = 1, completed: bool = False) -> list[_Event]:
+        """The ledger events of a request that made ``attempts`` frame
+        attempts (HBC pays a tx/rx pair for each) and ``completed`` or not,
+        in the order its data plane incurs them.  Every outcome makes at
+        least one attempt, so the defaults give the prefix of every
+        request's events: capture, sensor TE, and the on-body hop's first
+        attempt."""
         te = self.system.te_location
         sensor, hub, cloud = self.sensor, self.hub, self.cloud
         events = [(sensor, "capture")]
@@ -479,9 +486,8 @@ class _Runner:
         if self.system.on_body_channel is Channel.WBAN:
             events += [(sensor, "encrypt"), (sensor, "tx_wban"), (hub, "rx_wban")]
         else:
-            attempts = outcome.retransmissions + outcome.completed
             events += [(sensor, "tx_hbc"), (hub, "rx_hbc")] * attempts
-        if outcome.completed:
+        if completed:
             if te is TeLocation.HUB:
                 events.append((hub, "te_extract"))
             events += [(hub, "encrypt"), (hub, "tx_lora"), (cloud, "rx_lora")]
@@ -522,8 +528,14 @@ class _Runner:
 
         while attempted < limit:
             if cached is None:
+                # A request refused within the prefix of its events costs no
+                # data-plane pass: the outcome cannot change that refusal.
+                refusal = _refusal(self._events())
+                if refusal is not None:
+                    break
                 outcome = self._run_request_data_plane()
-                events = self._events(outcome)
+                events = self._events(outcome.retransmissions + outcome.completed,
+                                      outcome.completed)
                 if cacheable:
                     cached = outcome, events
             else:

@@ -1,4 +1,4 @@
-"""Oracles for ``channel.transmit`` and ``channel.highpass_bias``.
+"""Oracles for ``channel.transmit``, ``channel.highpass_bias`` and ``link.bit_model``.
 
 ``reference_transmit`` is the allocating transmit that preceded the chunked
 one: one float64 array per term, and the hum as ``np.sin`` of every sample's
@@ -14,6 +14,10 @@ built once and reused across seeds.
 ``reference_highpass`` is one ``scipy.signal.lfilter`` over the whole
 waveform into a new array, the high-pass before the blocked in-place scan;
 the two differ by rounding only (the allowance is in ``tests/test_channel.py``).
+
+``reference_bit_model`` is the one-bit noise model built from arrays of a
+bit's sample weights, as it was before ``link.bit_model`` summed them in
+closed form (checked in ``tests/test_link.py``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from wearauth.channel import SAMPLE_RATE, ChannelModel, Waveform
+from wearauth.link import _decode_weights, _highpass_coefficients
 
 
 def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed) -> Waveform:
@@ -55,3 +60,27 @@ def reference_add_noise(quiet: Waveform, channel: ChannelModel, seed) -> Wavefor
 def reference_highpass(w: Waveform, cutoff: float) -> Waveform:
     b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=SAMPLE_RATE)
     return replace(w, samples=sp_signal.lfilter(b, a, w.samples))
+
+
+def reference_bit_model(bit_period: int, mode, cutoff: float):
+    """``link.bit_model`` behind a high-pass, built as the numpy weights of
+    every sample of a bit (the construction before the closed form): ``w``
+    over the boxes, ``c_i = b0 * (w_i + (p - 1) * sum_(j>i) w_j
+    p**(j-1-i))`` summed box by box as differences of powers, and ``e_i =
+    b0 * (p - 1) * p**(bit_period-1-i)``; arrays sized by ``bit_period``."""
+    b0, p = _highpass_coefficients(cutoff)
+    boxes = [(sign / (hi - lo), lo, hi)
+             for sign, (lo, hi) in zip((1.0, -1.0), _decode_weights(bit_period, mode))]
+    i = np.arange(bit_period)
+    w = np.zeros(bit_period)
+    c = np.zeros(bit_period)
+    for weight, lo, hi in boxes:
+        w[lo:hi] = weight
+        j = i[:hi - 1]           # the samples that a sample of the box follows
+        first = np.maximum(lo, j + 1)
+        c[:hi - 1] += weight * (np.power(p, hi - 1 - j) - np.power(p, first - 1 - j))
+    c += w
+    c *= b0
+    e = b0 * (p - 1.0) * np.power(p, bit_period - 1 - i)
+    return (float(np.dot(w, np.power(p, i))), p ** bit_period,
+            (float(c @ c), float(c @ e), float(e @ e)))

@@ -14,8 +14,6 @@ from scipy import stats as sp_stats
 
 from wearauth import channel as channel_module
 from wearauth.channel import (
-    EMPTY_FRAME_BITS,
-    MAX_BIT_PERIOD,
     MAX_PAYLOAD,
     MAX_SAMPLES,
     PREAMBLE_BITS,
@@ -47,6 +45,7 @@ from wearauth.channel import (
     _find_frame,
     _highpass_coefficients,
 )
+from wearauth.link import EMPTY_FRAME_BITS, MAX_BIT_PERIOD
 
 from reference_channel import reference_add_noise, reference_highpass, reference_transmit
 

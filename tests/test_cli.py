@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearauth import cli, codec, sim
-from wearauth.channel import MAX_BIT_PERIOD, ChannelModel, FramingError, IntegrityError, SyncError
+from wearauth.channel import ChannelModel, FramingError, IntegrityError, SyncError
 from wearauth.cli import _build_parser, main
 from wearauth.energy import ConfigError, EnergyParams
+from wearauth.link import MAX_BIT_PERIOD
 from wearauth.matcher import MatchParams
 from wearauth.sim import _SCENARIO_KEYS, _SYSTEM_KEYS, MAX_REQUESTS, ScenarioConfig
 from wearauth.fingerprint import GrayImage, TemplateAlgorithm, extract_template, write_pgm
@@ -589,7 +590,7 @@ class TestChannelSweep:
         ("--payload-bytes", "70000"),      # longer than the 16-bit length field
         ("--payload-bytes", "-1"),
         ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
-        ("--bit-period", "1048576"),       # past channel.MAX_BIT_PERIOD
+        ("--bit-period", "1048576"),       # past link.MAX_BIT_PERIOD
         # refused before the noise model sizes its weights by the bit period
         ("--highpass", "1000", "--bit-period", str(2**30)),
         ("--bit-period", str(MAX_BIT_PERIOD + 2)),
@@ -605,7 +606,7 @@ class TestChannelSweep:
         assert "error:" in err
 
     def test_sample_rate_flag_is_usage_error(self, capsys):
-        """The time base is fixed at ``channel.SAMPLE_RATE``."""
+        """The time base is fixed at ``link.SAMPLE_RATE``."""
         with pytest.raises(SystemExit) as exc:
             main(["channel-sweep", "--sample-rate", "1e6"])
         assert exc.value.code == 2
@@ -660,7 +661,7 @@ class TestSimulate:
         lambda doc: doc["system"].update(lora_distance=None),
         lambda doc: doc.update(channel={"attenuation": "half"}),
         lambda doc: doc.update(cipher_key=1.5),
-        lambda doc: doc.update(bit_period=1048576),    # past channel.MAX_BIT_PERIOD
+        lambda doc: doc.update(bit_period=1048576),    # past link.MAX_BIT_PERIOD
         lambda doc: doc.update(max_requests=MAX_REQUESTS + 1),
         lambda doc: doc.update(seed=-1),
     ], ids=["channel_key", "max_requests_str", "match_key", "match_list", "system_null",
@@ -684,7 +685,7 @@ class TestSimulate:
         ("bit_period", 3, "bit_period"),
         ("bit_period", 2**30, "exceeds"),
         ("bit_period", MAX_BIT_PERIOD + 2, "exceeds"),
-        # the time base is channel.SAMPLE_RATE, not a scenario setting
+        # the time base is link.SAMPLE_RATE, not a scenario setting
         ("sample_rate", 1_000_000.0, "unknown key(s) in scenario: sample_rate"),
         ("channel", {"highpass_cutoff": -5.0}, "cutoff"),
     ], ids=["odd_bit_period", "bit_period_2_30", "bit_period_past_frame_ceiling",

@@ -127,21 +127,3 @@ class TestDecodeHostileBytes:
         except codec.DecodeError:
             return
         assert len(codec.encode(out)) == len(blob)
-
-
-class TestCompressionRatio:
-    def test_published_ratio(self):
-        ratio = codec.compression_ratio(40032, 176)
-        assert ratio == pytest.approx(227.4545, abs=1e-3)
-        assert int(ratio) == 227
-
-    @given(st.integers(1, 10**6))
-    def test_identity(self, n):
-        assert codec.compression_ratio(n, n) == 1.0
-
-    def test_empty_template_ratio(self):
-        assert codec.compression_ratio(40032, 8) == 5004.0
-
-    def test_zero_template_rejected(self):
-        with pytest.raises(ValueError):
-            codec.compression_ratio(40032, 0)

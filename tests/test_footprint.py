@@ -5,9 +5,9 @@ energy model and every scenario, the body channel's high-pass included, load
 no scipy module.  ``scipy.signal``, which the high-pass used to import, pulls
 in ~74 MB and ~1.3 s of imports with scipy's core, ``scipy.stats``,
 ``scipy.interpolate`` and ``scipy.spatial`` behind it.  The closed-form model
-(``energy`` and ``design_space``) loads neither numpy nor the data plane, nor
-do the ``wearauth`` commands built on it alone (``table2``, ``figure4``,
-``explore``).
+(``energy`` and ``design_space``) and the body link's one-bit model
+(``link``) load neither numpy nor the data plane, nor do the ``wearauth``
+commands built on the model alone (``table2``, ``figure4``, ``explore``).
 scipy stays in the tests as an oracle, and this pytest process has imported it
 and numpy already, so the checks run in fresh interpreters.
 """
@@ -114,7 +114,7 @@ def test_model_core_loads_no_data_plane(tmp_path):
         import contextlib, io, json, sys
 
         import wearauth
-        from wearauth import cli, design_space, energy
+        from wearauth import cli, design_space, energy, link
 
         rows = [design_space.evaluate(design_space.SystemConfig(te_location=loc,
                                                                 on_body_channel=ch),
@@ -131,13 +131,16 @@ def test_model_core_loads_no_data_plane(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()) as text:
                 ran.append(cli.main(argv))
             ran.append(len(text.getvalue().splitlines()) > 1)
+        link.check_modem(link.MAX_BIT_PERIOD, 1.0)
+        ran += [link.bit_model(8, mode, cutoff)[0] > 0.0
+                for mode in energy.DecodeMode for cutoff in (1.0, 1000.0)]
         data_plane = ("numpy", "wearauth.fingerprint", "wearauth.channel", "wearauth.sim",
                       "wearauth.matcher", "wearauth.codec", "wearauth.present")
         loaded = sorted(m for m in sys.modules
                         if any(m == p or m.startswith(p + ".") for p in data_plane))
         print(json.dumps({"ran": ran, "loaded": loaded}))
     """, tmp_path, prelude="")
-    assert out["ran"] == [2, 16, 6, 0.294] + [0, True] * 3
+    assert out["ran"] == [2, 16, 6, 0.294] + [0, True] * 3 + [True] * 4
     assert out["loaded"] == []
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from wearauth import cli, codec, present, sim
 from wearauth.channel import (
-    MAX_BIT_PERIOD,
     bit_statistics,
     encode_frame,
     highpass_bias,
@@ -28,6 +27,7 @@ from wearauth.fingerprint.minutiae import (
     TemplateAlgorithm,
     extract_template,
 )
+from wearauth.link import MAX_BIT_PERIOD
 from wearauth.sim import (
     MAX_REQUESTS,
     BudgetExceeded,
@@ -503,6 +503,25 @@ class TestAccounting:
             for _, joules in led.charges:
                 total += joules
             assert led.total_charged == total             # same fold, bit-exact
+
+    @pytest.mark.parametrize("link", ["hbc", "wban"])
+    def test_refusal_in_the_events_prefix_skips_the_data_plane(self, scenario_workspace,
+                                                                 monkeypatch, link):
+        """RF harvesting cannot pay for sensor TE, the second event of every
+        request: the run is refused there before any extraction, cipher or
+        link pass runs."""
+        calls = Counter()
+        monkeypatch.setattr(sim, "extract_template",
+                            _counted(calls, "extract_template", sim.extract_template))
+        monkeypatch.setattr(sim, "transmit", _counted(calls, "transmit", sim.transmit))
+        monkeypatch.setattr(present, "ctr_crypt",
+                            _counted(calls, "ctr_crypt", present.ctr_crypt))
+        report = run(scenario_workspace,
+                     system={"te_location": "sensor", "on_body_channel": link},
+                     channel={"attenuation": 0.6, "noise_sigma": 0.8})
+        assert report.refusal == {"node": "sensor", "event": "te_extract"}
+        assert report.requests_attempted == 0 and report.trace == []
+        assert calls == {}
 
     def test_dead_link_stops_at_max_requests(self, scenario_workspace):
         report = run(scenario_workspace, system={"sensor_power": "coin_cell"},
