@@ -609,6 +609,10 @@ def verify_against_analytic(report: SimReport, params: EnergyParams,
     Only meaningful for clean-channel runs: any retransmission makes the
     per-request energy legitimately exceed the model, so the check is skipped
     with a reason.
+
+    The body reads only ``report``: its ``analytic`` block, its ledgers and
+    its scenario.  ``params`` is not read; the closed form compared against
+    is the one the run was priced with, whatever ``params`` is passed here.
     """
     if report.retransmissions > 0:
         return VerifyResult(False, False,

@@ -569,6 +569,28 @@ class TestCrypt:
         assert run_cli(capsys, "decrypt", str(ct), str(pt), "--key", key, "--nonce", nonce)[0] == 0
         assert pt.read_bytes() == data
 
+    def test_encrypt_known_answer(self, capsys, tmp_path):
+        """Eight zero bytes at counter 0 under the zero key are the first
+        published PRESENT-80 vector, which a round trip alone cannot pin."""
+        src, ct = tmp_path / "zeros.bin", tmp_path / "ct.bin"
+        src.write_bytes(bytes(8))
+        assert run_cli(capsys, "encrypt", str(src), str(ct), "--key", "0", "--nonce", "0")[0] == 0
+        assert ct.read_bytes().hex() == "5579c1387b228445"
+
+    @pytest.mark.parametrize("flags", [
+        ("--key", "1" + "0" * 20, "--nonce", "0"),    # 2**80, an 81-bit key
+        ("--key", "xyz", "--nonce", "0"),
+        ("--key", "0", "--nonce", "1" + "0" * 16),    # 2**64
+    ], ids=["key_81_bits", "key_not_hex", "nonce_65_bits"])
+    def test_bad_key_or_nonce_is_domain_error(self, capsys, tmp_path, flags):
+        src, ct = tmp_path / "plain.bin", tmp_path / "ct.bin"
+        src.write_bytes(b"payload")
+        code, out, err = run_cli(capsys, "encrypt", str(src), str(ct), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not ct.exists()
+
 
 class TestChannelSweep:
     def test_csv_output_and_determinism(self, capsys):
@@ -591,7 +613,7 @@ class TestChannelSweep:
         ("--payload-bytes", "-1"),
         ("--payload-bytes", str(10**15)),  # refused before a byte is allocated
         ("--bit-period", "1048576"),       # past link.MAX_BIT_PERIOD
-        # refused before the noise model sizes its weights by the bit period
+        # refused by check_modem's MAX_BIT_PERIOD before a sample is built
         ("--highpass", "1000", "--bit-period", str(2**30)),
         ("--bit-period", str(MAX_BIT_PERIOD + 2)),
         ("--seed", "-1", "--noise", "0"),  # no noise is drawn, but the seed is still refused

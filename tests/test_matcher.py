@@ -310,14 +310,16 @@ class TestSweepBoundsAreExact:
         assert bounds.min() == 10
 
     def test_distance_of_exactly_the_tolerance(self):
-        # Aligned on their first minutiae, the second ones lie (3, 4) apart:
+        # Aligned on their first minutiae, the second ones lie (3, 4) apart,
+        # on the hypot test's edge, or (5, 0) apart, on the x pre-test's edge:
         # in tolerance at 5.0, out of it one ulp below.
         probe = [(0, 0, 0.0, 0), (10, 0, 0.0, 0)]
-        gallery = [(100, 100, 0.0, 0), (113, 104, 0.0, 0)]
-        first = [_bounds_agree(_bound_inputs(probe, gallery, MatchParams(
-                     position_tolerance=tol, rotation_range=0.0)))[0]
-                 for tol in (5.0, math.nextafter(5.0, 0.0))]
-        assert first == [2, 1]
+        for second in ((113, 104, 0.0, 0), (115, 100, 0.0, 0)):
+            gallery = [(100, 100, 0.0, 0), second]
+            first = [_bounds_agree(_bound_inputs(probe, gallery, MatchParams(
+                         position_tolerance=tol, rotation_range=0.0)))[0]
+                     for tol in (5.0, math.nextafter(5.0, 0.0))]
+            assert first == [2, 1], second
 
 
 def _peak_bytes(fn, *args):
