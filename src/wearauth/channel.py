@@ -10,7 +10,15 @@ waveform; the channel is linear in its noise, so :func:`noisy_statistics`
 draws it straight into that pass's per-bit statistics, one normal a bit and
 exact in distribution (the simulator and :func:`sweep_hum` both do), from
 the closed-form one-bit model of :mod:`wearauth.link`, which also owns the
-time base, the modem's rules, the high-pass design and the receiver's boxes.
+time base, the modem's rules, the ceiling on a frame's samples, the
+high-pass design and the receiver's boxes.  :func:`sweep_hum` builds each
+point's whole waveform; the simulator builds its frame in pieces and holds
+one at a time: :func:`transmit` takes the link-clock index of a piece's
+first sample and :func:`highpass_bias` the filter state just before it, so
+on a grid of whole chunks and whole bits the pieces' statistics equal the
+whole frame's bit for bit.  So ``MAX_SAMPLES`` bounds a simulated frame's
+samples, the time of its pass, and whole-waveform memory only in
+``channel-sweep``.
 The per-sample noise path is the tests' oracle (``tests/reference_channel.py``).
 The conventional on-body radio is modelled as an error-free byte pipe (its
 cost lives in the energy model).
@@ -26,13 +34,13 @@ import numpy as np
 
 from .energy import DecodeMode
 from .link import (
-    MAX_SAMPLES,
     PREAMBLE_BITS,
     SAMPLE_RATE,
     _decode_weights,
     _highpass_coefficients,
     bit_model,
     check_modem,
+    check_samples,
 )
 
 __all__ = [
@@ -163,16 +171,18 @@ def encode_frame(payload: bytes) -> np.ndarray:
     return _manchester(frame_data_bits(payload))
 
 
-def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel) -> Waveform:
+def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel,
+             start: int = 0) -> Waveform:
     """The noise-free received waveform ``attenuation * clean + hum`` of the
-    symbols; noise enters only through :func:`noisy_statistics`.
+    symbols, whose first sample is sample ``start`` of the link clock (the
+    hum's phase); noise enters only through :func:`noisy_statistics`.
 
     The clean symbols are written straight into the output, and the hum is
     added to it in blocks of half a ``TRANSMIT_CHUNK`` through one
     chunk-sized scratch buffer.
 
     The hum is rotated, not evaluated per sample.  At sample ``s + k`` of a
-    block starting at ``s`` it is
+    block starting at link-clock sample ``s`` it is
     ``amp*sin(theta) * cos(phi_k) + amp*cos(theta) * sin(phi_k)``, with
     ``theta = s / SAMPLE_RATE * omega`` computed afresh for each block (never
     accumulated) and one cos/sin table of ``phi_k = k / SAMPLE_RATE * omega``
@@ -180,16 +190,19 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel) -> Wav
     per sample.  It differs from ``amp * sin(i / SAMPLE_RATE * omega)`` by
     rounding only, within a few ulp of ``amp`` times
     ``1 + omega * i / SAMPLE_RATE``, as that formula does from the exact hum.
+    Blocks start every half ``TRANSMIT_CHUNK`` from ``start``, so a frame
+    sent in pieces that start on multiples of half a chunk gets the samples
+    of one call on the whole frame, bit for bit.
 
     Raises :class:`ValueError` when the modem settings fail
-    :func:`check_modem` or the waveform would exceed ``MAX_SAMPLES``.
+    :func:`check_modem` or the waveform would exceed ``MAX_SAMPLES``
+    (:func:`~wearauth.link.check_samples`).
     """
     check_modem(bit_period)
     half = bit_period // 2
     symbols = np.asarray(symbols)
     n = symbols.size * half
-    if n > MAX_SAMPLES:
-        raise ValueError(f"waveform of {n} samples exceeds {MAX_SAMPLES}")
+    check_samples(n)
     a = channel.attenuation
     received = np.empty(n)
     np.multiply(symbols.reshape(-1, 1), a, out=received.reshape(-1, half))
@@ -203,10 +216,10 @@ def transmit(symbols: np.ndarray, bit_period: int, channel: ChannelModel) -> Wav
         phase *= omega
         cos_k = np.cos(phase)
         sin_k = np.sin(phase, out=phase)
-        for start in range(0, n, TRANSMIT_CHUNK // 2):
-            out = received[start:start + block]
+        for begin in range(0, n, TRANSMIT_CHUNK // 2):
+            out = received[begin:begin + block]
             buf, spare = scratch[:out.size], scratch[block:block + out.size]
-            theta = start / SAMPLE_RATE * omega
+            theta = (start + begin) / SAMPLE_RATE * omega
             np.multiply(cos_k[:out.size], amp * math.sin(theta), out=buf)
             np.multiply(sin_k[:out.size], amp * math.cos(theta), out=spare)
             buf += spare
@@ -280,14 +293,19 @@ class _FirstOrderScan:
             out[...] = v[:n]
 
 
-def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
+def highpass_bias(w: Waveform, cutoff: float,
+                  initial: tuple[float, float] = (0.0, 0.0)) -> Waveform:
     """First-order high-pass, in place; kills DC and mains hum, passes the signal band.
 
-    Computes ``y[n] = b0 * (x[n] - x[n-1]) + p * y[n-1]`` from rest (the
-    coefficients of :func:`_highpass_coefficients`) with
-    :class:`_FirstOrderScan`, in steps of at most ``TRANSMIT_CHUNK`` samples
-    that carry ``x`` and ``y`` from step to step, so no second waveform is
-    held.
+    Computes ``y[n] = b0 * (x[n] - x[n-1]) + p * y[n-1]`` (the coefficients
+    of :func:`_highpass_coefficients`) from ``initial``, the filter's input
+    and output ``(x[-1], y[-1])`` just before the first sample; the default
+    starts from rest.  It runs :class:`_FirstOrderScan` in steps of at most
+    ``TRANSMIT_CHUNK`` samples that carry ``x`` and ``y`` from step to step,
+    so no second waveform is held.  A waveform filtered in pieces that each
+    start on a multiple of ``TRANSMIT_CHUNK``, each from the last raw and
+    filtered samples of the piece before, equals the whole one filtered in
+    one call bit for bit: its steps start where that call's do.
 
     It agrees with ``scipy.signal.lfilter`` on the same coefficients by
     rounding only: within ``40 * eps * max|x| / (1 - |p|)`` (the derivation
@@ -308,7 +326,7 @@ def highpass_bias(w: Waveform, cutoff: float) -> Waveform:
         np.subtract(part[1:], part[:-1], out=diff[1:part.size])
         scan.scan(part, y_prev)
 
-    x_prev = y_prev = 0.0
+    x_prev, y_prev = initial
     with np.errstate(over="raise", invalid="ignore"):
         for begin in range(0, w.samples.size, scan.step):
             part = w.samples[begin:begin + scan.step]

@@ -9,7 +9,6 @@ from .minutiae import (
     MinutiaKind,
     Template,
     TemplateAlgorithm,
-    crossing_number,
     extract_template,
 )
 from .segmentation import BinarizeMethod, binarize, otsu_threshold
@@ -26,7 +25,6 @@ __all__ = [
     "Template",
     "TemplateAlgorithm",
     "binarize",
-    "crossing_number",
     "enhance",
     "extract_template",
     "gabor_enhance",

@@ -24,7 +24,6 @@ __all__ = [
     "TemplateAlgorithm",
     "Minutia",
     "Template",
-    "crossing_number",
     "extract_template",
     "DEFAULT_BORDER_MARGIN",
     "DEFAULT_MIN_DISTANCE",
@@ -79,18 +78,6 @@ class Template:
 
     def __len__(self) -> int:
         return len(self.minutiae)
-
-
-def crossing_number(skeleton: BinaryImage, x: int, y: int) -> int:
-    """Crossing number of a ridge pixel: 1 ending, 2 continuation, 3 bifurcation."""
-    bits = skeleton.bits
-    if not (0 < x < skeleton.width - 1 and 0 < y < skeleton.height - 1):
-        raise ValueError(f"({x},{y}) is on the image border")
-    if not bits[y, x]:
-        raise ValueError(f"({x},{y}) is not a ridge pixel")
-    ring = [int(bits[y + dy, x + dx]) for dy, dx in _RING]
-    ring.append(ring[0])
-    return sum(abs(a - b) for a, b in zip(ring[:-1], ring[1:])) // 2
 
 
 def _crossing_number_map(bits: np.ndarray) -> np.ndarray:
@@ -190,8 +177,9 @@ def _candidates(skeleton: BinaryImage, limit: int | None = None) -> list[_Candid
 
 
 def _traced(bits: np.ndarray, candidates: list[_Candidate]) -> list[Minutia]:
-    """The candidates with their angles; tracing is the costly part, ~0.5 ms
-    per minutia in Python."""
+    """The candidates with their angles; tracing is the costly part, in Python:
+    0.4-0.8 ms for the ~23 minutiae kept from a 278x144 capture, 0.02-0.035 ms
+    each on a 2-core x86 host."""
     return [Minutia(x=c.x, y=c.y, angle=_minutia_angle(bits, c.x, c.y), kind=c.kind)
             for c in candidates]
 

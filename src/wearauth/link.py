@@ -1,13 +1,14 @@
 """The body link's one-bit model, in closed form and without numpy.
 
-The modem's time base and the rules its settings obey (:func:`check_modem`),
-the receiver's first-order high-pass and its two decision boxes, and what one
-bit of the link does to white noise (:func:`bit_model`): the gain, carry and
-covariance that :class:`wearauth.channel.StatisticNoise` draws the per-bit
-noise from.  Every quantity is a sum over the bit's samples that the boxes
-split into at most five runs of constant weight, and each run's sum is
-geometric, so the cost does not grow with ``bit_period``.  The waveform, the
-frame and the decoder stay in :mod:`wearauth.channel`.
+The modem's time base, the rules its settings obey (:func:`check_modem`),
+the ceiling on a frame's samples (:func:`check_samples`), the receiver's
+first-order high-pass and its two decision boxes, and what one bit of the
+link does to white noise (:func:`bit_model`): the gain, carry and covariance
+that :class:`wearauth.channel.StatisticNoise` draws the per-bit noise from.
+Every quantity is a sum over the bit's samples that the boxes split into at
+most five runs of constant weight, and each run's sum is geometric, so the
+cost does not grow with ``bit_period``.  The waveform, the frame and the
+decoder stay in :mod:`wearauth.channel`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_BIT_PERIOD",
     "check_modem",
+    "check_samples",
     "bit_model",
 ]
 
@@ -32,11 +34,15 @@ __all__ = [
 SAMPLE_RATE = 1_000_000.0
 PREAMBLE_BITS = (1, 0, 1, 0, 1, 0, 1, 0)
 EMPTY_FRAME_BITS = len(PREAMBLE_BITS) + 3 * 16  # preamble; 16-bit sync word, length, CRC
-# Ceiling on one noise-free waveform (noise enters only in noisy_statistics):
-# 2**23 float64 samples, 64 MiB.  channel.transmit() peaks at 8 bytes per
-# sample plus, with hum, one TRANSMIT_CHUNK scratch buffer (256 KiB) and one
-# more chunk for the half-chunk cos/sin tables of its phasor.  It admits a
-# 40,047-byte frame up to bit_period 26 and a 65,535-byte one up to 14.
+# Ceiling on one frame's noise-free waveform (noise enters only in
+# noisy_statistics): 2**23 samples.  It admits a 40,047-byte frame up to
+# bit_period 26 and a 65,535-byte one up to 14.  The simulator builds its
+# frame in pieces of about 2**19 samples and holds one at a time, so there
+# the ceiling bounds a frame's samples, the time of its clean pass; only
+# channel-sweep (sweep_hum) holds a whole waveform, 64 MiB of float64 at the
+# ceiling.  channel.transmit() peaks at 8 bytes per sample of what it builds
+# plus, with hum, one TRANSMIT_CHUNK scratch buffer (256 KiB) and one more
+# chunk for the half-chunk cos/sin tables of its phasor.
 MAX_SAMPLES = 1 << 23
 MAX_BIT_PERIOD = MAX_SAMPLES // EMPTY_FRAME_BITS    # 149,796: the longest bit any frame fits
 
@@ -58,6 +64,13 @@ def check_modem(bit_period: int, highpass_cutoff: float | None = None) -> None:
                          f"where an empty frame fills {MAX_SAMPLES} samples")
     if highpass_cutoff is not None and not 0 < highpass_cutoff < SAMPLE_RATE / 2:
         raise ValueError("highpass cutoff must lie in (0, SAMPLE_RATE/2)")
+
+
+def check_samples(n: int) -> None:
+    """Refuse a frame's waveform of ``n`` samples, before any of it is built:
+    raises :class:`ValueError` when ``n`` exceeds ``MAX_SAMPLES``."""
+    if n > MAX_SAMPLES:
+        raise ValueError(f"waveform of {n} samples exceeds {MAX_SAMPLES}")
 
 
 def _highpass_coefficients(cutoff: float) -> tuple[float, float]:

@@ -25,7 +25,13 @@ the run's one :func:`~wearauth.channel.statistic_noise` model: one normal a
 bit, seeded by seed, request and attempt) before ``receive_decode``.  Link
 statistics are exact in distribution, not sample for sample the ones of
 per-sample noise; that sample-level path is the tests' oracle
-(``tests/reference_channel.py``).
+(``tests/reference_channel.py``).  The noise-free pass runs in pieces of
+about 2**19 samples (:func:`_piece_samples`), one alive at a time, into one
+array of per-bit statistics, so a 40 KB capture's hop holds a 4 MiB piece
+where its whole waveform took 20 MB; the pieces' statistics equal the whole
+frame's bit for bit.  A frame past ``MAX_SAMPLES`` is refused before any
+piece is built, so here the ceiling bounds a frame's samples, the time of
+its clean pass, not the memory it holds.
 
 A corrupted body-channel frame triggers exactly one retransmission (charged
 again); a second failure aborts that request.  A request is charged whole or
@@ -50,6 +56,7 @@ import numpy as np
 
 from . import codec, present
 from .channel import (
+    TRANSMIT_CHUNK,
     ChannelModel,
     IntegrityError,
     StatisticNoise,
@@ -77,6 +84,7 @@ from .energy import (
 )
 from .fingerprint.image import GrayImage, read_pgm
 from .fingerprint.minutiae import extract_template
+from .link import check_samples
 from .matcher import MatchParams, load_gallery, match
 
 __all__ = [
@@ -104,6 +112,21 @@ _HOP_WBAN, _HOP_LORA = 0, 1
 # request at 96x72 and ~13 ms at 278x144 on a shared 2-core x86 host (~2.5 min
 # and ~15 min in all).  An explicit max_requests bounds the time.
 MAX_REQUESTS = 1 << 16
+# Samples of the clean pass's pieces, roughly: few enough pieces that each
+# one's set-up (transmit's cos/sin table, ~0.25 ms) stays small, small enough
+# that a piece is 4 MiB of float64.
+_PIECE_TARGET = 1 << 19
+
+
+def _piece_samples(bit_period: int) -> int:
+    """Samples of each piece of the clean pass but the last: the whole
+    multiple of ``lcm(TRANSMIT_CHUNK, bit_period)`` nearest
+    :data:`_PIECE_TARGET`, and at least one.  On that grid the hum's blocks,
+    the high-pass's scan steps and the bits start where a whole-frame pass
+    starts them, so the statistics are the same bit for bit.  A frame
+    shorter than one piece is one piece."""
+    unit = math.lcm(TRANSMIT_CHUNK, bit_period)
+    return unit * max(1, round(_PIECE_TARGET / unit))
 
 
 class BudgetExceeded(Exception):
@@ -402,15 +425,32 @@ class _Runner:
     def _clean_link(self) -> tuple[np.ndarray, np.ndarray, StatisticNoise]:
         """The run's body link, built on its first HBC hop: the per-bit
         statistics of the payload's frame without noise, the frame bits and
-        the receiver's noise model.  The waveform is freed on return."""
+        the receiver's noise model.
+
+        The frame's waveform is built, filtered and read a piece of
+        :func:`_piece_samples` at a time, each piece starting at its link-clock
+        sample and from the filter state the piece before left, and freed
+        before the next is built."""
         cfg = self.cfg
-        noise = statistic_noise(cfg.bit_period, cfg.decode_mode, cfg.channel.highpass_cutoff)
+        bit_period, cutoff = cfg.bit_period, cfg.channel.highpass_cutoff
+        noise = statistic_noise(bit_period, cfg.decode_mode, cutoff)
         symbols = encode_frame(self._payload)
-        w = transmit(symbols, cfg.bit_period, cfg.channel)
-        if cfg.channel.highpass_cutoff is not None:
-            w = highpass_bias(w, cfg.channel.highpass_cutoff)
+        half = bit_period // 2
+        check_samples(symbols.size * half)
+        stats = np.empty(symbols.size // 2)
+        step = _piece_samples(bit_period) // half            # symbols a piece
+        state = (0.0, 0.0)              # the high-pass's last input and output
+        for first in range(0, symbols.size, step):
+            w = transmit(symbols[first:first + step], bit_period, cfg.channel,
+                         start=first * half)
+            if cutoff is not None:
+                x_last = float(w.samples[-1])
+                w = highpass_bias(w, cutoff, state)
+                state = x_last, float(w.samples[-1])
+            stats[first // 2:(first + step) // 2] = bit_statistics(w, cfg.decode_mode)
+            del w
         reference = symbols[0::2] > 0     # the frame bits: a 1 is sent as (+1, -1)
-        return bit_statistics(w, cfg.decode_mode), reference, noise
+        return stats, reference, noise
 
     def _body_channel_hop(self, attempt: int) -> tuple[bytes, float, float]:
         """One framed transfer over the body channel: (payload, eye, ber)."""

@@ -2,7 +2,8 @@
 
 ``reference_transmit`` is the allocating transmit that preceded the chunked
 one: one float64 array per term, and the hum as ``np.sin`` of every sample's
-own phase ``2*pi*f * (i / SAMPLE_RATE)``.  Its clean symbols equal
+own phase ``2*pi*f * ((start + i) / SAMPLE_RATE)``, ``start`` the link-clock
+index of the first sample.  Its clean symbols equal
 ``transmit``'s bit for bit; the hum, which ``transmit`` builds by phasor
 rotation, differs by rounding only (see ``tests/test_channel.py``).  It is
 the only place that draws link noise per sample, one standard normal of
@@ -12,8 +13,10 @@ the only place that draws link noise per sample, one standard normal of
 built once and reused across seeds.
 
 ``reference_highpass`` is one ``scipy.signal.lfilter`` over the whole
-waveform into a new array, the high-pass before the blocked in-place scan;
-the two differ by rounding only (the allowance is in ``tests/test_channel.py``).
+waveform into a new array, the high-pass before the blocked in-place scan,
+continued from the input and output ``initial`` just before it through the
+transposed state ``zi = p*y_prev - b0*x_prev``; the two differ by rounding
+only (the allowance is in ``tests/test_channel.py``).
 
 ``reference_bit_model`` is the one-bit noise model built from arrays of a
 bit's sample weights, as it was before ``link.bit_model`` summed them in
@@ -31,14 +34,15 @@ from wearauth.channel import SAMPLE_RATE, ChannelModel, Waveform
 from wearauth.link import _decode_weights, _highpass_coefficients
 
 
-def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed) -> Waveform:
+def reference_transmit(symbols, bit_period: int, channel: ChannelModel, seed,
+                       start: int = 0) -> Waveform:
     half = bit_period // 2
     symbols = np.asarray(symbols, dtype=np.float64)
     clean = np.repeat(symbols, half)
     a = channel.attenuation
     received = a * clean
     if channel.hum_amplitude:
-        t = np.arange(clean.size) / SAMPLE_RATE
+        t = (start + np.arange(clean.size)) / SAMPLE_RATE
         received = received + a * channel.hum_amplitude * np.sin(
             2.0 * np.pi * channel.hum_frequency * t)
     return reference_add_noise(Waveform(samples=received, bit_period=bit_period), channel, seed)
@@ -57,9 +61,12 @@ def reference_add_noise(quiet: Waveform, channel: ChannelModel, seed) -> Wavefor
     return replace(quiet, samples=samples)
 
 
-def reference_highpass(w: Waveform, cutoff: float) -> Waveform:
+def reference_highpass(w: Waveform, cutoff: float,
+                       initial: tuple[float, float] = (0.0, 0.0)) -> Waveform:
     b, a = sp_signal.butter(1, cutoff, btype="highpass", fs=SAMPLE_RATE)
-    return replace(w, samples=sp_signal.lfilter(b, a, w.samples))
+    x_prev, y_prev = initial
+    zi = np.array([-a[1] * y_prev + b[1] * x_prev])        # p*y_prev - b0*x_prev
+    return replace(w, samples=sp_signal.lfilter(b, a, w.samples, zi=zi)[0])
 
 
 def reference_bit_model(bit_period: int, mode, cutoff: float):

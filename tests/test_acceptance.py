@@ -37,10 +37,10 @@ from wearauth.fingerprint import (
     BinaryImage,
     MinutiaKind,
     TemplateAlgorithm,
-    crossing_number,
     extract_template,
     thin,
 )
+from wearauth.fingerprint.minutiae import _crossing_number_map
 from wearauth.present import ctr_crypt
 from wearauth.sim import CIPHER_KEY, ScenarioConfig, run_scenario, verify_against_analytic
 
@@ -158,18 +158,18 @@ def test_criterion_6_template_extraction_properties():
         line = BinaryImage(np.array([[0, 0, 0, 0, 0],
                                      [0, 1, 1, 1, 0],
                                      [0, 0, 0, 0, 0]], dtype=bool))
-        assert crossing_number(line, 1, 1) == 1          # ending
-        assert crossing_number(line, 2, 1) == 2          # continuation
+        assert _crossing_number_map(line.bits)[1, 1] == 1     # ending
+        assert _crossing_number_map(line.bits)[1, 2] == 2     # continuation
         y_mask = BinaryImage(np.array([[1, 0, 0, 0, 1],
                                        [0, 1, 0, 1, 0],
                                        [0, 0, 1, 0, 0],
                                        [0, 0, 1, 0, 0]], dtype=bool))
-        assert crossing_number(y_mask, 2, 2) == 3        # bifurcation
+        assert _crossing_number_map(y_mask.bits)[2, 2] == 3   # bifurcation
         ring = np.zeros((7, 7), dtype=bool)
         ring[1, 1:6] = ring[5, 1:6] = True
         ring[1:6, 1] = ring[1:6, 5] = True
         loop = BinaryImage(ring)
-        assert crossing_number(loop, 3, 1) == 2          # loop stays continuation
+        assert _crossing_number_map(loop.bits)[1, 3] == 2     # loop stays continuation
 
         image = stripe_image(160, 120, period=8, thickness=3, gap=(7, 64, 104))
         first = codec.encode(extract_template(image, TemplateAlgorithm.HIGH_ACCURACY))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
@@ -15,7 +15,6 @@ from scipy import stats as sp_stats
 from wearauth import channel as channel_module
 from wearauth.channel import (
     MAX_PAYLOAD,
-    MAX_SAMPLES,
     PREAMBLE_BITS,
     SAMPLE_RATE,
     SYNC_WORD,
@@ -45,7 +44,7 @@ from wearauth.channel import (
     _find_frame,
     _highpass_coefficients,
 )
-from wearauth.link import EMPTY_FRAME_BITS, MAX_BIT_PERIOD
+from wearauth.link import EMPTY_FRAME_BITS, MAX_BIT_PERIOD, MAX_SAMPLES
 
 from reference_channel import reference_add_noise, reference_highpass, reference_transmit
 
@@ -728,6 +727,60 @@ class TestBitStatistics:
                                              seed=(3, 0, 0)), 1000.0)
         mode = DecodeMode.INTEGRATE_AND_DUMP
         assert np.array_equal(bit_statistics(w, mode), _reference_bit_statistics(w, mode))
+
+
+def _statistics_in_pieces(symbols, bit_period, channel, piece):
+    """Both modes' statistics of the noise-free pass made ``piece`` samples at a
+    time: each piece sent from its link-clock sample and high-passed from the
+    last raw and filtered samples of the piece before."""
+    half = bit_period // 2
+    step = piece // half
+    parts = {mode: [] for mode in DecodeMode}
+    state = (0.0, 0.0)
+    for first in range(0, symbols.size, step):
+        w = transmit(symbols[first:first + step], bit_period, channel, start=first * half)
+        if channel.highpass_cutoff is not None:
+            x_last = float(w.samples[-1])
+            highpass_bias(w, channel.highpass_cutoff, state)
+            state = x_last, float(w.samples[-1])
+        for mode in DecodeMode:
+            parts[mode].append(bit_statistics(w, mode))
+    return {mode: np.concatenate(stats) for mode, stats in parts.items()}
+
+
+class TestPieces:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(payload_bytes=st.one_of(st.sampled_from((1, 40047)), st.integers(1, 40047)),
+           half=st.integers(2, 13),
+           cutoff=st.sampled_from((None, 1.0, 1000.0, 0.49 * SAMPLE_RATE)),
+           hum=st.sampled_from((0.0, 0.5)), hum_frequency=st.sampled_from((60.0, 12_345.6)),
+           units=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    # A capture at the longest bit it fits, and at the simulator's 2**19-sample
+    # pieces of bit_period 8.
+    @example(payload_bytes=40047, half=13, cutoff=1000.0, hum=0.5, hum_frequency=60.0,
+             units=1, seed=0)
+    @example(payload_bytes=40047, half=4, cutoff=0.49 * SAMPLE_RATE, hum=0.5,
+             hum_frequency=60.0, units=16, seed=1)
+    def test_pieces_equal_whole_frame_bit_for_bit(self, payload_bytes, half, cutoff, hum,
+                                                  hum_frequency, units, seed):
+        """A frame sent in pieces of whole multiples of
+        ``lcm(TRANSMIT_CHUNK, bit_period)`` samples, ``start`` set and the
+        high-pass state carried, has the statistics of the whole-frame
+        ``transmit`` -> ``highpass_bias`` -> ``bit_statistics`` bit for bit,
+        in both decode modes: the hum's blocks, the scan's steps and the bits
+        all start where the whole-frame pass starts them."""
+        bit_period = 2 * half
+        payload = np.random.default_rng(seed).bytes(payload_bytes)
+        symbols = encode_frame(payload)
+        channel = ChannelModel(attenuation=0.6, hum_amplitude=hum, hum_frequency=hum_frequency,
+                               highpass_cutoff=cutoff)
+        piece = units * math.lcm(TRANSMIT_CHUNK, bit_period)
+        pieces = _statistics_in_pieces(symbols, bit_period, channel, piece)
+        w = transmit(symbols, bit_period, channel)
+        if cutoff is not None:
+            highpass_bias(w, cutoff)
+        for mode in DecodeMode:
+            assert np.array_equal(pieces[mode], bit_statistics(w, mode))
 
 
 class TestReceiveDecodeFuzz:

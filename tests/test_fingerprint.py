@@ -17,7 +17,6 @@ from wearauth.fingerprint import (
     MinutiaKind,
     TemplateAlgorithm,
     binarize,
-    crossing_number,
     enhance,
     extract_template,
     normalize,
@@ -349,15 +348,25 @@ def _mask(rows):
     return BinaryImage(np.array([[c == "1" for c in row] for row in rows]))
 
 
+def _pointwise_crossing_number(bits, x, y):
+    """Half the absolute differences around the ring of an interior ridge
+    pixel, one pixel at a time: the oracle for ``_crossing_number_map``."""
+    ring = [int(bits[y + dy, x + dx]) for dy, dx in thinning._RING]
+    return sum(abs(a - b) for a, b in zip(ring, ring[1:] + ring[:1])) // 2
+
+
 class TestCrossingNumber:
+    """The crossing-number map the extractor runs, on hand-built skeletons:
+    1 ending, 2 continuation, 3 bifurcation, 0 off the ridge and on the border."""
+
     def test_line_interior_is_continuation(self):
         skel = _mask(["00000", "01110", "00000"])
-        assert crossing_number(skel, 2, 1) == 2
+        assert _crossing_number_map(skel.bits)[1, 2] == 2
 
     def test_line_endpoint(self):
-        skel = _mask(["00000", "01110", "00000"])
-        assert crossing_number(skel, 1, 1) == 1
-        assert crossing_number(skel, 3, 1) == 1
+        cn = _crossing_number_map(_mask(["00000", "01110", "00000"]).bits)
+        assert cn[1, 1] == 1
+        assert cn[1, 3] == 1
 
     def test_y_junction_is_bifurcation(self):
         skel = _mask([
@@ -366,7 +375,7 @@ class TestCrossingNumber:
             "00100",
             "00100",
         ])
-        assert crossing_number(skel, 2, 2) == 3
+        assert _crossing_number_map(skel.bits)[2, 2] == 3
 
     def test_loop_interior_is_all_continuation(self):
         ring = np.zeros((8, 10), dtype=bool)
@@ -374,20 +383,19 @@ class TestCrossingNumber:
         ring[5, 2:8] = True
         ring[2:6, 2] = True
         ring[2:6, 7] = True
-        skel = BinaryImage(ring)
-        ys, xs = np.nonzero(ring)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            assert crossing_number(skel, x, y) == 2
+        cn = _crossing_number_map(ring)
+        assert np.all(cn[ring] == 2)
 
-    def test_border_pixel_rejected(self):
-        skel = _mask(["111", "111", "111"])
-        with pytest.raises(ValueError):
-            crossing_number(skel, 0, 1)
+    def test_border_pixels_are_zero(self):
+        """A line off the top edge: its border pixel, an ending by its ring, maps to 0."""
+        cn = _crossing_number_map(_mask(["01000", "01000", "01000", "00000"]).bits)
+        assert cn[0, 1] == 0
+        assert cn[1, 1] == 2 and cn[2, 1] == 1
 
-    def test_non_ridge_pixel_rejected(self):
-        skel = _mask(["000", "010", "000"])
-        with pytest.raises(ValueError):
-            crossing_number(skel, 0, 0)
+    def test_non_ridge_pixels_are_zero(self):
+        cn = _crossing_number_map(_mask(["000", "010", "000"]).bits)
+        assert cn[0, 0] == 0
+        assert not cn.any()
 
     def test_vectorized_map_agrees_with_pointwise(self):
         rng = np.random.default_rng(5)
@@ -396,7 +404,7 @@ class TestCrossingNumber:
         ys, xs = np.nonzero(bits)
         for y, x in zip(ys.tolist(), xs.tolist()):
             if 0 < x < 31 and 0 < y < 31:
-                assert cn_map[y, x] == crossing_number(BinaryImage(bits), x, y)
+                assert cn_map[y, x] == _pointwise_crossing_number(bits, x, y)
 
 
 class TestExtractTemplate:

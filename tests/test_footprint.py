@@ -10,6 +10,9 @@ in ~74 MB and ~1.3 s of imports with scipy's core, ``scipy.stats``,
 commands built on the model alone (``table2``, ``figure4``, ``explore``).
 scipy stays in the tests as an oracle, and this pytest process has imported it
 and numpy already, so the checks run in fresh interpreters.
+
+One check is of memory, not modules: the simulator builds a frame's noise-free
+waveform in pieces, so a run on a 40 KB capture never holds the 20 MB whole.
 """
 
 import json
@@ -17,10 +20,18 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import wearauth
-from wearauth import channel, energy, fingerprint
+from wearauth import channel, codec, energy, fingerprint
+from wearauth.channel import ChannelModel
+from wearauth.design_space import PowerSource, SystemConfig, TeLocation
+from wearauth.energy import Channel
+from wearauth.fingerprint import TemplateAlgorithm, extract_template, write_pgm
+from wearauth.sim import ScenarioConfig, run_scenario
+
+from patterns import stripe_image
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -152,3 +163,32 @@ def test_one_template_algorithm():
 
 def test_one_decode_mode():
     assert channel.DecodeMode is energy.DecodeMode
+
+
+def test_capture_run_holds_one_piece_of_the_waveform(tmp_path):
+    """One noisy, hummed, high-passed HBC run of a 278x144 capture at
+    bit_period 8 (a 2,563,456-sample frame, 20.5 MB as one waveform) peaks
+    under 12 MiB of traced memory: its clean pass holds one 4 MiB piece at a
+    time, beside the frame's 2.5 MB of statistics."""
+    capture = stripe_image(278, 144, gap=(8, 100, 140))
+    write_pgm(capture, tmp_path / "probe.pgm")
+    (tmp_path / "gallery").mkdir()
+    template = extract_template(capture, TemplateAlgorithm.HIGH_ACCURACY)
+    (tmp_path / "gallery" / "alice.fpt").write_bytes(codec.encode(template))
+    (tmp_path / "gallery" / "index.json").write_text(json.dumps({"alice": "alice.fpt"}))
+    cfg = ScenarioConfig(
+        system=SystemConfig(te_location=TeLocation.HUB, on_body_channel=Channel.HBC,
+                            sensor_power=PowerSource.COIN_CELL),
+        probe_image=tmp_path / "probe.pgm", gallery_dir=tmp_path / "gallery",
+        channel=ChannelModel(attenuation=0.6, hum_amplitude=0.5, noise_sigma=0.45,
+                             highpass_cutoff=1000.0),
+        seed=1, max_requests=1, bit_period=8)
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.payload_bytes_on_body == 40_047
+    assert report.decisions == ["accept"]
+    assert peak < 12 * 2**20

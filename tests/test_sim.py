@@ -12,6 +12,7 @@ from wearauth.channel import (
     encode_frame,
     highpass_bias,
     receive_decode,
+    transmit,
 )
 from wearauth.design_space import (
     ALLOCATION_ROWS,
@@ -20,6 +21,7 @@ from wearauth.design_space import (
     evaluate,
 )
 from wearauth.energy import ConfigError, EnergyParams, SensorType
+from wearauth.fingerprint import write_pgm
 from wearauth.fingerprint.minutiae import (
     Minutia,
     MinutiaKind,
@@ -27,7 +29,7 @@ from wearauth.fingerprint.minutiae import (
     TemplateAlgorithm,
     extract_template,
 )
-from wearauth.link import MAX_BIT_PERIOD
+from wearauth.link import MAX_BIT_PERIOD, MAX_SAMPLES
 from wearauth.sim import (
     MAX_REQUESTS,
     BudgetExceeded,
@@ -39,6 +41,7 @@ from wearauth.sim import (
 )
 
 from conftest import write_scenario
+from patterns import stripe_image
 from reference_channel import reference_highpass, reference_transmit
 
 P = EnergyParams()
@@ -315,15 +318,17 @@ def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, m
     ``sin`` transmit (noise-free, as the simulator's clean pass is): the hum
     differs by rounding only, so every decision, score, retransmission, BER
     and ledger is equal, and the eye openings (min/max of the bit
-    statistics) agree to 1e-12 relative."""
+    statistics) agree to 1e-12 relative.  The clean pass runs in 2**16-sample
+    pieces, so the oracle's hum starts at each piece's link-clock sample."""
     channel = {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6,
                "highpass_cutoff": 1000.0}
+    monkeypatch.setattr(sim, "_PIECE_TARGET", 1 << 16)
     oracle_calls = []
 
-    def oracle_transmit(symbols, bit_period, channel):
-        oracle_calls.append(symbols)
+    def oracle_transmit(symbols, bit_period, channel, start=0):
+        oracle_calls.append(start)
         return reference_transmit(symbols, bit_period, replace(channel, noise_sigma=0.0),
-                                  seed=0)
+                                  seed=0, start=start)
 
     retransmissions = 0
     for seed in range(4):
@@ -342,21 +347,23 @@ def test_phasor_hum_leaves_decisions_and_ledgers_unchanged(scenario_workspace, m
             [(led.role, led.charges) for led in oracle.ledgers]
         assert ours.eye_openings == pytest.approx(oracle.eye_openings, rel=1e-12, abs=0)
         retransmissions += ours.retransmissions
-    assert oracle_calls and retransmissions > 0
+    assert max(oracle_calls) > 0 and retransmissions > 0
 
 
 def test_highpass_scan_leaves_decisions_and_ledgers_unchanged(scenario_workspace, monkeypatch):
     """A noisy, hummed, high-passed HBC link, run as is and with the one-shot
     ``lfilter`` high-pass: the two differ by rounding only, so every decision,
     score, retransmission, BER and ledger is equal, and the eye openings agree
-    to 1e-12 relative."""
+    to 1e-12 relative.  The clean pass runs in 2**16-sample pieces, so the
+    oracle continues from the state each piece before left."""
     channel = {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6,
                "highpass_cutoff": 1000.0}
+    monkeypatch.setattr(sim, "_PIECE_TARGET", 1 << 16)
     oracle_calls = []
 
-    def oracle_highpass(*args, **kwargs):
-        oracle_calls.append(args)
-        return reference_highpass(*args, **kwargs)
+    def oracle_highpass(w, cutoff, initial=(0.0, 0.0)):
+        oracle_calls.append(initial)
+        return reference_highpass(w, cutoff, initial)
 
     retransmissions = 0
     for seed in range(4):
@@ -375,7 +382,38 @@ def test_highpass_scan_leaves_decisions_and_ledgers_unchanged(scenario_workspace
             [(led.role, led.charges) for led in oracle.ledgers]
         assert ours.eye_openings == pytest.approx(oracle.eye_openings, rel=1e-12, abs=0)
         retransmissions += ours.retransmissions
-    assert oracle_calls and retransmissions > 0
+    assert any(initial != (0.0, 0.0) for initial in oracle_calls) and retransmissions > 0
+
+
+@pytest.mark.parametrize("mode", ["direct_sample", "integrate_and_dump"])
+@pytest.mark.parametrize("channel", [
+    {"attenuation": 0.6, "hum_amplitude": 0.5, "noise_sigma": 0.6, "highpass_cutoff": 1000.0},
+    {"attenuation": 0.6, "noise_sigma": 0.6},
+], ids=["hum_highpass", "plain"])
+def test_clean_pass_in_pieces_equals_whole_frame(scenario_workspace, monkeypatch, mode,
+                                                 channel):
+    """The run's clean statistics, built in pieces of 2**15 samples (one
+    ``transmit`` and one ``highpass_bias`` a piece), equal the whole-frame
+    ``transmit`` -> ``highpass_bias`` -> ``bit_statistics`` bit for bit."""
+    path = write_scenario(scenario_workspace, name="pieces.json", system=dict(
+        BASE_SYSTEM, sensor_power="coin_cell"), channel=channel, decode_mode=mode)
+    runner = sim._Runner(ScenarioConfig.from_json(path), P)
+    calls = Counter()
+    for name in ("transmit", "highpass_bias"):
+        monkeypatch.setattr(sim, name, _counted(calls, name, getattr(sim, name)))
+    monkeypatch.setattr(sim, "_PIECE_TARGET", 1 << 15)
+    stats, reference, _ = runner._clean_link
+    cfg = runner.cfg
+    symbols = encode_frame(runner._payload)
+    w = transmit(symbols, cfg.bit_period, cfg.channel)
+    if cfg.channel.highpass_cutoff is not None:
+        highpass_bias(w, cfg.channel.highpass_cutoff)
+    assert np.array_equal(stats, bit_statistics(w, cfg.decode_mode))
+    assert np.array_equal(reference, symbols[0::2] > 0)
+    pieces = -(-w.samples.size // (1 << 15))
+    assert pieces > 10
+    assert calls == Counter(transmit=pieces,
+                            highpass_bias=pieces if cfg.channel.highpass_cutoff else 0)
 
 
 def _sample_level_hop(runner, attempt: int) -> tuple[bytes, float, float]:
@@ -560,6 +598,27 @@ class TestAccounting:
         assert report.decisions == ["channel_error"] * 5
         assert report.retransmissions == 10
         assert calls == {"statistic_noise": 1, "transmit": 1, "noisy_statistics": 10}
+
+    def test_frame_past_the_sample_ceiling_is_refused_before_any_piece(
+            self, capsys, scenario_workspace, monkeypatch):
+        """Hub TE over HBC sends the 40,047-byte capture, whose frame at
+        bit_period 28 has 8,972,096 samples, past MAX_SAMPLES: ``simulate``
+        exits 1 with the ceiling's message and no traceback, and no piece of
+        the waveform is built."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a piece of the waveform was built")
+
+        monkeypatch.setattr(sim, "transmit", unreachable)
+        capture = stripe_image(278, 144)
+        write_pgm(capture, scenario_workspace / "capture.pgm")
+        assert len(capture.to_pgm_bytes()) == 40_047
+        path = write_scenario(scenario_workspace, name="too_long.json", system=dict(
+            BASE_SYSTEM, sensor_power="coin_cell"), probe_image="capture.pgm", bit_period=28,
+            channel={"attenuation": 0.6, "noise_sigma": 0.45}, max_requests=1)
+        assert cli.main(["simulate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: waveform of 8972096 samples exceeds {MAX_SAMPLES}\n"
 
     def test_wban_run_builds_no_noise_model(self, scenario_workspace, monkeypatch):
         """A WBAN run never reaches the body channel's modem, so it builds
