@@ -1,11 +1,14 @@
 """Contrast enhancement for ridge images.
 
-Classic chain: normalize to zero mean / unit variance, estimate a block
-orientation field from gradients, estimate the ridge wavelength per block
-from the projected signature, then band-pass each block with an
-even-symmetric Gabor kernel tuned to its orientation and wavelength.
-Blocks with no gradient energy (or no recoverable wavelength anywhere)
-pass through unfiltered.
+Classic chain (Hong, Wan and Jain, IEEE TPAMI 1998): normalize to zero
+mean / unit variance, estimate a block orientation field from gradients,
+estimate the ridge wavelength per block from the projected signature, then
+band-pass each block with an even-symmetric Gabor kernel tuned to its
+orientation and wavelength.  The blocks that share a quantized tuning are
+filtered by one FFT convolution over the part of the image they depend on,
+a window or the whole image, whichever transforms less.  Blocks with no
+gradient energy (or no recoverable wavelength anywhere) pass through
+unfiltered.
 """
 
 from __future__ import annotations
@@ -129,15 +132,29 @@ def _gabor_kernel(theta: float, wavelength: float) -> np.ndarray:
     return kernel - env * (kernel.sum() / env.sum())
 
 
+def _transform_shape(shape: tuple[int, int], half: int) -> tuple[int, int]:
+    """The FFT shape of a linear convolution of a ``shape`` array with a
+    ``2 * half + 1`` square kernel, as ``signal.fftconvolve`` pads it."""
+    return tuple(_kernels.next_fast_len(n + 2 * half) for n in shape)
+
+
 def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
                   valid: np.ndarray) -> np.ndarray:
     """Oriented band-pass filtering; invalid blocks are copied unfiltered.
 
-    Each (orientation bin, wavelength) group is one FFT convolution of the
-    whole image, composed as ``signal.fftconvolve(norm, kernel, "same")``
-    does it; kernels of one wavelength share a size, so the image is
-    transformed once per wavelength.  The inverse's second pass runs only on
-    the rows of the group's member blocks, which are written directly.
+    Each (orientation bin, wavelength) group is one FFT convolution over a
+    window of the image, cropped as ``signal.fftconvolve(window, kernel,
+    "same")`` crops it.  A filtered pixel depends only on the input within
+    the kernel's half size ``h`` of it, so the window is the bounding box of
+    the group's member blocks, padded by ``h`` and clipped to the image, and
+    its transform is ``next_fast_len(window + 2h)`` long on each axis.  A
+    window costs three transforms of that size (window, kernel, inverse).
+    The whole image costs two (kernel, inverse) and a share of one image
+    spectrum, since kernels of one wavelength share a size; such a group is
+    composed exactly as ``signal.fftconvolve(norm, kernel, "same")``.  So a
+    group whose window transform would reach 2/3 of the whole image's takes
+    the whole image.  The inverse's second pass runs only on the rows of the
+    group's member blocks, which are written directly.
     """
     block = BLOCK_SIZE
     out = norm.copy()
@@ -149,27 +166,40 @@ def gabor_enhance(norm: np.ndarray, theta: np.ndarray, wavelengths: np.ndarray,
     theta_bin = np.rint(theta / np.pi * _N_THETA_BINS).astype(int) % _N_THETA_BINS
     lam_bin = np.clip(np.rint(wavelengths), _MIN_WAVELENGTH, _MAX_WAVELENGTH).astype(int)
     hb, wb = theta.shape
+    height, width = norm.shape
     # Block view of the output: out_blocks[by, :, bx, :] is block (by, bx).
     out_blocks = out[:hb * block, :wb * block].reshape(hb, block, wb, block)
     for lam in np.unique(lam_bin[valid]):
         at_lam = valid & (lam_bin == lam)
         bins = np.unique(theta_bin[at_lam])
         kernels = [_gabor_kernel(tb * np.pi / _N_THETA_BINS, float(lam)) for tb in bins]
-        full = [n + k - 1 for n, k in zip(norm.shape, kernels[0].shape)]
-        fshape = tuple(_kernels.next_fast_len(n) for n in full)
-        image_spectrum = _kernels.rfft2(norm, fshape)
-        # The "same" window starts at this row and column of the full convolution.
-        top, left = ((f - n) // 2 for f, n in zip(full, norm.shape))
+        half = kernels[0].shape[0] // 2
+        whole = _transform_shape(norm.shape, half)
+        image_spectrum = None       # the whole image's, made for the first group that takes it
         for tb, kernel in zip(bins, kernels):
             by, bx = np.nonzero(at_lam & (theta_bin == tb))
             band = np.unique(by)         # block rows holding a member of the group
-            lines = (band[:, None] * block + np.arange(block)).ravel()
+            y0, y1 = band[0] * block, (band[-1] + 1) * block
+            x0, x1 = bx.min() * block, (bx.max() + 1) * block
+            top, bottom = max(y0 - half, 0), min(y1 + half, height)
+            left, right = max(x0 - half, 0), min(x1 + half, width)
+            shape = _transform_shape((bottom - top, right - left), half)
+            if 3 * shape[0] * shape[1] < 2 * whole[0] * whole[1]:
+                spectrum = _kernels.rfft2(norm[top:bottom, left:right], shape)
+            else:
+                top, left, shape = 0, 0, whole
+                if image_spectrum is None:
+                    image_spectrum = _kernels.rfft2(norm, whole)
+                spectrum = image_spectrum
             # A named operand: numpy would multiply into a temporary in place,
             # which rounds differently from fftconvolve's product.
-            kernel_spectrum = _kernels.rfft2(kernel, fshape)
-            filtered = _kernels.irfft2_rows(image_spectrum * kernel_spectrum, fshape, top + lines)
-            filtered = filtered[:, left:left + wb * block].reshape(band.size, block, wb, block)
-            out_blocks[by, :, bx, :] = filtered[np.searchsorted(band, by), :, bx, :]
+            kernel_spectrum = _kernels.rfft2(kernel, shape)
+            # The "same" crop: window pixel i is sample i + half of the full convolution.
+            lines = (band[:, None] * block + np.arange(block)).ravel() - top + half
+            filtered = _kernels.irfft2_rows(spectrum * kernel_spectrum, shape, lines)
+            cols = x0 - left + half
+            filtered = filtered[:, cols:cols + x1 - x0].reshape(band.size, block, -1, block)
+            out_blocks[by, :, bx, :] = filtered[np.searchsorted(band, by), :, bx - bx.min(), :]
     return out
 
 
