@@ -3,6 +3,10 @@
 The design space is the cross product of where template extraction (TE)
 runs (sensor, hub, or cloud) and which on-body channel carries the capture
 (WBAN or HBC), evaluated for both sensor types and both power sources.
+
+:func:`request_events` lists what a request does, event by event: the
+closed form prices each node's sum of them (:func:`derive_activities`), and
+the simulator (:mod:`wearauth.sim`) charges them one by one.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "LifetimeReport",
     "ALLOCATION_ROWS",
     "derive_activities",
+    "request_events",
     "evaluate",
     "display_rate",
     "table2",
@@ -104,35 +109,47 @@ class SystemConfig:
         }
 
 
-def derive_activities(config: SystemConfig, params: EnergyParams) -> tuple[NodeActivity, NodeActivity]:
-    """Per-request work of (sensor, hub) for one allocation.
+def request_events(config: SystemConfig, params: EnergyParams, attempts: int = 1,
+                   completed: bool = True) -> list[tuple[str, str, NodeActivity]]:
+    """A request's events in chain order, as ``(node, label, work)``.
 
-    The sensor captures once and ships either the template (TE on sensor) or
-    the raw image over the on-body channel, encrypting only when that channel
-    is WBAN.  The hub receives those bits, runs TE when allocated to it, and
-    uplinks the (always encrypted) LoRa payload.
+    The sensor captures, runs TE if allocated it, and ships the template or
+    the image: once and encrypted over WBAN, or in the clear over HBC once
+    per frame attempt.  A ``completed`` request goes on to the hub's TE, its
+    encrypted LoRa uplink, and the cloud's TE and match.
     """
-    te_at_sensor = config.te_location is TeLocation.SENSOR
-    on_body_bits = params.template_bits if te_at_sensor else params.image_bits
-    lora_bits = (params.template_bits
-                 if config.te_location in (TeLocation.SENSOR, TeLocation.HUB)
-                 else params.image_bits)
-    wban = config.on_body_channel is Channel.WBAN
+    te, on_body = config.te_location, config.on_body_channel
+    on_body_bits = params.template_bits if te is TeLocation.SENSOR else params.image_bits
+    lora_bits = params.image_bits if te is TeLocation.CLOUD else params.template_bits
+    extract = "te_extract", NodeActivity(te_runs={config.te_variant: 1})
+    hop = [("sensor", f"tx_{on_body.value}", NodeActivity(bits_tx={on_body: on_body_bits})),
+           ("hub", f"rx_{on_body.value}", NodeActivity(bits_rx={on_body: on_body_bits}))]
+    events = [("sensor", "capture", NodeActivity(captures=1))]
+    if te is TeLocation.SENSOR:
+        events.append(("sensor", *extract))
+    if on_body is Channel.WBAN:
+        events += [("sensor", "encrypt", NodeActivity(bits_encrypted=on_body_bits)), *hop]
+    else:
+        events += hop * attempts
+    if completed:
+        if te is TeLocation.HUB:
+            events.append(("hub", *extract))
+        events += [("hub", "encrypt", NodeActivity(bits_encrypted=lora_bits)),
+                   ("hub", "tx_lora", NodeActivity(bits_tx={Channel.LORA: lora_bits},
+                                                   lora_distance=config.lora_distance)),
+                   ("cloud", "rx_lora", NodeActivity(bits_rx={Channel.LORA: lora_bits}))]
+        if te is TeLocation.CLOUD:
+            events.append(("cloud", *extract))
+        events.append(("cloud", "match", NodeActivity()))
+    return events
 
-    sensor = NodeActivity(
-        captures=1,
-        te_runs={config.te_variant: 1} if te_at_sensor else {},
-        bits_tx={config.on_body_channel: on_body_bits},
-        bits_encrypted=on_body_bits if wban else 0,
-    )
-    hub = NodeActivity(
-        te_runs={config.te_variant: 1} if config.te_location is TeLocation.HUB else {},
-        bits_rx={config.on_body_channel: on_body_bits},
-        bits_tx={Channel.LORA: lora_bits},
-        bits_encrypted=lora_bits,
-        lora_distance=config.lora_distance,
-    )
-    return sensor, hub
+
+def derive_activities(config: SystemConfig, params: EnergyParams) -> tuple[NodeActivity, NodeActivity]:
+    """Per-request work of (sensor, hub) for one allocation: each node's sum
+    over a clean, completed request's :func:`request_events`."""
+    events = request_events(config, params)
+    return tuple(sum((work for n, _, work in events if n == node), NodeActivity())
+                 for node in ("sensor", "hub"))
 
 
 @dataclass(frozen=True)

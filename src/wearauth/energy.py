@@ -181,6 +181,21 @@ class NodeActivity:
                 if bits < 0:
                     raise ValueError(f"negative bit count for {channel}")
 
+    def __add__(self, other: "NodeActivity") -> "NodeActivity":
+        """The work of both, term by term, at the first LoRa distance given."""
+        return NodeActivity(
+            captures=self.captures + other.captures,
+            te_runs=_summed(self.te_runs, other.te_runs),
+            bits_rx=_summed(self.bits_rx, other.bits_rx),
+            bits_tx=_summed(self.bits_tx, other.bits_tx),
+            bits_encrypted=self.bits_encrypted + other.bits_encrypted,
+            lora_distance=other.lora_distance if self.lora_distance is None else self.lora_distance,
+        )
+
+
+def _summed(a: dict, b: dict) -> dict:
+    return {key: a.get(key, 0) + b.get(key, 0) for key in {**a, **b}}
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:

@@ -2,12 +2,12 @@
 
 Each authentication request walks the configured chain (capture, optional
 extraction, on-body transfer, uplink, cloud match) through a data plane that
-charges nothing; :meth:`_Runner._events` then lists the request's ledger events
-in chain order.  Each event is priced from the closed form's per-request
-activities (:func:`derive_activities`: the model's image/template bit counts)
-at the energy model's rates, so a run cross-checks against the closed-form
-per-request energy and retry count.  The payload actually carried through the
-data plane is the real encoded artifact (PGM capture or .fpt template), and
+charges nothing; its ledger events are then the ones, in chain order, that
+:func:`~wearauth.design_space.request_events` lists for its outcome, each
+priced once per run from its work.  The closed form sums the same events per
+node (:func:`derive_activities`), so a run cross-checks against its energy
+and retry count.  The payload actually carried through the data plane is
+the real encoded artifact (PGM capture or .fpt template), and
 authentication decisions come from the real matcher.
 
 Runs cipher with one fixed key and counter base.  Every ciphered message (the
@@ -70,7 +70,8 @@ from .channel import (
     statistic_noise,
     transmit,
 )
-from .design_space import PowerSource, SystemConfig, TeLocation, derive_activities, sensor_budget
+from .design_space import (PowerSource, SystemConfig, TeLocation, derive_activities,
+                           request_events, sensor_budget)
 from .energy import (
     Channel,
     ConfigError,
@@ -79,7 +80,6 @@ from .energy import (
     SensorType,
     TemplateAlgorithm,
     energy_breakdown,
-    per_bit_cost,
     retries,
 )
 from .fingerprint.image import GrayImage, read_pgm
@@ -368,31 +368,16 @@ class _Runner:
         self.gallery = load_gallery(cfg.gallery_dir)
         self.sensor = EnergyLedger("sensor", sensor_budget(self.system.sensor_power, params))
         self.hub = EnergyLedger("hub", params.hub_budget)
-        self.cloud = EnergyLedger("cloud", math.inf)
-        self.ledgers = [self.sensor, self.hub, self.cloud]
+        self.ledgers = [self.sensor, self.hub, EnergyLedger("cloud", math.inf)]
         self.request_idx = 0
-        # Every event is priced once, from the closed form's per-request work.
-        self.activities = derive_activities(self.system, params)
-        sensor_act, hub_act = self.activities
-        on_body = self.system.on_body_channel
-        lora_bits = hub_act.bits_tx[Channel.LORA]
-        te = params.te_energy(self.system.te_variant)
-        self._joules = {
-            ("sensor", "capture"): params.capture_energy(self.system.sensor_type),
-            ("sensor", "te_extract"): te,
-            ("sensor", "encrypt"): sensor_act.bits_encrypted * params.e_bit_encrypt,
-            ("sensor", f"tx_{on_body.value}"):
-                sensor_act.bits_tx[on_body] * per_bit_cost(on_body, "tx", None, params),
-            ("hub", f"rx_{on_body.value}"):
-                hub_act.bits_rx[on_body] * per_bit_cost(on_body, "rx", None, params),
-            ("hub", "te_extract"): te,
-            ("hub", "encrypt"): hub_act.bits_encrypted * params.e_bit_encrypt,
-            ("hub", "tx_lora"):
-                lora_bits * per_bit_cost(Channel.LORA, "tx", hub_act.lora_distance, params),
-            ("cloud", "rx_lora"): lora_bits * per_bit_cost(Channel.LORA, "rx", None, params),
-            ("cloud", "te_extract"): te,
-            ("cloud", "match"): 0.0,
-        }
+        # Each event is priced once per run, from its own work; a clean,
+        # completed request makes every distinct one.
+        ledgers = {led.role: led for led in self.ledgers}
+        sensor_type = {"sensor": self.system.sensor_type}
+        self._priced: dict[tuple[str, str], _Event] = {
+            (node, label): (ledgers[node], label, energy_breakdown(
+                work, sensor_type.get(node, SensorType.NONE), params).total)
+            for node, label, work in request_events(self.system, params)}
 
     def _counter_base(self, hop: int) -> int:
         """First counter block of this request's message on ``hop``.
@@ -512,33 +497,15 @@ class _Runner:
                                on_body_len, lora_len)
 
     def _events(self, attempts: int = 1, completed: bool = False) -> list[_Event]:
-        """The ledger events of a request that made ``attempts`` frame
-        attempts (HBC pays a tx/rx pair for each) and ``completed`` or not,
-        in the order its data plane incurs them.  Every outcome makes at
-        least one attempt, so the defaults give the prefix of every
-        request's events: capture, sensor TE, and the on-body hop's first
-        attempt."""
-        te = self.system.te_location
-        sensor, hub, cloud = self.sensor, self.hub, self.cloud
-        events = [(sensor, "capture")]
-        if te is TeLocation.SENSOR:
-            events.append((sensor, "te_extract"))
-        if self.system.on_body_channel is Channel.WBAN:
-            events += [(sensor, "encrypt"), (sensor, "tx_wban"), (hub, "rx_wban")]
-        else:
-            events += [(sensor, "tx_hbc"), (hub, "rx_hbc")] * attempts
-        if completed:
-            if te is TeLocation.HUB:
-                events.append((hub, "te_extract"))
-            events += [(hub, "encrypt"), (hub, "tx_lora"), (cloud, "rx_lora")]
-            if te is TeLocation.CLOUD:
-                events.append((cloud, "te_extract"))
-            events.append((cloud, "match"))
-        return [(led, label, self._joules[led.role, label]) for led, label in events]
+        """The priced events of a request of ``attempts`` frame attempts that
+        ``completed`` or not; every outcome makes at least one attempt, so
+        the defaults give the prefix of every request's events."""
+        return [self._priced[node, label] for node, label, _
+                in request_events(self.system, self.params, attempts, completed)]
 
     def run(self) -> SimReport:
         cfg, params = self.cfg, self.params
-        sensor_act, hub_act = self.activities
+        sensor_act, hub_act = derive_activities(self.system, params)
         sensor_e = energy_breakdown(sensor_act, self.system.sensor_type, params).total
         hub_e = energy_breakdown(hub_act, SensorType.NONE, params).total
         sensor_r = retries(self.sensor.initial, sensor_e)

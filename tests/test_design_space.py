@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from wearauth.design_space import (
     evaluate,
     figure4_csv,
     figure4_export,
+    request_events,
     table2,
     table2_csv,
     table2_json,
 )
-from wearauth.energy import Channel, EnergyParams, SensorType, TemplateAlgorithm
+from wearauth.energy import Channel, EnergyParams, NodeActivity, SensorType, TemplateAlgorithm
 
 P = EnergyParams()
 
@@ -29,32 +31,39 @@ def cfg(te="hub", ch="hbc", sensor="capacitive", power="rf_harvest", **kw):
                         sensor_type=SensorType(sensor), sensor_power=PowerSource(power), **kw)
 
 
+HIGH = TemplateAlgorithm.HIGH_ACCURACY
+WBAN, HBC, LORA = Channel.WBAN, Channel.HBC, Channel.LORA
+
+
 class TestDeriveActivities:
-    def test_row_d_te_at_hub_over_hbc(self):
-        sensor, hub = derive_activities(cfg("hub", "hbc"), P)
-        assert sensor.captures == 1
-        assert sensor.te_runs == {}
-        assert sensor.bits_tx == {Channel.HBC: P.image_bits}
-        assert sensor.bits_encrypted == 0          # the body channel needs none
-        assert hub.bits_rx == {Channel.HBC: P.image_bits}
-        assert hub.te_runs == {TemplateAlgorithm.HIGH_ACCURACY: 1}
-        assert hub.bits_tx == {Channel.LORA: P.template_bits}
-        assert hub.bits_encrypted == P.template_bits
-
-    def test_row_b_te_at_sensor_over_hbc(self):
-        sensor, hub = derive_activities(cfg("sensor", "hbc"), P)
-        assert sensor.te_runs == {TemplateAlgorithm.HIGH_ACCURACY: 1}
-        assert sensor.bits_tx == {Channel.HBC: P.template_bits}
-        assert sensor.bits_encrypted == 0
-        assert hub.te_runs == {}
-        assert hub.bits_tx == {Channel.LORA: P.template_bits}
-
-    def test_row_e_te_at_cloud_over_wban(self):
-        sensor, hub = derive_activities(cfg("cloud", "wban"), P)
-        assert sensor.bits_tx == {Channel.WBAN: P.image_bits}
-        assert sensor.bits_encrypted == P.image_bits   # radio payloads are encrypted
-        assert hub.bits_tx == {Channel.LORA: P.image_bits}
-        assert hub.bits_encrypted == P.image_bits
+    # Per-request work of (sensor, hub), row by row: the sensor ships the
+    # 1408-bit template when it runs TE and the 320,256-bit image otherwise,
+    # encrypting only on WBAN; the hub uplinks the template unless TE runs
+    # in the cloud, and always encrypts it.
+    @pytest.mark.parametrize("row,sensor,hub", [
+        ("a", NodeActivity(captures=1, te_runs={HIGH: 1}, bits_tx={WBAN: 1408},
+                           bits_encrypted=1408),
+         NodeActivity(bits_rx={WBAN: 1408}, bits_tx={LORA: 1408}, bits_encrypted=1408,
+                      lora_distance=1000.0)),
+        ("b", NodeActivity(captures=1, te_runs={HIGH: 1}, bits_tx={HBC: 1408}),
+         NodeActivity(bits_rx={HBC: 1408}, bits_tx={LORA: 1408}, bits_encrypted=1408,
+                      lora_distance=1000.0)),
+        ("c", NodeActivity(captures=1, bits_tx={WBAN: 320256}, bits_encrypted=320256),
+         NodeActivity(te_runs={HIGH: 1}, bits_rx={WBAN: 320256}, bits_tx={LORA: 1408},
+                      bits_encrypted=1408, lora_distance=1000.0)),
+        ("d", NodeActivity(captures=1, bits_tx={HBC: 320256}),
+         NodeActivity(te_runs={HIGH: 1}, bits_rx={HBC: 320256}, bits_tx={LORA: 1408},
+                      bits_encrypted=1408, lora_distance=1000.0)),
+        ("e", NodeActivity(captures=1, bits_tx={WBAN: 320256}, bits_encrypted=320256),
+         NodeActivity(bits_rx={WBAN: 320256}, bits_tx={LORA: 320256}, bits_encrypted=320256,
+                      lora_distance=1000.0)),
+        ("f", NodeActivity(captures=1, bits_tx={HBC: 320256}),
+         NodeActivity(bits_rx={HBC: 320256}, bits_tx={LORA: 320256}, bits_encrypted=320256,
+                      lora_distance=1000.0)),
+    ])
+    def test_every_row(self, row, sensor, hub):
+        te_location, channel = ALLOCATION_ROWS[row]
+        assert derive_activities(cfg(te_location.value, channel.value), P) == (sensor, hub)
 
     def test_six_rows_enumerate_the_space(self):
         assert len(ALLOCATION_ROWS) == 6
@@ -62,6 +71,63 @@ class TestDeriveActivities:
         assert len(seen) == 6
         assert cfg("hub", "hbc").row == "d"
         assert cfg("sensor", "wban").row == "a"
+
+
+def _labels(events) -> list[tuple[str, str]]:
+    return [(node, label) for node, label, _ in events]
+
+
+class TestRequestEvents:
+    @pytest.mark.parametrize("row", sorted(ALLOCATION_ROWS))
+    @pytest.mark.parametrize("variant", list(TemplateAlgorithm))
+    @pytest.mark.parametrize("sensor", ["capacitive", "optical"])
+    def test_per_node_sums_equal_derive_activities(self, row, variant, sensor):
+        te_location, channel = ALLOCATION_ROWS[row]
+        config = cfg(te_location.value, channel.value, sensor, te_variant=variant)
+        totals = {}
+        for node, _, work in request_events(config, P):
+            t = totals.setdefault(node, {"captures": 0, "te_runs": Counter(),
+                                         "bits_rx": Counter(), "bits_tx": Counter(),
+                                         "bits_encrypted": 0, "lora_distance": set()})
+            t["captures"] += work.captures
+            t["bits_encrypted"] += work.bits_encrypted
+            for name in ("te_runs", "bits_rx", "bits_tx"):
+                t[name].update(getattr(work, name))
+            if work.lora_distance is not None:
+                t["lora_distance"].add(work.lora_distance)
+        for node, activity in zip(("sensor", "hub"), derive_activities(config, P)):
+            assert totals[node] == {
+                "captures": activity.captures, "te_runs": Counter(activity.te_runs),
+                "bits_rx": Counter(activity.bits_rx), "bits_tx": Counter(activity.bits_tx),
+                "bits_encrypted": activity.bits_encrypted,
+                "lora_distance": {activity.lora_distance} - {None}}, (row, node)
+        assert set(totals) == {"sensor", "hub", "cloud"}
+
+    @pytest.mark.parametrize("row", sorted(ALLOCATION_ROWS))
+    def test_second_attempt_adds_one_hbc_pair(self, row):
+        te_location, channel = ALLOCATION_ROWS[row]
+        config = cfg(te_location.value, channel.value)
+        once = _labels(request_events(config, P))
+        twice = _labels(request_events(config, P, attempts=2))
+        if channel is Channel.WBAN:
+            assert twice == once
+        else:
+            pair = [("sensor", "tx_hbc"), ("hub", "rx_hbc")]
+            hop = once.index(pair[0])
+            assert once[hop:hop + 2] == pair
+            assert twice == once[:hop + 2] + pair + once[hop + 2:]
+
+    @pytest.mark.parametrize("row", sorted(ALLOCATION_ROWS))
+    @pytest.mark.parametrize("attempts", [1, 2])
+    def test_incomplete_request_stops_after_the_on_body_hop(self, row, attempts):
+        te_location, channel = ALLOCATION_ROWS[row]
+        config = cfg(te_location.value, channel.value)
+        cut = _labels(request_events(config, P, attempts, completed=False))
+        whole = _labels(request_events(config, P, attempts))
+        assert cut == whole[:len(cut)]
+        assert cut[-1] == ("hub", f"rx_{channel.value}")
+        assert whole[len(cut)] in (("hub", "te_extract"), ("hub", "encrypt"))
+        assert whole[-1] == ("cloud", "match")
 
 
 class TestEvaluate:

@@ -200,6 +200,20 @@ class TestNodeEnergy:
         with pytest.raises(ValueError):
             NodeActivity(te_runs={TemplateAlgorithm.LIGHTWEIGHT: -1})
 
+    def test_sum_adds_every_count_and_keeps_the_first_lora_distance(self):
+        high, light = TemplateAlgorithm.HIGH_ACCURACY, TemplateAlgorithm.LIGHTWEIGHT
+        a = NodeActivity(captures=1, te_runs={high: 1}, bits_tx={Channel.HBC: 7},
+                         bits_encrypted=3)
+        b = NodeActivity(te_runs={high: 1, light: 2}, bits_rx={Channel.HBC: 7},
+                         bits_tx={Channel.HBC: 1, Channel.LORA: 5}, lora_distance=900.0)
+        assert a + b == NodeActivity(captures=1, te_runs={high: 2, light: 2},
+                                     bits_rx={Channel.HBC: 7},
+                                     bits_tx={Channel.HBC: 8, Channel.LORA: 5},
+                                     bits_encrypted=3, lora_distance=900.0)
+        assert b + a == a + b
+        assert a + NodeActivity() == a
+        assert (b + replace(b, lora_distance=901.0)).lora_distance == 900.0
+
 
 _activities = st.builds(
     NodeActivity,

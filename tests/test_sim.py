@@ -18,9 +18,11 @@ from wearauth.design_space import (
     ALLOCATION_ROWS,
     PowerSource,
     SystemConfig,
+    TeLocation,
     evaluate,
+    request_events,
 )
-from wearauth.energy import ConfigError, EnergyParams, SensorType
+from wearauth.energy import Channel, ConfigError, EnergyParams, SensorType, energy_breakdown
 from wearauth.fingerprint import write_pgm
 from wearauth.fingerprint.minutiae import (
     Minutia,
@@ -45,6 +47,7 @@ from patterns import stripe_image
 from reference_channel import reference_highpass, reference_transmit
 
 P = EnergyParams()
+P_LIGHT = EnergyParams(e_te_light=0.294)
 
 BASE_SYSTEM = {
     "te_location": "hub",
@@ -53,6 +56,18 @@ BASE_SYSTEM = {
     "sensor_power": "rf_harvest",
     "lora_distance": 1000.0,
 }
+
+
+@pytest.fixture
+def light_gallery(scenario_workspace, probe_image) -> str:
+    """Name of a one-entry lightweight gallery beside the workspace's own."""
+    gallery = scenario_workspace / "gallery_light"
+    if not gallery.exists():
+        gallery.mkdir()
+        template = extract_template(probe_image, TemplateAlgorithm.LIGHTWEIGHT)
+        (gallery / "alice.fpt").write_bytes(codec.encode(template))
+        (gallery / "index.json").write_text(json.dumps({"alice": "alice.fpt"}))
+    return gallery.name
 
 
 def run(scenario_workspace, *, system=None, channel=None, params=P, **extra):
@@ -227,19 +242,12 @@ class TestRunScenario:
         assert doc["channel"]["retransmissions"] == 0
         assert doc["analytic"]["supported_requests"] == 142
 
-    def test_lightweight_variant_requires_energy(self, scenario_workspace, probe_image):
-        gallery = scenario_workspace / "gallery_light"
-        if not gallery.exists():
-            gallery.mkdir()
-            template = extract_template(probe_image, TemplateAlgorithm.LIGHTWEIGHT)
-            (gallery / "alice.fpt").write_bytes(codec.encode(template))
-            (gallery / "index.json").write_text(json.dumps({"alice": "alice.fpt"}))
+    def test_lightweight_variant_requires_energy(self, scenario_workspace, light_gallery):
         light = {"te_variant": "lightweight"}
         with pytest.raises(ConfigError, match="e_te_light"):
-            run(scenario_workspace, system=light, gallery_dir="gallery_light")
-        params = EnergyParams(e_te_light=0.294)
-        report = run(scenario_workspace, system=light, gallery_dir="gallery_light",
-                     params=params, max_requests=2)
+            run(scenario_workspace, system=light, gallery_dir=light_gallery)
+        report = run(scenario_workspace, system=light, gallery_dir=light_gallery,
+                     params=P_LIGHT, max_requests=2)
         assert report.requests_completed == 2
         assert report.decisions == ["accept"] * 2
 
@@ -247,7 +255,7 @@ class TestRunScenario:
                                                                         scenario_workspace):
         with pytest.raises(ValueError, match="lightweight probe cannot match"):
             run(scenario_workspace, system={"te_variant": "lightweight"},
-                params=EnergyParams(e_te_light=0.294), max_requests=1)
+                params=P_LIGHT, max_requests=1)
 
     # The replay cache carries a WBAN run's later requests without ciphering,
     # so only the first request's two messages are ciphered there.  Message m
@@ -472,20 +480,44 @@ def _term(label: str) -> str:
 
 
 @pytest.mark.parametrize("row", sorted(ALLOCATION_ROWS))
-def test_ledger_terms_equal_closed_form(scenario_workspace, row):
+@pytest.mark.parametrize("sensor", ["capacitive", "optical"])
+@pytest.mark.parametrize("variant", ["high_accuracy", "lightweight"])
+def test_ledger_terms_equal_closed_form(scenario_workspace, light_gallery, row, sensor, variant):
     te_location, channel = ALLOCATION_ROWS[row]
-    report = run(scenario_workspace, max_requests=1, system={
+    light = variant == "lightweight"
+    params = P_LIGHT if light else P
+    report = run(scenario_workspace, max_requests=1, params=params, system={
         "te_location": te_location.value, "on_body_channel": channel.value,
-        "sensor_power": "coin_cell"})
+        "sensor_type": sensor, "sensor_power": "coin_cell", "te_variant": variant},
+        **({"gallery_dir": light_gallery} if light else {}))
     assert report.requests_completed == 1 and report.retransmissions == 0
-    closed = evaluate(SystemConfig(te_location, channel, SensorType.CAPACITIVE,
-                                   PowerSource.COIN_CELL), P)
+    closed = evaluate(SystemConfig(te_location, channel, SensorType(sensor),
+                                   PowerSource.COIN_CELL, te_variant=TemplateAlgorithm(variant)),
+                      params)
     for role, breakdown in (("sensor", closed.sensor_breakdown), ("hub", closed.hub_breakdown)):
         terms = dict.fromkeys(("capture", "te", "comm", "encrypt"), 0.0)
         for label, joules in report.ledger(role).charges:
             terms[_term(label)] += joules
         assert terms == {"capture": breakdown.capture, "te": breakdown.te,
                          "comm": breakdown.comm, "encrypt": breakdown.encrypt}, (row, role)
+    assert _charged(report, 0) == _priced_events(report, params, 1, True)
+
+
+def _priced_events(report, params, attempts, completed) -> list[tuple[str, str, float]]:
+    """The run's system's request_events, each priced by energy_breakdown."""
+    doc = report.scenario["system"]
+    config = SystemConfig(TeLocation(doc["te_location"]), Channel(doc["on_body_channel"]),
+                          SensorType(doc["sensor_type"]), PowerSource(doc["sensor_power"]),
+                          doc["lora_distance_m"], TemplateAlgorithm(doc["te_variant"]))
+    return [(node, label, energy_breakdown(
+                work, config.sensor_type if node == "sensor" else SensorType.NONE, params).total)
+            for node, label, work in request_events(config, params, attempts, completed)]
+
+
+def _charged(report, request: int) -> list[tuple[str, str, float]]:
+    """One request's charged (node, event, joules), read from the trace."""
+    return [(node, label, joules) for _, req, node, label, joules in report.trace
+            if req == request]
 
 
 def _request_events(report) -> list[list[tuple[str, str]]]:
@@ -519,6 +551,9 @@ class TestAccounting:
         assert report.decisions == [decision]
         assert report.retransmissions == retransmissions
         assert _request_events(report) == [expected]
+        completed = decision != "channel_error"
+        assert _charged(report, 0) == _priced_events(report, P, retransmissions + completed,
+                                                     completed)
 
     def test_refused_request_is_charged_nothing(self, scenario_workspace):
         one = run(scenario_workspace, max_requests=1)
