@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,9 @@ class TemplateAlgorithm(str, enum.Enum):
     LIGHTWEIGHT = "lightweight"
 
 
+_BIT_COUNTS = ("image_bits", "template_bits")
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Per-bit, per-capture and per-extraction energy constants plus node budgets.
@@ -96,6 +100,10 @@ class EnergyParams:
             raise ValueError("d_ref must be positive")
         if not 0 < self.hub_share <= 1:
             raise ValueError("hub_share must lie in (0, 1]")
+        for name in _BIT_COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.image_bits <= self.template_bits:
             raise ValueError("image_bits must exceed template_bits")
         for name in ("budget_rf_harvest", "budget_coin_cell", "budget_hub_total"):
@@ -149,7 +157,10 @@ class EnergyParams:
                 parsed: float | int = float(value.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
-            if key in ("image_bits", "template_bits") and math.isfinite(parsed):
+            if key in _BIT_COUNTS and math.isfinite(parsed):
+                if not (parsed > 0 and parsed.is_integer()):
+                    raise ConfigError(f"{path}:{lineno}: {key} must be a positive integer, "
+                                      f"got {value.strip()!r}")
                 parsed = int(parsed)
             overrides[key] = parsed
         try:

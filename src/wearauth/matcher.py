@@ -1,7 +1,8 @@
 """Minutiae-set matching: alignment search, greedy pairing, score, decision.
 
-Every same-kind probe/gallery pair proposes a translation at each rotation
-of a discretized search range; the transform that pairs the most minutiae
+Every same-kind probe/gallery pair proposes a translation at each of the 21
+rotations of one fixed grid (:data:`ROTATIONS`, -30 to +30 degrees in 3
+degree steps); the transform that pairs the most minutiae
 (greedy nearest pairing within position/angle tolerances) wins.  Ties break
 toward the tightest alignment (smallest summed pair distance), then the
 smallest rotation, the smallest translation, the lexicographically first
@@ -19,7 +20,7 @@ bound reaches the best pair count.  On the benchmark prints (~23 minutiae)
 the runs hold ~7 % of the (translation, compatible pair) elements; a 1:1
 match takes ~6 ms, ~4.5 ms of it in the bound pass, on a 2-core x86 host
 (~190 ms for the dense search), and results are identical to the dense
-search's.  Time still grows as rotations x n^4 in the worst case (every pair
+search's.  Time still grows as 21 x n^4 in the worst case (every pair
 compatible and in tolerance); memory does not (see ``match``).
 """
 
@@ -43,14 +44,14 @@ __all__ = [
     "load_gallery",
     "match_gallery",
     "INDEX_FILENAME",
-    "MAX_ROTATIONS",
+    "ROTATIONS",
     "CHUNK_ELEMENTS",
 ]
 
 INDEX_FILENAME = "index.json"
 
-#: Largest rotation grid ``MatchParams`` accepts (0.5 degree steps over +-180).
-MAX_ROTATIONS = 721
+#: The rotations searched, in radians: -30 to +30 degrees in 3 degree steps.
+ROTATIONS = tuple(i * (math.pi / 60.0) for i in range(-10, 11))
 
 #: Elements (candidate translation x compatible pair) measured per chunk.
 CHUNK_ELEMENTS = 1 << 16
@@ -62,15 +63,12 @@ class MatchParams:
 
     Position tolerance is in absolute pixels, so rescaling both templates by
     a common factor can change the outcome; scale invariance is not claimed.
-    Every field must be finite, and the rotation grid may hold at most
-    ``MAX_ROTATIONS`` angles.
+    Every field must be finite.
     """
 
     position_tolerance: float = 12.0          # px
     angle_tolerance: float = math.pi / 8.0    # rad
     score_threshold: float = 0.4
-    rotation_range: float = math.pi / 6.0     # rad, searched symmetrically
-    rotation_step: float = math.pi / 60.0     # rad
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -82,19 +80,6 @@ class MatchParams:
             raise ValueError("tolerances must be positive")
         if not 0 < self.score_threshold < 1:
             raise ValueError("score_threshold must lie in (0, 1)")
-        if self.rotation_range < 0 or self.rotation_step <= 0:
-            raise ValueError("rotation range must be >= 0 and step > 0")
-        # 2*k + 1 angles with k = floor(ratio); compared as a float, so an
-        # overflowing ratio is refused instead of raising OverflowError.
-        if self._half_steps() >= (MAX_ROTATIONS + 1) // 2:
-            raise ValueError(f"rotation grid exceeds {MAX_ROTATIONS} angles")
-
-    def _half_steps(self) -> float:
-        return self.rotation_range / self.rotation_step + 1e-9
-
-    def rotations(self) -> list[float]:
-        k = int(math.floor(self._half_steps()))
-        return [i * self.rotation_step for i in range(-k, k + 1)]
 
 
 @dataclass(frozen=True)
@@ -258,11 +243,20 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
     when that alone has more).  Transient memory therefore stays under
     10 MiB (6.6 MiB measured at 55 x 55 with every pair compatible and in
     tolerance, ~2 MiB on real prints), plus 16 bytes per rotated probe
-    minutia, up to 10 bytes per candidate translation (rotations x
-    kind-compatible pairs: at most 75,600 for two 60-minutia templates on the
-    default 21-angle grid) and, for the one-rotation sort, ~150 bytes per
-    kind-compatible pair past 2**15 (11.3 MiB measured at 256 x 256 one-kind
-    minutiae, 22 MiB at 400 x 400).
+    minutia (21 rotations each), up to 10 bytes per candidate translation
+    (21 x kind-compatible pairs: at most 75,600 for two 60-minutia templates)
+    and, for the one-rotation sort, ~150 bytes per kind-compatible pair past
+    2**15 (11.3 MiB measured at 256 x 256 one-kind minutiae, 22 MiB at
+    400 x 400).
+
+    The grid is fixed, so the worst case depends on the two templates alone.
+    The codec holds at most 255 minutiae a template: at most 21 x 255 x 255 =
+    1,365,525 candidate translations, and a memory ceiling of ~28 MiB by the
+    sum above (the bound pass peaked at 12.4 MiB at 255 x 255 one-kind,
+    angle-compatible minutiae).  Time is bounded only by the 21 x n_p**2 x
+    n_g**2 pair tests of a pair whose every minutia lies within tolerance of
+    every other: such a clustered pair took 30.5 s at 40 x 40 on a 2-core x86
+    host, and grows as n**4 from there.
     """
     if probe.algorithm is not gallery.algorithm:
         raise ValueError(f"a {probe.algorithm.value} probe cannot match a "
@@ -283,11 +277,9 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
     if anchor_p.size == 0:
         return _NO_MATCH
 
-    thetas = params.rotations()
-    theta_arr = np.array(thetas)
     rot = np.stack([p_xy @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-                    for t in thetas])  # row-vector rotation by each theta
-    bounds = _pair_bounds(rot, g_xy, p_ang, g_ang, kind_ok, theta_arr, params)
+                    for t in ROTATIONS])  # row-vector rotation by each theta
+    bounds = _pair_bounds(rot, g_xy, p_ang, g_ang, kind_ok, np.array(ROTATIONS), params)
 
     # The winner is the candidate with the smallest key, the dense search's
     # visiting index (rotation, anchor) last, so any visiting order finds it;
@@ -300,7 +292,7 @@ def match(probe: Template, gallery: Template, params: MatchParams | None = None)
             break
         for t_idx in np.flatnonzero(bounds == level).tolist():
             r, a = divmod(t_idx, anchor_p.size)
-            theta = thetas[r]
+            theta = ROTATIONS[r]
             if r != ok_rot:  # visits run in rotation order within a level
                 ok_rot, ok = r, kind_ok & _angle_ok(p_ang[:, None], g_ang, theta,
                                                     params.angle_tolerance)

@@ -88,7 +88,6 @@ from .link import check_samples
 from .matcher import MatchParams, load_gallery, match
 
 __all__ = [
-    "BudgetExceeded",
     "EnergyLedger",
     "MAX_REQUESTS",
     "ScenarioConfig",
@@ -129,15 +128,9 @@ def _piece_samples(bit_period: int) -> int:
     return unit * max(1, round(_PIECE_TARGET / unit))
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, node: str, label: str):
-        super().__init__(f"{node} cannot afford {label}")
-        self.node = node
-        self.label = label
-
-
 class EnergyLedger:
-    """Itemized per-node energy account; a charge that would overdraw raises."""
+    """Itemized per-node energy account.  A charge is only recorded; the one
+    overdraw rule is :func:`_refusal`, which checks each request whole."""
 
     def __init__(self, role: str, initial: float):
         if initial < 0:
@@ -158,8 +151,6 @@ class EnergyLedger:
     def charge(self, label: str, joules: float) -> None:
         if joules < 0:
             raise ValueError("charges must be non-negative")
-        if self.initial - (self._charged + joules) < 0:
-            raise BudgetExceeded(self.role, label)
         self._charged += joules
         self.charges.append((label, joules))
 
@@ -349,7 +340,8 @@ def trace_csv(report: SimReport) -> str:
 
 def _refusal(events: list[_Event]) -> dict | None:
     """The first event that would overdraw its ledger if ``events`` were
-    charged in order, summed exactly as :meth:`EnergyLedger.charge` sums."""
+    charged in order, summed exactly as :meth:`EnergyLedger.charge` sums: the
+    simulator's one overdraw rule.  A request that leaves exactly 0 J fits."""
     charged: dict[EnergyLedger, float] = {}
     for ledger, label, joules in events:
         total = charged.get(ledger, ledger.total_charged) + joules

@@ -1,9 +1,9 @@
 """Oracles for ``matcher.match`` and its bound pass.
 
-``reference_match`` is the matcher's original search, unchanged: at every
-rotation it scores every kind-compatible anchor translation against every
-probe/gallery pair through a dense ``translations x n_probe x n_gallery``
-distance tensor.  It is slow and memory-hungry on large templates, and it
+``reference_match`` is the matcher's original search, unchanged but for
+reading the one fixed rotation grid ``ROTATIONS``: at every rotation it
+scores every kind-compatible anchor translation against every probe/gallery
+pair through a dense ``translations x n_probe x n_gallery`` distance tensor.  It is slow and memory-hungry on large templates, and it
 lives here only so that the property tests can check that the sparse search
 returns the very same ``MatchResult``.
 
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from wearauth.fingerprint.minutiae import Template
-from wearauth.matcher import CHUNK_ELEMENTS, MatchParams, MatchResult
+from wearauth.matcher import CHUNK_ELEMENTS, ROTATIONS, MatchParams, MatchResult
 
 
 def _angular_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ def reference_match(probe: Template, gallery: Template,
     # Bound transient tensors to ~batch*n_p*n_g floats regardless of template size.
     batch = max(1, 2_000_000 // max(1, n_p * n_g))
 
-    for theta in params.rotations():
+    for theta in ROTATIONS:
         c, s = math.cos(theta), math.sin(theta)
         rot = p_xy @ np.array([[c, s], [-s, c]])  # row-vector rotation by theta
         ang_ok = _angular_diff((p_ang + theta)[:, None] % (2.0 * np.pi),

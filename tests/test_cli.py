@@ -78,12 +78,28 @@ def test_non_finite_params_are_domain_error(capsys, tmp_path, scenario_workspace
     assert "finite" in err
 
 
+@pytest.mark.parametrize("line", ["template_bits = 1408.5", "image_bits = 0",
+                                  "template_bits = -0.5", "image_bits = -320256"])
+@pytest.mark.parametrize("command", [("table2",), ("figure4",), ("explore",), ("simulate",)])
+def test_bit_counts_that_are_not_positive_integers_are_domain_error(
+        capsys, tmp_path, scenario_workspace, line, command):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(line + "\n")
+    argv = [*command, "--params", str(cfg)]
+    if command == ("simulate",):
+        argv.append(str(write_scenario(scenario_workspace, name="bits.json", system={
+            "te_location": "hub", "on_body_channel": "hbc"}, max_requests=1)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {cfg}:1: {line.split()[0]} must be a positive integer")
+
+
 @pytest.mark.parametrize("error,code", [
     (ConfigError("bad parameter"), 1),
     (codec.DecodeError("bad template"), 1),
     (ValueError("bad value"), 1),
     (FileNotFoundError("no file"), 1),
-    (sim.BudgetExceeded("sensor", "capture"), None),
     (KeyError("bug"), None),
     (TypeError("bug"), None),
 ])
@@ -106,7 +122,7 @@ def test_package_domain_errors_are_value_errors():
         ConfigError, codec.EncodeError, codec.DecodeError, FramingError))
     # Kept out of exit 1: no command lets these escape.
     assert not any(issubclass(error, (ValueError, OSError)) for error in (
-        sim.BudgetExceeded, SyncError, IntegrityError))
+        SyncError, IntegrityError))
 
 
 class TestFigure4AndExplore:
@@ -422,6 +438,9 @@ _PARAM_NAMES = [f.name for f in fields(EnergyParams)]
 _PARAM_VALUES = st.one_of(
     st.floats().map(repr), st.integers(-10**400, 10**400).map(str), st.text(max_size=8),
     st.sampled_from(("1e-320", "0", "-0.0", "1_000", "0x10", "1e400", " 7 ", "nan", "-inf")))
+# Whole, fractional, zero and negative bit counts.
+_BIT_COUNT_VALUES = st.sampled_from(("1408", "320256", "1408.9", "1408.5", "1e3", "0.5", "0",
+                                     "-0.0", "-0.5", "-1408"))
 
 
 @st.composite
@@ -434,6 +453,8 @@ def _param_files(draw):
         st.tuples(st.sampled_from(_PARAM_NAMES + ["bogus", ""]),
                   st.sampled_from(("=", " = ", "==", "", " = 1 # ")),
                   _PARAM_VALUES).map("".join),
+        st.tuples(st.sampled_from(("image_bits", "template_bits")), st.just(" = "),
+                  _BIT_COUNT_VALUES).map("".join),
         st.text(max_size=16))
     return "\n".join(draw(st.lists(line, max_size=6))).encode("utf-8", "surrogatepass")
 
@@ -649,10 +670,10 @@ class TestSimulate:
         assert trace.read_text().startswith("seq,request,node,event,joules")
 
     @pytest.mark.parametrize("block", [
-        {"rotation_range": float("inf")},      # rotations() would overflow
+        {"rotation_range": float("inf")},      # the rotation grid is fixed
         {"rotation_step": float("nan")},
         {"position_tolerance": float("nan")},
-        {"rotation_step": 1e-12},              # a grid of ~5e11 angles
+        {"rotation_step": 0.01},
         {"angle_tolerance": "wide"},
     ])
     def test_degenerate_match_block_is_domain_error(self, capsys, scenario_workspace, block):
@@ -662,7 +683,10 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert out == ""
-        assert "error:" in err
+        (key,) = block
+        assert err.startswith("error:") and key in err
+        if key.startswith("rotation_"):
+            assert err == f"error: unknown key(s) in match: {key}\n"
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(channel={"noise": 0.3}),

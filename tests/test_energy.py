@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -60,6 +61,11 @@ class TestEnergyParams:
         ("hub_share", 0.0),
         ("hub_share", 1.5),
         ("e_te_light", -0.1),
+        ("template_bits", 0),
+        ("template_bits", -1),
+        ("template_bits", 1408.9),
+        ("template_bits", True),
+        ("image_bits", 320256.0),
     ])
     def test_invalid_parameters_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -69,6 +75,17 @@ class TestEnergyParams:
         with pytest.raises(ValueError):
             EnergyParams(image_bits=100, template_bits=1408)
 
+    @pytest.mark.parametrize("field", ["image_bits", "template_bits"])
+    @pytest.mark.parametrize("value", ["1408.9", "1408.5", "0", "-0.0", "-0.5", "-1408"])
+    def test_from_file_refuses_bit_counts_that_are_not_positive_integers(self, tmp_path,
+                                                                         field, value):
+        """A bit count is a whole positive number; the error names the file and line."""
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(f"hub_share = 0.25\n{field} = {value}\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(cfg))}:2: {field} must be a positive integer"):
+            EnergyParams.from_file(cfg)
+
     def test_from_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "params.cfg"
         cfg.write_text(
@@ -77,8 +94,10 @@ class TestEnergyParams:
             "hub_share = 0.25\n"
             "\n"
             "image_bits = 320256  # unchanged\n"
+            "template_bits = 1.408e3\n"
         )
         loaded = EnergyParams.from_file(cfg)
+        assert type(loaded.template_bits) is int and loaded.template_bits == 1408
         assert loaded.e_te_light == 0.294
         assert loaded.hub_share == 0.25
         assert loaded.e_bit_wban == P.e_bit_wban

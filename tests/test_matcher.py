@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from wearauth import codec, matcher
 from wearauth.fingerprint.minutiae import Minutia, MinutiaKind, Template, TemplateAlgorithm
 from wearauth.matcher import (
-    CHUNK_ELEMENTS, MAX_ROTATIONS, MatchParams, load_gallery, match, match_gallery,
+    CHUNK_ELEMENTS, ROTATIONS, MatchParams, load_gallery, match, match_gallery,
 )
 
 from reference_matcher import reference_match, reference_pair_bounds
@@ -171,17 +172,12 @@ def _templates(draw, spread, one_kind):
 
 @st.composite
 def _params(draw):
-    rotation_range = draw(st.sampled_from((0.0, math.pi / 30, math.pi / 6)))
-    half_steps = draw(st.integers(1, 5))
-    on_grid = rotation_range / half_steps if rotation_range else math.pi / 60
-    rotation_step = draw(st.sampled_from((on_grid, on_grid * 0.77)))  # on / off grid
     # Whole-pixel tolerances meet integer distances (3-4-5) exactly at the edge.
     position_tolerance = draw(st.one_of(st.sampled_from((1.0, 5.0, 10.0)),
                                         st.floats(0.5, 40.0)))
     return MatchParams(position_tolerance=position_tolerance,
                        angle_tolerance=draw(st.floats(0.01, math.pi)),
-                       score_threshold=draw(st.floats(0.05, 0.95)),
-                       rotation_range=rotation_range, rotation_step=rotation_step)
+                       score_threshold=draw(st.floats(0.05, 0.95)))
 
 
 @st.composite
@@ -202,18 +198,26 @@ class TestSparseSearchIsExact:
         assert match(probe, gallery, params) == reference_match(probe, gallery, params)
 
     def test_key_tie_goes_to_the_first_rotation(self):
-        # The probe minutia at the origin lands on gallery minutia 0 with the
-        # same key at theta = -1 and +1.  At +1 two more compatible pairs lie
-        # in tolerance, so that translation has the larger bound and is tried
-        # first; the dense search met -1 first, and -1 must still win.
-        probe = T([(0, 0, 0.0, E), (0, 4, 0.3, E)])
-        gallery = T([(50, 50, math.pi, E), (52, 54, math.pi - 0.3, E)])
-        params = MatchParams(position_tolerance=5.0, angle_tolerance=math.pi - 1.0 + 1e-6,
-                             rotation_range=1.0, rotation_step=1.0)
+        # Only the grid's ends, theta = -30 and +30 degrees, bring any probe
+        # angle within tolerance of a gallery angle.  The probe minutia at
+        # the origin lands on gallery minutia 0 with the same key at both.
+        # At +30 two more compatible pairs lie in tolerance, so that
+        # translation has the larger bound and is tried first; the dense
+        # search met -30 first, and -30 must still win.
+        theta = ROTATIONS[-1]
+        degree = math.pi / 180
+        probe = T([(0, 0, 0.0, E), (0, 4, degree, E)])
+        gallery = T([(50, 0, math.pi, E), (53, 3, math.pi - degree, E)])
+        params = MatchParams(position_tolerance=5.0, angle_tolerance=math.pi - theta + 1e-6)
+        bounds = _bounds_agree(_bound_inputs(
+            [(m.x, m.y, m.angle, 0) for m in probe.minutiae],
+            [(m.x, m.y, m.angle, 0) for m in gallery.minutiae], params)).reshape(21, -1)
+        assert (bounds[0, 0], bounds[-1, 0]) == (1, 2)    # anchor (0, 0) at -30, +30
+        assert not bounds[1:-1].any()
         res = match(probe, gallery, params)
         assert res == reference_match(probe, gallery, params)
         assert res.pairs == ((0, 0),)
-        assert res.transform == (50.0, 50.0, -1.0)
+        assert res.transform == (50.0, 0.0, -theta)
 
     def test_benchmark_sized_pairs(self):
         rng = np.random.default_rng(23)
@@ -223,15 +227,15 @@ class TestSparseSearchIsExact:
             assert match(a, b, params) == reference_match(a, b, params)
 
 
-def _bound_inputs(p_pts, g_pts, params):
-    """``_pair_bounds`` arguments for (x, y, angle, kind) points, as ``match`` builds them."""
+def _bound_inputs(p_pts, g_pts, params, thetas=ROTATIONS):
+    """``_pair_bounds`` arguments for (x, y, angle, kind) points, as ``match``
+    builds them, searched at ``thetas``."""
     p_xy = np.array([(x, y) for x, y, _, _ in p_pts], dtype=np.float64).reshape(-1, 2)
     g_xy = np.array([(x, y) for x, y, _, _ in g_pts], dtype=np.float64).reshape(-1, 2)
     p_ang = np.array([a for _, _, a, _ in p_pts], dtype=np.float64)
     g_ang = np.array([a for _, _, a, _ in g_pts], dtype=np.float64)
     kind_ok = (np.array([k for *_, k in p_pts])[:, None]
                == np.array([k for *_, k in g_pts])[None, :])
-    thetas = params.rotations()
     rot = np.stack([p_xy @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
                     for t in thetas])
     return rot, g_xy, p_ang, g_ang, kind_ok, np.array(thetas), params
@@ -259,16 +263,14 @@ def _bound_cases(draw):
     points = st.lists(st.tuples(coord, coord, angle,
                                 st.just(0) if one_kind else st.integers(0, 1)),
                       min_size=1, max_size=12)
-    rotation_range = draw(st.sampled_from((0.0, math.pi / 30, math.pi / 6)))
     params = MatchParams(
         position_tolerance=draw(st.one_of(st.sampled_from((1.0, 5.0, 10.0)),
                                           st.floats(0.5, 40.0))),
         angle_tolerance=draw(st.one_of(st.sampled_from((1e-3, math.pi)),
-                                       st.floats(0.01, math.pi))),
-        rotation_range=rotation_range,
-        rotation_step=rotation_range / draw(st.integers(1, 5)) if rotation_range else 0.1)
+                                       st.floats(0.01, math.pi))))
+    thetas = draw(st.sampled_from(((0.0,), ROTATIONS[9:12], ROTATIONS)))
     chunk = draw(st.sampled_from((CHUNK_ELEMENTS, 64, 5)))
-    return _bound_inputs(draw(points), draw(points), params), chunk
+    return _bound_inputs(draw(points), draw(points), params, thetas), chunk
 
 
 class TestSweepBoundsAreExact:
@@ -306,7 +308,7 @@ class TestSweepBoundsAreExact:
         # probe side's count passes 255 although the bound itself fits a byte.
         probe = [(i % 4, i // 4 % 4, 0.0, 0) for i in range(260)]
         gallery = [(i % 3, i // 3, 0.0, 0) for i in range(10)]
-        bounds = _bounds_agree(_bound_inputs(probe, gallery, MatchParams(rotation_range=0.0)))
+        bounds = _bounds_agree(_bound_inputs(probe, gallery, MatchParams(), thetas=(0.0,)))
         assert bounds.min() == 10
 
     def test_distance_of_exactly_the_tolerance(self):
@@ -317,7 +319,7 @@ class TestSweepBoundsAreExact:
         for second in ((113, 104, 0.0, 0), (115, 100, 0.0, 0)):
             gallery = [(100, 100, 0.0, 0), second]
             first = [_bounds_agree(_bound_inputs(probe, gallery, MatchParams(
-                         position_tolerance=tol, rotation_range=0.0)))[0]
+                         position_tolerance=tol), thetas=(0.0,)))[0]
                      for tol in (5.0, math.nextafter(5.0, 0.0))]
             assert first == [2, 1], second
 
@@ -343,7 +345,7 @@ class TestMatchMemory:
         a, b = random_template(rng, 60), random_template(rng, 60)
         match(a, b)
         same_kind = sum(m.kind == n.kind for m in a.minutiae for n in b.minutiae)
-        rotations = len(MatchParams().rotations())
+        rotations = len(ROTATIONS)
         # Ceiling from ``match``'s docstring.
         ceiling = 10 * 2**20 + 16 * rotations * len(a) + 10 * rotations * same_kind
         assert _peak_bytes(match, a, b) <= ceiling
@@ -353,8 +355,8 @@ class TestMatchMemory:
         # translations holds a whole rotation.
         rng = np.random.default_rng(7)
         pts = [(x, y, 0.0, 0) for x, y in rng.uniform(0, 3000, (512, 2)).tolist()]
-        args = _bound_inputs(pts[:256], pts[256:], MatchParams(rotation_range=0.0,
-                                                              angle_tolerance=math.pi))
+        args = _bound_inputs(pts[:256], pts[256:], MatchParams(angle_tolerance=math.pi),
+                             thetas=(0.0,))
         pairs = 256 * 256
         # Ceiling from ``match``'s docstring, on one rotation.
         ceiling = 10 * 2**20 + 16 * 256 + 10 * pairs + 150 * (pairs - 2**15)
@@ -362,46 +364,39 @@ class TestMatchMemory:
 
 
 class TestMatchParams:
-    def test_rotation_grid_is_symmetric(self):
-        rots = MatchParams().rotations()
-        assert len(rots) == 21
-        assert rots == sorted(rots)
-        assert all(any(abs(r + q) < 1e-12 for q in rots) for r in rots)
+    def test_rotation_grid_is_the_former_default(self):
+        """The one grid searched is, bit for bit, the 21 symmetric angles the
+        default settings searched when the grid was configurable: -30 to +30
+        degrees in 3 degree steps."""
+        half = [float.fromhex(h) for h in (
+            "0x0.0p+0", "0x1.acee9f37bebd5p-5", "0x1.acee9f37bebd5p-4", "0x1.41b2f769cf0e0p-3",
+            "0x1.acee9f37bebd5p-3", "0x1.0c152382d7365p-2", "0x1.41b2f769cf0e0p-2",
+            "0x1.7750cb50c6e5ap-2", "0x1.acee9f37bebd5p-2", "0x1.e28c731eb6950p-2",
+            "0x1.0c152382d7365p-1")]
+        expected = [-t for t in half[:0:-1]] + half
+        assert len(ROTATIONS) == 21
+        assert [t.hex() for t in ROTATIONS] == [t.hex() for t in expected]
+
+    def test_has_three_fields(self):
+        assert [f.name for f in fields(MatchParams)] == [
+            "position_tolerance", "angle_tolerance", "score_threshold"]
 
     @pytest.mark.parametrize("kw", [
         {"position_tolerance": 0.0},
         {"angle_tolerance": -1.0},
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
-        {"rotation_step": 0.0},
         {"position_tolerance": math.nan},
         {"position_tolerance": math.inf},
         {"angle_tolerance": math.nan},
         {"angle_tolerance": math.inf},
         {"score_threshold": math.nan},
-        {"rotation_range": math.inf},
-        {"rotation_range": math.nan},
-        {"rotation_step": math.nan},
-        {"rotation_step": math.inf},
-        {"rotation_step": 1e-300},  # range/step overflows to inf
         {"position_tolerance": "12"},
-        {"rotation_range": None},
         {"angle_tolerance": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MatchParams(**kw)
-
-    def test_rotation_grid_cap(self):
-        # k half-steps give 2k + 1 angles; the cap is checked arithmetically,
-        # so the refused grid is never built.
-        k = (MAX_ROTATIONS - 1) // 2
-        at_cap = MatchParams(rotation_range=k * 0.01, rotation_step=0.01)
-        assert len(at_cap.rotations()) == MAX_ROTATIONS
-        with pytest.raises(ValueError):
-            MatchParams(rotation_range=(k + 1) * 0.01, rotation_step=0.01)
-        with pytest.raises(ValueError):
-            MatchParams(rotation_range=math.pi, rotation_step=1e-9)
 
 
 class TestGallery:

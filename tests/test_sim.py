@@ -34,7 +34,6 @@ from wearauth.fingerprint.minutiae import (
 from wearauth.link import MAX_BIT_PERIOD, MAX_SAMPLES
 from wearauth.sim import (
     MAX_REQUESTS,
-    BudgetExceeded,
     EnergyLedger,
     ScenarioConfig,
     run_scenario,
@@ -84,14 +83,6 @@ class TestEnergyLedger:
         led.charge("b", 1.0)
         assert led.total_charged == 5.0
         assert led.remaining == 5.0
-
-    def test_overdraw_raises_and_leaves_state(self):
-        led = EnergyLedger("sensor", 1.0)
-        led.charge("a", 0.75)
-        with pytest.raises(BudgetExceeded):
-            led.charge("b", 0.5)
-        assert led.total_charged == 0.75
-        assert len(led.charges) == 1
 
     def test_conservation_is_recomputable(self):
         led = EnergyLedger("hub", 5.0)
@@ -576,6 +567,27 @@ class TestAccounting:
             for _, joules in led.charges:
                 total += joules
             assert led.total_charged == total             # same fold, bit-exact
+
+    def test_overdraw_by_the_last_event_refuses_the_request_and_exact_zero_is_charged(
+            self, scenario_workspace):
+        """The whole-request check is the one overdraw rule: a hub budget one
+        ulp short of three requests refuses the third at its last hub event,
+        tx_lora, and charges none of its events; a budget of exactly three
+        requests charges the third and leaves the hub 0 J."""
+        three = run(scenario_workspace, max_requests=3).ledger("hub")
+        assert three.charges[-1][0] == "tx_lora"
+        for budget, attempted, refusal in (
+                (math.nextafter(three.total_charged, 0.0), 2, {"node": "hub", "event": "tx_lora"}),
+                (three.total_charged, 3, {"node": "hub", "event": "rx_hbc"})):
+            report = run(scenario_workspace, params=EnergyParams(budget_hub_total=budget,
+                                                                 hub_share=1.0))
+            assert (report.refusal, report.requests_attempted) == (refusal, attempted)
+            assert {req for _, req, _, _, _ in report.trace} == set(range(attempted))
+            hub = report.ledger("hub")
+            per_request = len(three.charges) // 3
+            assert hub.charges == three.charges[:attempted * per_request]
+            assert hub.remaining == budget - hub.total_charged >= 0.0
+        assert hub.remaining == 0.0
 
     @pytest.mark.parametrize("link", ["hbc", "wban"])
     def test_refusal_in_the_events_prefix_skips_the_data_plane(self, scenario_workspace,
